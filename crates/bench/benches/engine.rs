@@ -1,21 +1,17 @@
-//! Engine snapshot: quantifies the calendar-queue scheduler, the coalesced
-//! multicast delivery path and the parallel scenario sweep, and records the
+//! Engine snapshot: quantifies the coalesced multicast delivery path, the
+//! parallel scenario sweep and the intra-run parallel engine, and records the
 //! result to `BENCH_engine.json` at the repository root.
 //!
 //! Three measurements:
 //!
-//! 1. **Queue microbench** — schedule-then-drain 1e6+ timestamped events
-//!    through the raw `EventQueue`, heap vs calendar.
-//! 2. **Broadcast storm** — an n-replica gossip round-trip through the full
+//! 1. **Broadcast storm** — an n-replica gossip round-trip through the full
 //!    engine (every replica broadcasts each round until a fixed round count),
-//!    once with the heap queue + per-recipient unicasts (the PR-1 baseline)
-//!    and once with the calendar queue + coalesced multicast. At the full
-//!    scale (`ORTHRUS_FULL_SCALE=1`) this is a 128-replica, ≥1e6-delivery
-//!    scenario. The two off-diagonal combinations are included to attribute
-//!    the speedup.
-//! 3. **Scenario sweep** — a multi-point paper-style sweep run serially and
+//!    once with per-recipient unicasts (the PR-1 baseline) and once with
+//!    coalesced multicast. At the full scale (`ORTHRUS_FULL_SCALE=1`) this is
+//!    a 128-replica, ≥1e6-delivery scenario.
+//! 2. **Scenario sweep** — a multi-point paper-style sweep run serially and
 //!    on the scoped thread pool, with a cross-thread-count determinism check.
-//! 4. **Intra-run parallel engine** — one fig3-style point (128 replicas at
+//! 3. **Intra-run parallel engine** — one fig3-style point (128 replicas at
 //!    full scale) on the serial engine vs the conservative-window parallel
 //!    engine: bit-identity, measured wall clock, and a work-span makespan
 //!    model at a fixed width so the speedup claim is host-independent.
@@ -27,57 +23,14 @@ use orthrus_bench::harness::{self, BenchScale};
 use orthrus_core::{
     build_simulation, run_scenario, run_scenarios_with_threads, ScenarioOutcome, StopCondition,
 };
-use orthrus_sim::{
-    Actor, Context, FaultPlan, NetworkConfig, NodeId, Payload, QueueKind, Simulation,
-    SimulationReport,
-};
-use orthrus_types::rng::{Rng, StdRng};
+use orthrus_sim::{Actor, Context, NetworkConfig, NodeId, Payload, Simulation, SimulationReport};
 use orthrus_types::{Duration, EngineMode, NetworkKind, ProtocolKind, SimTime};
 use std::any::Any;
 use std::sync::Arc;
 use std::time::Instant;
 
 // ----------------------------------------------------------------------
-// 1. Raw queue microbench
-// ----------------------------------------------------------------------
-
-struct QueueMicro {
-    events: usize,
-    heap_events_per_sec: f64,
-    calendar_events_per_sec: f64,
-}
-
-fn queue_micro(events: usize) -> QueueMicro {
-    let run = |kind: QueueKind| -> f64 {
-        let mut q = orthrus_sim::EventQueue::with_kind(kind);
-        let mut rng = StdRng::seed_from_u64(4242);
-        let wall = Instant::now();
-        // Half up front, then a hold pattern: pop one, push one — the
-        // steady-state shape of a discrete-event run.
-        let half = events / 2;
-        for i in 0..half {
-            q.schedule(SimTime::from_micros(rng.gen_range(0..2_000_000u64)), i);
-        }
-        let mut now = 0u64;
-        for i in half..events {
-            let (t, _) = q.pop().expect("queue holds events");
-            now = now.max(t.as_micros());
-            q.schedule(SimTime::from_micros(now + rng.gen_range(0..5_000u64)), i);
-        }
-        while q.pop().is_some() {}
-        let secs = wall.elapsed().as_secs_f64();
-        // One schedule + one pop per event.
-        events as f64 / secs
-    };
-    QueueMicro {
-        events,
-        heap_events_per_sec: run(QueueKind::Heap),
-        calendar_events_per_sec: run(QueueKind::Calendar),
-    }
-}
-
-// ----------------------------------------------------------------------
-// 2. Broadcast storm through the full engine
+// 1. Broadcast storm through the full engine
 // ----------------------------------------------------------------------
 
 /// A gossip message with an `Arc` payload, mimicking the zero-copy fabric's
@@ -151,9 +104,8 @@ struct StormResult {
     end_time_us: u64,
 }
 
-fn storm(replicas: u32, rounds: u32, queue: QueueKind, coalesce: bool) -> StormResult {
-    let mut sim: Simulation<Gossip> =
-        Simulation::with_queue(NetworkConfig::wan(), FaultPlan::none(), 7, queue);
+fn storm(replicas: u32, rounds: u32, coalesce: bool) -> StormResult {
+    let mut sim: Simulation<Gossip> = Simulation::new(NetworkConfig::wan(), 7);
     let payload = Arc::new(vec![0u8; 1024]);
     let all: Vec<NodeId> = (0..replicas).map(NodeId::replica).collect();
     for &node in &all {
@@ -208,7 +160,7 @@ fn storm_json(name: &str, r: &StormResult) -> String {
 }
 
 // ----------------------------------------------------------------------
-// 3. Parallel scenario sweep
+// 2. Parallel scenario sweep
 // ----------------------------------------------------------------------
 
 struct SweepResult {
@@ -302,7 +254,7 @@ fn sweep_bench(scale: BenchScale) -> SweepResult {
 }
 
 // ----------------------------------------------------------------------
-// 4. Intra-run parallel engine (conservative windows)
+// 3. Intra-run parallel engine (conservative windows)
 // ----------------------------------------------------------------------
 
 /// Fixed machine width the work-span model is evaluated at, so the modeled
@@ -426,9 +378,9 @@ fn outcomes_identical(a: &ScenarioOutcome, b: &ScenarioOutcome) -> bool {
 
 fn main() {
     let scale = BenchScale::from_env();
-    let (replicas, queue_events) = match scale {
-        BenchScale::Reduced => (24u32, 200_000usize),
-        BenchScale::Full => (128u32, 1_000_000usize),
+    let replicas = match scale {
+        BenchScale::Reduced => 24u32,
+        BenchScale::Full => 128u32,
     };
     // Rounds needed so the storm delivers at least 1e6 messages at full
     // scale: each round is n * (n - 1) deliveries.
@@ -440,21 +392,12 @@ fn main() {
     let rounds = target_deliveries.div_ceil(per_round) as u32;
 
     println!("== engine snapshot ({scale:?} scale) ==");
-    println!("\n-- queue microbench: {queue_events} schedule/pop pairs --");
-    let micro = queue_micro(queue_events);
-    println!("heap      {:>12.0} events/s", micro.heap_events_per_sec);
-    println!("calendar  {:>12.0} events/s", micro.calendar_events_per_sec);
-
     println!("\n-- broadcast storm: {replicas} replicas x {rounds} rounds --");
-    let baseline = storm(replicas, rounds, QueueKind::Heap, false);
-    let coalesced = storm(replicas, rounds, QueueKind::Calendar, true);
-    let heap_coalesced = storm(replicas, rounds, QueueKind::Heap, true);
-    let calendar_unicast = storm(replicas, rounds, QueueKind::Calendar, false);
+    let baseline = storm(replicas, rounds, false);
+    let coalesced = storm(replicas, rounds, true);
     for (name, r) in [
-        ("heap + per-recipient  (baseline)", &baseline),
-        ("calendar + coalesced  (this PR) ", &coalesced),
-        ("heap + coalesced               ", &heap_coalesced),
-        ("calendar + per-recipient       ", &calendar_unicast),
+        ("per-recipient (baseline)", &baseline),
+        ("coalesced               ", &coalesced),
     ] {
         println!(
             "{name}: {:>8.1} ms, {:>10.0} deliveries/s, peak queue {:>8}",
@@ -521,17 +464,9 @@ fn main() {
             "{{\n",
             "  \"bench\": \"engine\",\n",
             "  \"scale\": \"{}\",\n",
-            "  \"queue_micro\": {{\n",
-            "    \"events\": {},\n",
-            "    \"heap_events_per_sec\": {:.0},\n",
-            "    \"calendar_events_per_sec\": {:.0},\n",
-            "    \"speedup\": {:.2}\n",
-            "  }},\n",
             "  \"broadcast_storm\": {{\n",
             "    \"replicas\": {},\n",
             "    \"rounds\": {},\n",
-            "{},\n",
-            "{},\n",
             "{},\n",
             "{},\n",
             "    \"speedup\": {:.2},\n",
@@ -572,16 +507,10 @@ fn main() {
         } else {
             "reduced"
         },
-        micro.events,
-        micro.heap_events_per_sec,
-        micro.calendar_events_per_sec,
-        micro.calendar_events_per_sec / micro.heap_events_per_sec,
         replicas,
         rounds,
-        storm_json("heap_per_recipient_baseline", &baseline),
-        storm_json("calendar_coalesced", &coalesced),
-        storm_json("heap_coalesced", &heap_coalesced),
-        storm_json("calendar_per_recipient", &calendar_unicast),
+        storm_json("per_recipient_baseline", &baseline),
+        storm_json("coalesced", &coalesced),
         speedup,
         baseline.peak_queue_len as f64 / coalesced.peak_queue_len.max(1) as f64,
         sweep.scenarios,

@@ -134,8 +134,10 @@ pub struct Scenario {
     pub max_sim_time: Duration,
     /// Seed for workload generation and network jitter.
     pub seed: u64,
-    /// Event-queue implementation the simulation runs on. Both kinds produce
-    /// bit-identical traces; differential tests drive both.
+    /// Compile shim for the frozen `benchmark/` crate, whose `replay.rs` reads
+    /// this field; nothing else does. Goes away with the next
+    /// `benchmark`-archetype PR.
+    #[doc(hidden)]
     pub queue: QueueKind,
     /// Simulation-engine mode: the serial reference walk or the conservative
     /// time-window parallel scheduler. Both produce bit-identical reports and
@@ -161,7 +163,7 @@ impl Scenario {
             submission_window: Duration::from_secs(2),
             max_sim_time: Duration::from_secs(120),
             seed: 42,
-            queue: QueueKind::default(),
+            queue: Default::default(),
             engine_mode: EngineMode::default(),
             stop: StopCondition::DEFAULT.to_vec(),
         }
@@ -246,12 +248,6 @@ impl Scenario {
     /// (`ProtocolConfig::view_change_timeout`).
     pub fn with_view_change_timeout(mut self, timeout: Duration) -> Self {
         self.config.view_change_timeout = timeout;
-        self
-    }
-
-    /// Override the event-queue implementation.
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -458,12 +454,8 @@ pub fn build_simulation(scenario: &Scenario) -> Result<(Simulation<NetMessage>, 
     workload.install_genesis(&mut genesis);
 
     let network = NetworkConfig::for_kind(scenario.network);
-    let mut sim: Simulation<NetMessage> = Simulation::with_queue(
-        network,
-        scenario.faults.clone(),
-        scenario.seed,
-        scenario.queue,
-    );
+    let mut sim: Simulation<NetMessage> =
+        Simulation::with_faults(network, scenario.faults.clone(), scenario.seed);
     if scenario.engine_mode == EngineMode::Parallel {
         // Same thread knob as the sweep pool; gating is on the *requested*
         // count so single-core CI still exercises the windowed code path
@@ -811,7 +803,6 @@ mod tests {
             .with_straggler()
             .with_seed(9)
             .with_max_sim_time(Duration::from_secs(30))
-            .with_queue(QueueKind::Heap)
             .with_max_inflight_blocks(8)
             .with_batch_size(128)
             .with_batch_timeout(Duration::from_millis(25))
@@ -823,7 +814,6 @@ mod tests {
         assert_eq!(s.faults.stragglers.len(), 1);
         assert_eq!(s.seed, 9);
         assert_eq!(s.max_sim_time, Duration::from_secs(30));
-        assert_eq!(s.queue, QueueKind::Heap);
         assert_eq!(s.config.max_inflight_blocks, 8);
         assert_eq!(s.config.batch_size, 128);
         assert_eq!(s.config.batch_timeout, Duration::from_millis(25));

@@ -112,9 +112,6 @@ fn params_to_scenario(params: &Params) -> Result<Scenario, SpecError> {
     if let Some(enabled) = params.checkpoint_gc {
         scenario.config.checkpoint_gc = enabled;
     }
-    if let Some(queue) = params.queue {
-        scenario.queue = queue;
-    }
     if let Some(mode) = params.engine_mode {
         scenario.engine_mode = mode;
     }

@@ -26,7 +26,6 @@
 //! the round trip does not preserve.
 
 use orthrus_core::StopCondition;
-use orthrus_sim::QueueKind;
 use orthrus_types::{EngineMode, ExecutionMode, NetworkKind, ProtocolKind};
 use std::fmt;
 use std::fmt::Write as _;
@@ -170,8 +169,6 @@ pub struct Params {
     pub execution_mode: Option<ExecutionMode>,
     /// `checkpoint_gc = true | false`
     pub checkpoint_gc: Option<bool>,
-    /// `queue = heap | calendar`
-    pub queue: Option<QueueKind>,
     /// `engine_mode = serial | parallel` — simulation engine: the serial
     /// reference walk or the conservative time-window parallel scheduler
     /// (bit-identical outcomes; parallel only changes wall-clock)
@@ -371,17 +368,6 @@ fn parse_network(value: &str, line: usize) -> Result<NetworkKind, SpecError> {
     }
 }
 
-fn parse_queue(value: &str, line: usize) -> Result<QueueKind, SpecError> {
-    match value {
-        "heap" => Ok(QueueKind::Heap),
-        "calendar" => Ok(QueueKind::Calendar),
-        _ => Err(SpecError::at(
-            line,
-            format!("unknown queue {value:?} (heap|calendar)"),
-        )),
-    }
-}
-
 fn parse_execution_mode(value: &str, line: usize) -> Result<ExecutionMode, SpecError> {
     ExecutionMode::from_name(value).ok_or_else(|| {
         SpecError::at(
@@ -490,7 +476,6 @@ impl Params {
             "parallel_execution" => put!(parallel_execution, parse_bool(value, line)?),
             "execution_mode" => put!(execution_mode, parse_execution_mode(value, line)?),
             "checkpoint_gc" => put!(checkpoint_gc, parse_bool(value, line)?),
-            "queue" => put!(queue, parse_queue(value, line)?),
             "engine_mode" => put!(engine_mode, parse_engine_mode(value, line)?),
             "accounts" => put!(accounts, parse_num(value, line, "account count")?),
             "transactions" => put!(transactions, parse_num(value, line, "transaction count")?),
@@ -889,16 +874,6 @@ fn write_params(out: &mut String, params: &Params) {
         let _ = writeln!(out, "execution_mode = {}", mode.name());
     }
     kv!("checkpoint_gc", params.checkpoint_gc);
-    if let Some(q) = params.queue {
-        let _ = writeln!(
-            out,
-            "queue = {}",
-            match q {
-                QueueKind::Heap => "heap",
-                QueueKind::Calendar => "calendar",
-            }
-        );
-    }
     if let Some(mode) = params.engine_mode {
         let _ = writeln!(out, "engine_mode = {}", mode.name());
     }

@@ -1,39 +1,13 @@
 //! The virtual-time event queue at the heart of the discrete-event engine.
 //!
 //! Events are ordered by `(time, insertion sequence)`. The insertion sequence
-//! acts as a deterministic tie-breaker for events scheduled at the same
-//! virtual time, which keeps runs reproducible regardless of queue internals.
-//!
-//! Two interchangeable implementations live behind [`EventQueue`]:
-//!
-//! * **Heap** — a global `BinaryHeap`, `O(log n)` per operation. Simple and
-//!   the historical baseline.
-//! * **Calendar** — a calendar queue (bucketed timing wheel): the near future
-//!   is divided into fixed-width buckets, events land in the bucket covering
-//!   their timestamp, and a cursor walks the buckets in virtual-time order.
-//!   Insert and pop are amortized `O(1)`; the bucket count doubles (a "year
-//!   resize") when occupancy grows and halves again when the queue drains.
-//!   Events beyond the wheel's horizon wait in an overflow heap and migrate
-//!   into the wheel as the cursor's window slides over them.
-//!
-//! Both implementations pop in exactly the same `(time, seq)` order, so a
-//! simulation trace is bit-identical regardless of [`QueueKind`] — the
-//! differential tests in `tests/determinism.rs` and the seeded-loop tests
-//! below pin that down.
+//! is a deterministic tie-breaker for events scheduled at the same virtual
+//! time, so a run is reproducible whatever the heap does internally. The
+//! queue is one `BinaryHeap`, `O(log n)` per operation.
 
 use orthrus_types::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Which event-queue implementation a simulation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum QueueKind {
-    /// Global binary heap: `O(log n)` per operation.
-    Heap,
-    /// Calendar queue: amortized `O(1)` per operation, the default.
-    #[default]
-    Calendar,
-}
 
 /// An entry in the event queue.
 #[derive(Debug)]
@@ -44,7 +18,7 @@ struct Entry<E> {
 }
 
 impl<E> Entry<E> {
-    /// The total order all queue implementations agree on.
+    /// The total order events pop in.
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.time, self.seq)
@@ -71,222 +45,10 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Initial width of one calendar bucket, as a power of two of microseconds.
-/// Network events are spaced tens of microseconds (LAN processing) to
-/// hundreds of milliseconds (WAN propagation) apart; 256 µs is a reasonable
-/// opening guess, and every year resize re-derives the width from the
-/// observed event density so dense bursts get fine buckets and sparse timer
-/// wheels get coarse ones. Widths stay powers of two so bucket mapping is a
-/// shift, not a division.
-const INITIAL_WIDTH_LOG2: u32 = 8;
-/// Bounds for the adaptive bucket width (2^0 = 1 µs — the clock resolution —
-/// up to 2^20 ≈ 1 s for nearly idle queues).
-const MIN_WIDTH_LOG2: u32 = 0;
-const MAX_WIDTH_LOG2: u32 = 20;
-/// Bucket count bounds for the year resize. The maximum caps the slot array
-/// at 64 Ki entries; occupancy beyond that grows linearly but stays cheap
-/// because the width adaptation keeps events spread across the wheel.
-const MIN_BUCKETS: usize = 1 << 10;
-const MAX_BUCKETS: usize = 1 << 16;
-
-/// The calendar-queue core: a timing wheel over absolute bucket indices
-/// `[cursor, cursor + slots.len())` plus an overflow heap for events beyond
-/// that window.
-#[derive(Debug)]
-struct Calendar<E> {
-    /// `slots[b % slots.len()]` holds the events of absolute bucket `b` for
-    /// every `b` in the current window. Slot contents are unsorted; pops scan
-    /// the cursor slot for the `(time, seq)` minimum.
-    slots: Vec<Vec<Entry<E>>>,
-    /// log2 of the microseconds per bucket; re-derived from event density on
-    /// rebuild. Power-of-two widths make `bucket_of` a shift.
-    width_log2: u32,
-    /// `slots.len() - 1`; the bucket count is always a power of two, so the
-    /// slot of absolute bucket `b` is `b & slot_mask`.
-    slot_mask: u64,
-    /// Absolute index of the bucket the cursor is in (`time >> width_log2`).
-    cursor: u64,
-    /// Number of events currently in the wheel (excludes the overflow heap).
-    wheel_len: usize,
-    /// Far-future events, min-first. Migrated into the wheel as the window
-    /// slides over their bucket.
-    overflow: BinaryHeap<Entry<E>>,
-}
-
-impl<E> Calendar<E> {
-    fn new() -> Self {
-        Self {
-            slots: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width_log2: INITIAL_WIDTH_LOG2,
-            slot_mask: MIN_BUCKETS as u64 - 1,
-            cursor: 0,
-            wheel_len: 0,
-            overflow: BinaryHeap::new(),
-        }
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
-    }
-
-    #[inline]
-    fn bucket_of(&self, time: SimTime) -> u64 {
-        time.0 >> self.width_log2
-    }
-
-    fn insert(&mut self, entry: Entry<E>) {
-        self.insert_no_resize(entry);
-        if self.wheel_len > self.slots.len() * 2 && self.slots.len() < MAX_BUCKETS {
-            self.rebuild(self.slots.len() * 2);
-        }
-    }
-
-    fn insert_no_resize(&mut self, entry: Entry<E>) {
-        // Events at or before the cursor's bucket (the engine only schedules
-        // "now" or later, but unit tests may schedule in the past) land in
-        // the cursor slot; the pop-time min scan still orders them correctly
-        // because it compares (time, seq), not slot positions.
-        let b = self.bucket_of(entry.time).max(self.cursor);
-        if b < self.cursor + self.slots.len() as u64 {
-            self.slots[(b & self.slot_mask) as usize].push(entry);
-            self.wheel_len += 1;
-        } else {
-            self.overflow.push(entry);
-        }
-    }
-
-    /// Year resize: rebuild the wheel with `new_size` buckets, re-deriving
-    /// the bucket width from the observed event density, repositioning the
-    /// cursor at the earliest pending event and re-bucketing everything
-    /// (overflow entries whose bucket now fits the wider window move in).
-    fn rebuild(&mut self, new_size: usize) {
-        let mut all: Vec<Entry<E>> = Vec::with_capacity(self.len());
-        for slot in &mut self.slots {
-            all.append(slot);
-        }
-        all.extend(self.overflow.drain());
-        self.slots = (0..new_size).map(|_| Vec::new()).collect();
-        self.slot_mask = new_size as u64 - 1;
-        self.wheel_len = 0;
-        if !all.is_empty() {
-            let (min, max) = all.iter().fold((u64::MAX, 0u64), |(lo, hi), e| {
-                (lo.min(e.time.0), hi.max(e.time.0))
-            });
-            if all.len() >= 2 {
-                // Aim for ~2 events per bucket across the pending span —
-                // dense bursts (millions of events over milliseconds) get
-                // microsecond buckets, sparse timer wheels get coarse ones —
-                // but never let the window shrink below the span itself,
-                // otherwise the far end of the distribution churns through
-                // the overflow heap. Widths round up to a power of two so
-                // bucket mapping stays a shift.
-                let span = max - min;
-                let per_event = 2 * span / all.len() as u64;
-                let cover = span / new_size as u64 + 1;
-                self.width_log2 = per_event
-                    .max(cover)
-                    .next_power_of_two()
-                    .trailing_zeros()
-                    .clamp(MIN_WIDTH_LOG2, MAX_WIDTH_LOG2);
-            }
-            self.cursor = min >> self.width_log2;
-        }
-        for entry in all {
-            self.insert_no_resize(entry);
-        }
-    }
-
-    /// Pull overflow events whose bucket fell inside the current window.
-    fn migrate_overflow(&mut self) {
-        let end = self.cursor + self.slots.len() as u64;
-        let shift = self.width_log2;
-        while self
-            .overflow
-            .peek()
-            .is_some_and(|e| (e.time.0 >> shift) < end)
-        {
-            let entry = self.overflow.pop().expect("peeked entry exists");
-            self.insert_no_resize(entry);
-        }
-    }
-
-    /// Advance the cursor to the slot holding the earliest event, migrating
-    /// overflow entries as the window slides. Returns `false` when empty.
-    ///
-    /// Every wheel event lives in the current window, so the scan terminates
-    /// within one lap; skipping an empty bucket is a `Vec::is_empty` check.
-    fn settle(&mut self) -> bool {
-        if self.wheel_len == 0 {
-            match self.overflow.peek() {
-                // Jump the window straight to the earliest far-future event
-                // rather than walking every empty bucket in between.
-                Some(e) => self.cursor = e.time.0 >> self.width_log2,
-                None => return false,
-            }
-        }
-        self.migrate_overflow();
-        while self.slots[(self.cursor & self.slot_mask) as usize].is_empty() {
-            self.cursor += 1;
-            self.migrate_overflow();
-        }
-        true
-    }
-
-    fn peek_min(&mut self) -> Option<SimTime> {
-        if !self.settle() {
-            return None;
-        }
-        self.slots[(self.cursor & self.slot_mask) as usize]
-            .iter()
-            .map(Entry::key)
-            .min()
-            .map(|(time, _)| time)
-    }
-
-    /// Pop the earliest event, or return its time untouched when it is after
-    /// `limit` — the engine's deadline check folded into one settle + scan.
-    fn pop_before(&mut self, limit: SimTime) -> Result<Entry<E>, Option<SimTime>> {
-        if !self.settle() {
-            return Err(None);
-        }
-        let slot = &mut self.slots[(self.cursor & self.slot_mask) as usize];
-        let mut best = 0;
-        for i in 1..slot.len() {
-            if slot[i].key() < slot[best].key() {
-                best = i;
-            }
-        }
-        if slot[best].time > limit {
-            return Err(Some(slot[best].time));
-        }
-        let entry = slot.swap_remove(best);
-        self.wheel_len -= 1;
-        // Shrink only when the wheel is drastically over-provisioned (32x):
-        // workloads whose queue size breathes across a power-of-two boundary
-        // must not thrash through O(len) rebuilds every cycle.
-        if self.len() * 32 < self.slots.len() && self.slots.len() > MIN_BUCKETS {
-            self.rebuild(self.slots.len() / 2);
-        }
-        Ok(entry)
-    }
-
-    fn pop(&mut self) -> Option<Entry<E>> {
-        self.pop_before(SimTime(u64::MAX)).ok()
-    }
-}
-
-/// The implementation selected by [`QueueKind`].
-#[derive(Debug)]
-enum Core<E> {
-    Heap(BinaryHeap<Entry<E>>),
-    Calendar(Calendar<E>),
-}
-
 /// A deterministic priority queue of simulation events.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    core: Core<E>,
+    heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     scheduled: u64,
     processed: u64,
@@ -300,32 +62,14 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create an empty queue with the default implementation (calendar).
+    /// Create an empty queue.
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::default())
-    }
-
-    /// Create an empty queue with an explicit implementation. Both kinds pop
-    /// in identical `(time, seq)` order; the choice only affects performance.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let core = match kind {
-            QueueKind::Heap => Core::Heap(BinaryHeap::new()),
-            QueueKind::Calendar => Core::Calendar(Calendar::new()),
-        };
         Self {
-            core,
+            heap: BinaryHeap::new(),
             next_seq: 0,
             scheduled: 0,
             processed: 0,
             peak_len: 0,
-        }
-    }
-
-    /// Which implementation this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match self.core {
-            Core::Heap(_) => QueueKind::Heap,
-            Core::Calendar(_) => QueueKind::Calendar,
         }
     }
 
@@ -334,63 +78,48 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled += 1;
-        let entry = Entry { time, seq, payload };
-        match &mut self.core {
-            Core::Heap(heap) => heap.push(entry),
-            Core::Calendar(cal) => cal.insert(entry),
-        }
-        self.peak_len = self.peak_len.max(self.len());
+        self.heap.push(Entry { time, seq, payload });
+        self.peak_len = self.peak_len.max(self.heap.len());
     }
 
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = match &mut self.core {
-            Core::Heap(heap) => heap.pop(),
-            Core::Calendar(cal) => cal.pop(),
-        }?;
+        let entry = self.heap.pop()?;
         self.processed += 1;
         Some((entry.time, entry.payload))
     }
 
     /// Pop the earliest event if its time is at most `limit`; otherwise leave
     /// the queue untouched and return `Err` with the time of the next event
-    /// (`Err(None)` when empty). One operation instead of a peek-then-pop
-    /// pair, which matters for the calendar implementation's cursor scan.
-    #[allow(clippy::type_complexity)]
+    /// (`Err(None)` when empty).
     pub fn pop_before(&mut self, limit: SimTime) -> Result<(SimTime, E), Option<SimTime>> {
-        let entry = match &mut self.core {
-            Core::Heap(heap) => match heap.peek() {
-                None => return Err(None),
-                Some(e) if e.time > limit => return Err(Some(e.time)),
-                Some(_) => heap.pop().expect("peeked entry exists"),
-            },
-            Core::Calendar(cal) => cal.pop_before(limit)?,
-        };
+        let entry = self.pop_entry_before(limit)?;
         self.processed += 1;
         Ok((entry.time, entry.payload))
     }
 
-    /// Virtual time of the next event without removing it. Takes `&mut self`
-    /// because the calendar implementation may advance its cursor past empty
-    /// buckets (a semantic no-op).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.core {
-            Core::Heap(heap) => heap.peek().map(|e| e.time),
-            Core::Calendar(cal) => cal.peek_min(),
+    /// [`EventQueue::pop_before`] without the processed counter.
+    fn pop_entry_before(&mut self, limit: SimTime) -> Result<Entry<E>, Option<SimTime>> {
+        match self.heap.peek() {
+            None => Err(None),
+            Some(e) if e.time > limit => Err(Some(e.time)),
+            Some(_) => Ok(self.heap.pop().expect("peeked entry exists")),
         }
+    }
+
+    /// Virtual time of the next event without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|e| e.time)
     }
 
     /// Number of events waiting in the queue.
     pub fn len(&self) -> usize {
-        match &self.core {
-            Core::Heap(heap) => heap.len(),
-            Core::Calendar(cal) => cal.len(),
-        }
+        self.heap.len()
     }
 
     /// Is the queue empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Total number of events ever scheduled.
@@ -426,18 +155,7 @@ impl<E> EventQueue<E> {
             return out;
         }
         let below = SimTime(limit.0 - 1);
-        loop {
-            let entry = match &mut self.core {
-                Core::Heap(heap) => match heap.peek() {
-                    None => break,
-                    Some(e) if e.time > below => break,
-                    Some(_) => heap.pop().expect("peeked entry exists"),
-                },
-                Core::Calendar(cal) => match cal.pop_before(below) {
-                    Ok(entry) => entry,
-                    Err(_) => break,
-                },
-            };
+        while let Ok(entry) = self.pop_entry_before(below) {
             out.push((entry.time, entry.seq, entry.payload));
         }
         out
@@ -448,11 +166,7 @@ impl<E> EventQueue<E> {
     /// bookkeeping (the entries were already counted when first scheduled).
     pub(crate) fn restore(&mut self, entries: Vec<(SimTime, u64, E)>) {
         for (time, seq, payload) in entries {
-            let entry = Entry { time, seq, payload };
-            match &mut self.core {
-                Core::Heap(heap) => heap.push(entry),
-                Core::Calendar(cal) => cal.insert(entry),
-            }
+            self.heap.push(Entry { time, seq, payload });
         }
     }
 }
@@ -466,259 +180,174 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    const BOTH: [QueueKind; 2] = [QueueKind::Heap, QueueKind::Calendar];
-
-    #[test]
-    fn pops_in_time_order() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(t(30), "c");
-            q.schedule(t(10), "a");
-            q.schedule(t(20), "b");
-            assert_eq!(q.len(), 3);
-            assert_eq!(q.pop(), Some((t(10), "a")));
-            assert_eq!(q.pop(), Some((t(20), "b")));
-            assert_eq!(q.pop(), Some((t(30), "c")));
-            assert_eq!(q.pop(), None);
-        }
-    }
-
     #[test]
     fn ties_break_by_insertion_order() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            for i in 0..100 {
-                q.schedule(t(5), i);
-            }
-            let popped: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
-            assert_eq!(popped, (0..100).collect::<Vec<_>>());
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.schedule(t(5), i);
         }
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(t(7), 1u32);
-            assert_eq!(q.peek_time(), Some(t(7)));
-            assert_eq!(q.len(), 1);
-            assert!(!q.is_empty());
-        }
-    }
-
-    #[test]
-    fn counters_track_activity() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(t(1), ());
-            q.schedule(t(2), ());
-            q.pop();
-            assert_eq!(q.total_scheduled(), 2);
-            assert_eq!(q.total_processed(), 1);
-            assert_eq!(q.peak_len(), 2);
-        }
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop_stays_ordered() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(t(10), 10);
-            q.schedule(t(5), 5);
-            assert_eq!(q.pop(), Some((t(5), 5)));
-            q.schedule(t(1), 1);
-            // An event scheduled "in the past" still pops first; the engine
-            // guards against this separately by clamping to `now`.
-            assert_eq!(q.pop(), Some((t(1), 1)));
-            assert_eq!(q.pop(), Some((t(10), 10)));
-        }
+        let popped: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, v)| v)).collect();
+        assert_eq!(popped, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn pop_before_respects_the_limit() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            assert_eq!(q.pop_before(t(100)), Err(None));
-            q.schedule(t(10), "a");
-            q.schedule(t(30), "b");
-            assert_eq!(q.pop_before(t(5)), Err(Some(t(10))));
-            assert_eq!(q.pop_before(t(10)), Ok((t(10), "a")));
-            assert_eq!(q.pop_before(t(20)), Err(Some(t(30))));
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop_before(t(1_000)), Ok((t(30), "b")));
-            assert_eq!(q.pop_before(t(1_000)), Err(None));
-        }
+        let mut q = EventQueue::new();
+        assert_eq!(q.pop_before(t(100)), Err(None));
+        q.schedule(t(10), "a");
+        q.schedule(t(30), "b");
+        assert_eq!(q.pop_before(t(5)), Err(Some(t(10))));
+        assert_eq!(q.pop_before(t(10)), Ok((t(10), "a")));
+        assert_eq!(q.pop_before(t(20)), Err(Some(t(30))));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop_before(t(1_000)), Ok((t(30), "b")));
+        assert_eq!(q.pop_before(t(1_000)), Err(None));
     }
 
+    /// Oracle test: for many seeds, a random interleaving of `schedule`,
+    /// `pop`, `pop_before` and `drain_upto` + `restore` — sub-µs ties, past
+    /// times, far-future offsets — pops exactly the stable `(time, seq)` sort
+    /// of what was scheduled, and the counters and `peak_len` match a plain
+    /// sorted-`Vec` model.
     #[test]
-    fn default_kind_is_calendar() {
-        let q: EventQueue<u32> = EventQueue::new();
-        assert_eq!(q.kind(), QueueKind::Calendar);
-        let q: EventQueue<u32> = EventQueue::with_kind(QueueKind::Heap);
-        assert_eq!(q.kind(), QueueKind::Heap);
-    }
-
-    #[test]
-    fn bucket_boundary_times_stay_ordered() {
-        // Times exactly on, just before and just after bucket boundaries,
-        // scheduled out of order, must still pop in (time, seq) order.
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            let w = 1u64 << INITIAL_WIDTH_LOG2;
-            let times: Vec<u64> = (0..16)
-                .flat_map(|b| [b * w, b * w + 1, (b + 1) * w - 1, b * w + w / 2])
-                .collect();
-            for (i, &us) in times.iter().enumerate().rev() {
-                q.schedule(SimTime::from_micros(us), i);
-            }
-            let mut last = (SimTime::ZERO, 0u64);
-            let mut count = 0;
-            while let Some((time, _)) = q.pop() {
-                assert!(time >= last.0, "pop went backwards: {time:?} < {last:?}");
-                last = (time, 0);
-                count += 1;
-            }
-            assert_eq!(count, times.len());
-        }
-    }
-
-    #[test]
-    fn far_future_events_go_through_overflow_and_back() {
-        // Schedule events far beyond the wheel's window (hours of virtual
-        // time) interleaved with near-term events; ordering must hold.
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_secs(3600), "hour");
-            q.schedule(SimTime::from_micros(10), "soon");
-            q.schedule(SimTime::from_secs(86_400), "day");
-            q.schedule(SimTime::from_secs(30), "half-minute");
-            assert_eq!(q.pop().unwrap().1, "soon");
-            assert_eq!(q.pop().unwrap().1, "half-minute");
-            // Schedule more after partially draining.
-            q.schedule(SimTime::from_secs(7200), "two-hours");
-            assert_eq!(q.pop().unwrap().1, "hour");
-            assert_eq!(q.pop().unwrap().1, "two-hours");
-            assert_eq!(q.pop().unwrap().1, "day");
-            assert_eq!(q.pop(), None);
-        }
-    }
-
-    /// Differential property test: for many seeds, a random interleaving of
-    /// schedules and pops produces identical pop sequences on both queue
-    /// implementations, across bucket boundaries, past schedules, dense ties
-    /// and far-future overflow horizons.
-    #[test]
-    fn heap_and_calendar_pop_identically_on_random_workloads() {
+    fn random_interleavings_pop_the_stable_time_seq_sort() {
         for seed in 0..20u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut heap = EventQueue::with_kind(QueueKind::Heap);
-            let mut cal = EventQueue::with_kind(QueueKind::Calendar);
-            let mut now = 0u64;
-            let mut next_id = 0u64;
+            let mut q = EventQueue::new();
+            // The model: pending `(time_us, id)` kept in stable (time, id)
+            // order; ids are handed out in schedule order, like `seq`.
+            let mut pending: Vec<(u64, u64)> = Vec::new();
+            let (mut now, mut next_id, mut popped, mut peak) = (0u64, 0u64, 0u64, 0usize);
             for _ in 0..2_000 {
-                let burst = rng.gen_range(0..6u32);
-                for _ in 0..burst {
-                    // Mix of sub-bucket, multi-bucket and far-future offsets,
-                    // with occasional exact-boundary and duplicate times.
-                    let offset = match rng.gen_range(0..10u32) {
-                        0..=3 => rng.gen_range(0..1u64 << INITIAL_WIDTH_LOG2),
-                        4..=6 => rng.gen_range(0..50_000u64),
-                        7 => rng.gen_range(0..4u64) << INITIAL_WIDTH_LOG2,
-                        8 => rng.gen_range(0..100_000_000u64),
-                        _ => 0,
+                for _ in 0..rng.gen_range(0..6u32) {
+                    let time = match rng.gen_range(0..10u32) {
+                        0..=2 => now,
+                        3..=5 => now + rng.gen_range(0..50_000u64),
+                        6 => now + rng.gen_range(0..100_000_000u64),
+                        7 => now + 3_600_000_000 * rng.gen_range(1..48u64),
+                        8 => now.saturating_sub(rng.gen_range(0..1_000u64)),
+                        _ => now + rng.gen_range(0..4u64),
                     };
-                    let time = SimTime::from_micros(now + offset);
-                    heap.schedule(time, next_id);
-                    cal.schedule(time, next_id);
+                    q.schedule(SimTime::from_micros(time), next_id);
+                    let at = pending.partition_point(|&(t, _)| t <= time);
+                    pending.insert(at, (time, next_id));
                     next_id += 1;
+                    peak = peak.max(pending.len());
                 }
                 for _ in 0..rng.gen_range(0..4u32) {
-                    let a = heap.pop();
-                    let b = cal.pop();
-                    assert_eq!(a, b, "divergence at seed {seed}");
-                    if let Some((time, _)) = a {
+                    let limit = match rng.gen_range(0..3u32) {
+                        0 => u64::MAX,
+                        1 => now + rng.gen_range(0..100u64),
+                        _ => now + rng.gen_range(0..100_000u64),
+                    };
+                    let got = if limit == u64::MAX {
+                        q.pop().ok_or(None)
+                    } else {
+                        q.pop_before(SimTime(limit))
+                    };
+                    let want = match pending.first() {
+                        None => Err(None),
+                        Some(&(time, _)) if time > limit => Err(Some(SimTime(time))),
+                        Some(_) => {
+                            let (time, id) = pending.remove(0);
+                            Ok((SimTime(time), id))
+                        }
+                    };
+                    assert_eq!(got, want, "pop diverged at seed {seed}");
+                    if let Ok((time, _)) = got {
                         now = now.max(time.as_micros());
+                        popped += 1;
                     }
                 }
-                assert_eq!(heap.len(), cal.len());
-            }
-            // Drain the remainder.
-            loop {
-                let a = heap.pop();
-                let b = cal.pop();
-                assert_eq!(a, b, "drain divergence at seed {seed}");
-                if a.is_none() {
-                    break;
+                if rng.gen_range(0..8u32) == 0 {
+                    let limit = now + rng.gen_range(0..20_000u64);
+                    let drained = q.drain_upto(SimTime(limit));
+                    let below = pending.partition_point(|&(t, _)| t < limit);
+                    let got: Vec<_> = drained.iter().map(|&(t, _, id)| (t.0, id)).collect();
+                    assert_eq!(got, pending[..below], "drain diverged at seed {seed}");
+                    assert_eq!(q.len(), pending.len() - below);
+                    q.restore(drained);
                 }
+                assert_eq!(q.len(), pending.len());
+                assert_eq!(q.peek_time(), pending.first().map(|&(t, _)| SimTime(t)));
+                assert_eq!(q.total_scheduled(), next_id);
+                assert_eq!(q.total_processed(), popped);
+                assert_eq!(q.peak_len(), peak);
             }
+            let rest: Vec<_> = std::iter::from_fn(|| q.pop().map(|(t, id)| (t.0, id))).collect();
+            assert_eq!(rest, pending, "final drain diverged at seed {seed}");
+            assert_eq!(q.total_processed(), next_id);
         }
+    }
+
+    /// The shape of a saturated LAN run: a backlog of tens of thousands of
+    /// events stacked on a few timestamps, plus a few timers hours ahead.
+    #[test]
+    fn saturated_backlog_pops_in_insertion_order_per_timestamp() {
+        const STAMPS: u64 = 8;
+        const BACKLOG: u64 = 40_000;
+        let mut q = EventQueue::new();
+        for hours in 1..=5 {
+            q.schedule(SimTime::from_secs(3_600 * hours), BACKLOG + hours);
+        }
+        for i in 0..BACKLOG {
+            q.schedule(SimTime::from_micros(100 + 7 * (i % STAMPS)), i);
+        }
+        assert_eq!(q.peak_len() as u64, BACKLOG + 5);
+        for stamp in 0..STAMPS {
+            let at = SimTime::from_micros(100 + 7 * stamp);
+            for i in (stamp..BACKLOG).step_by(STAMPS as usize) {
+                assert_eq!(q.pop_before(at), Ok((at, i)));
+            }
+            assert!(q.pop_before(at).is_err());
+        }
+        for hours in 1..=5 {
+            let at = SimTime::from_secs(3_600 * hours);
+            assert_eq!(q.pop(), Some((at, BACKLOG + hours)));
+        }
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.total_processed(), BACKLOG + 5);
     }
 
     #[test]
     fn drain_and_restore_round_trip_is_invisible() {
-        for kind in BOTH {
-            let mut q = EventQueue::with_kind(kind);
-            for i in 0..50u64 {
-                q.schedule(SimTime::from_micros(i % 7), i);
-            }
-            let scheduled = q.total_scheduled();
-            let peak = q.peak_len();
-            // Drain strictly below 5 µs: pop order must match (time, seq).
-            let drained = q.drain_upto(SimTime::from_micros(5));
-            let mut last = (SimTime::ZERO, 0u64);
-            for &(time, seq, _) in &drained {
-                assert!(time < SimTime::from_micros(5));
-                assert!((time, seq) > last || last == (SimTime::ZERO, 0));
-                last = (time, seq);
-            }
-            assert_eq!(q.total_processed(), 0, "drain must not count as pops");
-            q.restore(drained);
-            assert_eq!(q.total_scheduled(), scheduled, "restore must not re-count");
-            assert_eq!(q.peak_len(), peak);
-            // The restored queue pops exactly like an untouched one.
-            let mut fresh = EventQueue::with_kind(kind);
-            for i in 0..50u64 {
-                fresh.schedule(SimTime::from_micros(i % 7), i);
-            }
-            loop {
-                let a = q.pop();
-                assert_eq!(a, fresh.pop());
-                if a.is_none() {
-                    break;
-                }
+        let mut q = EventQueue::new();
+        for i in 0..50u64 {
+            q.schedule(SimTime::from_micros(i % 7), i);
+        }
+        let scheduled = q.total_scheduled();
+        let peak = q.peak_len();
+        // Drain strictly below 5 µs: pop order must match (time, seq).
+        let drained = q.drain_upto(SimTime::from_micros(5));
+        let mut last = (SimTime::ZERO, 0u64);
+        for &(time, seq, _) in &drained {
+            assert!(time < SimTime::from_micros(5));
+            assert!((time, seq) > last || last == (SimTime::ZERO, 0));
+            last = (time, seq);
+        }
+        assert_eq!(q.total_processed(), 0, "drain must not count as pops");
+        q.restore(drained);
+        assert_eq!(q.total_scheduled(), scheduled, "restore must not re-count");
+        assert_eq!(q.peak_len(), peak);
+        // The restored queue pops exactly like an untouched one.
+        let mut fresh = EventQueue::new();
+        for i in 0..50u64 {
+            fresh.schedule(SimTime::from_micros(i % 7), i);
+        }
+        loop {
+            let a = q.pop();
+            assert_eq!(a, fresh.pop());
+            if a.is_none() {
+                break;
             }
         }
     }
 
     #[test]
     fn drain_upto_zero_is_a_no_op() {
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
+        let mut q = EventQueue::new();
         q.schedule(SimTime::ZERO, 1u32);
         assert!(q.drain_upto(SimTime::ZERO).is_empty());
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn calendar_survives_growth_and_shrink() {
-        // Push enough events to force several year resizes, then drain to
-        // force shrinks; ordering and counts must survive both directions.
-        let mut q = EventQueue::with_kind(QueueKind::Calendar);
-        let mut rng = StdRng::seed_from_u64(99);
-        let total = 3 * MAX_BUCKETS;
-        for i in 0..total {
-            let time = SimTime::from_micros(rng.gen_range(0..2_000_000u64));
-            q.schedule(time, i);
-        }
-        assert_eq!(q.len(), total);
-        assert_eq!(q.peak_len(), total);
-        let mut last = SimTime::ZERO;
-        let mut popped = 0usize;
-        while let Some((time, _)) = q.pop() {
-            assert!(time >= last);
-            last = time;
-            popped += 1;
-        }
-        assert_eq!(popped, total);
-        assert_eq!(q.total_processed(), total as u64);
     }
 }

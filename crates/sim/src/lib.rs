@@ -37,8 +37,8 @@ pub mod node;
 pub mod stats;
 
 pub use actor::{Actor, Context, TimerId};
-pub use engine::{Simulation, SimulationReport};
-pub use event::{EventQueue, QueueKind};
+pub use engine::{QueueKind, Simulation, SimulationReport};
+pub use event::EventQueue;
 pub use faults::{CrashRecoverSpec, FaultPlan, StragglerSpec};
 pub use network::{NetworkConfig, Region};
 pub use node::{NodeId, Payload};

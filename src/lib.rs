@@ -102,7 +102,7 @@ pub mod prelude {
     };
     pub use orthrus_execution::{Executor, ObjectStore, TxOutcome};
     pub use orthrus_lab::{LoweredPoint, Spec, SpecScale};
-    pub use orthrus_sim::{CrashRecoverSpec, FaultPlan, NetworkConfig, QueueKind, StatsCollector};
+    pub use orthrus_sim::{CrashRecoverSpec, FaultPlan, NetworkConfig, StatsCollector};
     pub use orthrus_types::{
         Amount, Block, ClientId, Duration, EngineMode, ExecutionMode, InstanceId, NetworkKind,
         ObjectKey, OrthrusError, ProtocolConfig, ProtocolKind, ReplicaId, SimTime,

@@ -128,13 +128,6 @@ fn random_params(rng: &mut StdRng, protocol_required: bool) -> Params {
         params.execution_mode =
             Some(ExecutionMode::ALL[rng.gen_range(0..ExecutionMode::ALL.len() as u64) as usize]);
     }
-    if rng.gen_bool(0.3) {
-        params.queue = Some(if rng.gen_bool(0.5) {
-            QueueKind::Heap
-        } else {
-            QueueKind::Calendar
-        });
-    }
     if rng.gen_bool(0.6) {
         params.accounts = Some(rng.gen_range(2..100_000));
     }
@@ -289,6 +282,17 @@ fn randomized_specs_round_trip_exactly() {
             .unwrap_or_else(|err| panic!("seed {seed}: canonical form rejected: {err}\n{text}"));
         assert_eq!(spec, reparsed, "seed {seed}: round trip drifted\n{text}");
     }
+}
+
+/// The `queue` key went with the calendar queue. A spec that still sets it
+/// must fail loudly, not run on a queue other than the one it names.
+#[test]
+fn removed_queue_key_is_rejected_with_its_line() {
+    let text = "kind = scenario\nname = stale\n\n[scenario]\nprotocol = orthrus\n\
+                network = lan\nreplicas = 4\nqueue = calendar\n";
+    let err = parse(text).expect_err("`queue` is no longer a parameter");
+    assert_eq!(err.line, Some(8));
+    assert_eq!(err.msg, "unknown parameter \"queue\"");
 }
 
 // ----------------------------------------------------------------------
