@@ -10,9 +10,8 @@
 
 use crate::messages::NetMessage;
 use orthrus_sim::{Actor, Context, NodeId};
-use orthrus_types::{Duration, ProtocolConfig, ReplicaId, SharedTx, TxId};
+use orthrus_types::{Duration, FxHashMap, FxHashSet, ProtocolConfig, ReplicaId, SharedTx, TxId};
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Timer tag used for scheduled submissions.
@@ -26,8 +25,8 @@ pub struct ClientNode {
     /// replicas clones a pointer per target, not a payload.
     schedule: Vec<(Duration, SharedTx)>,
     next: usize,
-    replies: HashMap<TxId, HashSet<ReplicaId>>,
-    confirmed: HashSet<TxId>,
+    replies: FxHashMap<TxId, FxHashSet<ReplicaId>>,
+    confirmed: FxHashSet<TxId>,
 }
 
 impl ClientNode {
@@ -39,8 +38,8 @@ impl ClientNode {
             config,
             schedule,
             next: 0,
-            replies: HashMap::new(),
-            confirmed: HashSet::new(),
+            replies: FxHashMap::default(),
+            confirmed: FxHashSet::default(),
         }
     }
 
@@ -173,7 +172,7 @@ mod tests {
     fn different_transactions_use_different_entry_points() {
         let config = ProtocolConfig::for_replicas(16);
         let client = ClientNode::new(config, vec![]);
-        let mut firsts = HashSet::new();
+        let mut firsts = FxHashSet::default();
         for i in 0..50 {
             let targets = client.targets_for(&TxId::new(ClientId::new(i), 0));
             firsts.insert(targets[0]);

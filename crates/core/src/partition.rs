@@ -7,8 +7,8 @@
 //! instance — which is what prevents double spending without global
 //! ordering.
 
-use orthrus_types::{InstanceId, ObjectKey, SharedTx, Transaction, TxId};
-use std::collections::{HashSet, VecDeque};
+use orthrus_types::{FxHashSet, InstanceId, ObjectKey, SharedTx, Transaction, TxId};
+use std::collections::VecDeque;
 
 /// The deterministic object → instance assignment function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,14 +55,20 @@ impl Partitioner {
 
 /// A bucket of pending transactions for one SB instance.
 ///
-/// Backups treat the bucket as append-only; the instance's leader pulls
-/// batches from the front. Delivered transactions are removed everywhere so
-/// that a new leader (after a view change) does not re-propose them.
+/// Backups only append; the instance's leader pulls batches from the front.
+/// Delivered transactions are removed everywhere so that a new leader (after
+/// a view change) does not re-propose them.
+///
+/// Invariant: `known` holds exactly the ids that are queued and not yet
+/// delivered, so "anything pending?" is `!known.is_empty()`. Delivery also
+/// pops delivered entries off the queue front, so a backup — which never
+/// pulls — sheds its queue as blocks deliver instead of keeping every
+/// transaction it was ever sent.
 #[derive(Debug, Clone, Default)]
 pub struct Bucket {
     queue: VecDeque<SharedTx>,
-    known: HashSet<TxId>,
-    delivered: HashSet<TxId>,
+    known: FxHashSet<TxId>,
+    delivered: FxHashSet<TxId>,
 }
 
 impl Bucket {
@@ -71,7 +77,8 @@ impl Bucket {
         Self::default()
     }
 
-    /// Number of pending transactions.
+    /// Number of queued transactions (delivered ones behind an undelivered
+    /// front entry still count until the front reaches them).
     pub fn len(&self) -> usize {
         self.queue.len()
     }
@@ -109,7 +116,6 @@ impl Bucket {
                 break;
             };
             if self.delivered.contains(&tx.id) {
-                self.known.remove(&tx.id);
                 continue;
             }
             if valid(&tx) {
@@ -127,20 +133,31 @@ impl Bucket {
     }
 
     /// Mark a transaction as delivered by the instance: it will never be
-    /// proposed from this bucket again and is dropped lazily if still queued.
+    /// proposed from this bucket again. If it was queued, delivered entries
+    /// are popped off the queue front; one behind an undelivered entry leaves
+    /// when the front reaches it (here or in [`Bucket::pull`]).
     pub fn mark_delivered(&mut self, id: TxId) {
         self.delivered.insert(id);
+        if self.known.remove(&id) {
+            while let Some(front) = self.queue.front() {
+                if !self.delivered.contains(&front.id) {
+                    break;
+                }
+                self.queue.pop_front();
+            }
+        }
     }
 
     /// Does the bucket still hold undelivered transactions?
     pub fn has_pending(&self) -> bool {
-        self.queue.iter().any(|tx| !self.delivered.contains(&tx.id))
+        !self.known.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orthrus_types::rng::{Rng, StdRng};
     use orthrus_types::{ClientId, ObjectOp};
 
     fn tx(client: u64, seq: u64) -> SharedTx {
@@ -271,5 +288,102 @@ mod tests {
         // And cannot be re-added.
         assert!(!bucket.push(tx(1, 0)));
         assert!(!bucket.has_pending());
+    }
+
+    #[test]
+    fn backup_queue_drains_on_delivery() {
+        let mut bucket = Bucket::new();
+        for i in 0..100 {
+            bucket.push(tx(1, i));
+        }
+        // A backup never pulls: delivery alone must empty the queue.
+        for i in 0..100 {
+            bucket.mark_delivered(TxId::new(ClientId::new(1), i));
+        }
+        assert_eq!(bucket.len(), 0);
+        assert!(!bucket.has_pending());
+    }
+
+    /// The bucket as it was before `known` meant "queued and undelivered":
+    /// delivered entries stay queued until a pull reaches them and
+    /// `has_pending` scans for an undelivered one. Kept as the oracle.
+    #[derive(Default)]
+    struct ScanBucket {
+        queue: VecDeque<SharedTx>,
+        delivered: FxHashSet<TxId>,
+    }
+
+    impl ScanBucket {
+        fn push(&mut self, tx: SharedTx) -> bool {
+            if self.queue.iter().any(|q| q.id == tx.id) || self.delivered.contains(&tx.id) {
+                return false;
+            }
+            self.queue.push_back(tx);
+            true
+        }
+
+        fn pull<F: FnMut(&Transaction) -> bool>(&mut self, max: usize, mut valid: F) -> Vec<TxId> {
+            let mut pulled = Vec::new();
+            let mut kept = VecDeque::new();
+            while let Some(tx) = self.queue.pop_front() {
+                if self.delivered.contains(&tx.id) && pulled.len() < max {
+                    continue;
+                }
+                if pulled.len() < max && valid(&tx) {
+                    pulled.push(tx.id);
+                } else {
+                    kept.push_back(tx);
+                }
+            }
+            self.queue = kept;
+            pulled
+        }
+
+        fn has_pending(&self) -> bool {
+            self.queue.iter().any(|tx| !self.delivered.contains(&tx.id))
+        }
+    }
+
+    /// Model test: random `push` / `pull(max, predicate)` / `mark_delivered`
+    /// over a small id space return exactly what the scanning bucket returns.
+    #[test]
+    fn random_op_sequences_match_the_scanning_bucket() {
+        const IDS: u64 = 12;
+        for seed in 0..50u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut bucket, mut model) = (Bucket::new(), ScanBucket::default());
+            for step in 0..400 {
+                let id = rng.gen_range(0..IDS);
+                match rng.gen_range(0..4u32) {
+                    0 | 1 => assert_eq!(
+                        bucket.push(tx(id, 0)),
+                        model.push(tx(id, 0)),
+                        "push diverged at seed {seed} step {step}"
+                    ),
+                    2 => {
+                        let max = [0, 1, 3, usize::MAX][rng.gen_range(0..4usize)];
+                        let valid_mask = rng.gen_range(0..1u64 << IDS);
+                        let valid = |t: &Transaction| valid_mask >> t.id.client.value() & 1 == 1;
+                        let got: Vec<TxId> = bucket.pull(max, valid).iter().map(|t| t.id).collect();
+                        assert_eq!(
+                            got,
+                            model.pull(max, valid),
+                            "pull diverged at seed {seed} step {step}"
+                        );
+                    }
+                    _ => {
+                        let id = TxId::new(ClientId::new(id), 0);
+                        bucket.mark_delivered(id);
+                        model.delivered.insert(id);
+                    }
+                }
+                assert_eq!(
+                    bucket.has_pending(),
+                    model.has_pending(),
+                    "has_pending diverged at seed {seed} step {step}"
+                );
+                assert!(bucket.len() <= model.queue.len());
+            }
+        }
     }
 }

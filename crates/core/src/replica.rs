@@ -18,12 +18,11 @@ use orthrus_ordering::{
 use orthrus_sb::{PbftConfig, PbftInstance, ProgressTracker, SbAction};
 use orthrus_sim::{Actor, Context, LatencyStage, NodeId};
 use orthrus_types::{
-    Block, BlockId, BlockParams, Digest, Duration, Epoch, ExecutionMode, InstanceId,
-    ProtocolConfig, ProtocolKind, ReplicaId, SharedBlock, SharedTx, SimTime, StableCheckpoint,
-    SystemState, TxId,
+    Block, BlockId, BlockParams, Digest, Duration, Epoch, ExecutionMode, FxHashMap, FxHashSet,
+    InstanceId, ProtocolConfig, ProtocolKind, ReplicaId, SharedBlock, SharedTx, SimTime,
+    StableCheckpoint, SystemState, TxId,
 };
 use std::any::Any;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Timer tag base: leader batch timer (try to propose in every instance we
@@ -112,7 +111,7 @@ pub(crate) struct CatchUp {
     pub(crate) policy: Policy,
     pub(crate) rank: RankTracker,
     pub(crate) buckets: Vec<Bucket>,
-    pub(crate) replied: HashSet<TxId>,
+    pub(crate) replied: FxHashSet<TxId>,
     pub(crate) pending_order_decisions: Vec<orthrus_types::BlockId>,
     pub(crate) delivered_blocks: u64,
 }
@@ -195,7 +194,7 @@ pub struct ReplicaNode {
     /// (only used by the ordering instance's leader).
     pending_order_decisions: Vec<orthrus_types::BlockId>,
     /// Transactions already answered to their client.
-    replied: HashSet<TxId>,
+    replied: FxHashSet<TxId>,
     /// Undetectable-fault behaviour: keep leading our own instance but ignore
     /// every other instance (paper §VII-E).
     selfish: bool,
@@ -233,7 +232,7 @@ pub struct ReplicaNode {
     /// block id. Entries are removed when the block executes; the delta feeds
     /// the per-run glog-wait statistics (how long global ordering stalls
     /// behind partial-log execution under §V-C's alignment rule).
-    glog_appended_at: HashMap<BlockId, SimTime>,
+    glog_appended_at: FxHashMap<BlockId, SimTime>,
 }
 
 impl ReplicaNode {
@@ -279,7 +278,7 @@ impl ReplicaNode {
             progress: ProgressTracker::new(config.view_change_timeout),
             executed_state: SystemState::new(m as usize),
             pending_order_decisions: Vec::new(),
-            replied: HashSet::new(),
+            replied: FxHashSet::default(),
             selfish: false,
             delivered_blocks: 0,
             pool_threads: crate::runner::sweep_threads(),
@@ -294,7 +293,7 @@ impl ReplicaNode {
             sync_round: 0,
             recovered_at: None,
             timer_epoch: 0,
-            glog_appended_at: HashMap::new(),
+            glog_appended_at: FxHashMap::default(),
             config,
         }
     }

@@ -452,6 +452,9 @@ pub fn build_simulation(scenario: &Scenario) -> Result<(Simulation<NetMessage>, 
     let workload = Workload::generate(scenario.effective_workload());
     let mut genesis = ObjectStore::new();
     workload.install_genesis(&mut genesis);
+    // Reshard once, here: every replica's own `reshard` is then a no-op and
+    // the clones below share the shards until a replica's first write.
+    genesis.reshard(scenario.config.num_instances);
 
     let network = NetworkConfig::for_kind(scenario.network);
     let mut sim: Simulation<NetMessage> =

@@ -14,8 +14,8 @@
 //! released by [`GlobalLog::truncate_before`], so a long run holds payload
 //! memory proportional to the in-flight window, not the full history.
 
-use orthrus_types::{BlockId, SharedBlock, SystemState};
-use std::collections::{HashSet, VecDeque};
+use orthrus_types::{BlockId, FxHashSet, SharedBlock, SystemState};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// The global log.
@@ -28,7 +28,7 @@ pub struct GlobalLog {
     base: usize,
     /// Every confirmed block id in global order (compact; never truncated).
     order: Vec<BlockId>,
-    ids: HashSet<BlockId>,
+    ids: FxHashSet<BlockId>,
     /// Global position of the first entry not yet consumed by the execution
     /// module.
     cursor: usize,

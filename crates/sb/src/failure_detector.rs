@@ -14,14 +14,13 @@
 //! [`ProgressTracker::record_expectation`] whenever it knows the instance
 //! *should* make progress (e.g. its bucket is non-empty).
 
-use orthrus_types::{Duration, InstanceId, SimTime};
-use std::collections::HashMap;
+use orthrus_types::{Duration, FxHashMap, InstanceId, SimTime};
 
 /// Per-instance progress bookkeeping used to drive view-change timeouts.
 #[derive(Debug, Clone)]
 pub struct ProgressTracker {
     timeout: Duration,
-    entries: HashMap<InstanceId, Entry>,
+    entries: FxHashMap<InstanceId, Entry>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -42,7 +41,7 @@ impl ProgressTracker {
     pub fn new(timeout: Duration) -> Self {
         Self {
             timeout,
-            entries: HashMap::new(),
+            entries: FxHashMap::default(),
         }
     }
 

@@ -119,6 +119,18 @@ impl SbMessage {
         }
     }
 
+    /// The replica a vote-style message claims to speak for (`None` for
+    /// pre-prepare and new-view, which are attributed to their sender).
+    pub fn voter(&self) -> Option<ReplicaId> {
+        match self {
+            SbMessage::Prepare { voter, .. }
+            | SbMessage::Commit { voter, .. }
+            | SbMessage::Checkpoint { voter, .. }
+            | SbMessage::ViewChange { voter, .. } => Some(*voter),
+            SbMessage::PrePrepare { .. } | SbMessage::NewView { .. } => None,
+        }
+    }
+
     /// Short tag used in logs and tests.
     pub fn kind(&self) -> &'static str {
         match self {

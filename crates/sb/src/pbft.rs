@@ -26,7 +26,7 @@ use orthrus_types::{
     CheckpointProof, Digest, InstanceId, ReplicaId, SeqNum, SharedBlock, SimTime, StableCheckpoint,
     View,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Static configuration of one PBFT instance.
@@ -61,6 +61,36 @@ impl PbftConfig {
     }
 }
 
+/// The replicas that voted in one phase of one slot, as a bitset over
+/// replica ids: a quorum tally only ever inserts, counts and clears.
+/// [`PbftInstance::handle_message`] admits ids below `n` only, so the set
+/// never grows past `n` bits.
+#[derive(Debug, Default, Clone)]
+struct VoteSet {
+    words: Vec<u64>,
+}
+
+impl VoteSet {
+    /// Record `voter`'s vote; false if it had already voted.
+    fn insert(&mut self, voter: ReplicaId) -> bool {
+        let (word, bit) = (voter.as_usize() / 64, 1u64 << (voter.value() % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
+    }
+
+    fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn clear(&mut self) {
+        self.words.clear();
+    }
+}
+
 /// Per-sequence-number voting state.
 #[derive(Debug, Default, Clone)]
 struct Slot {
@@ -68,8 +98,8 @@ struct Slot {
     digest: Option<Digest>,
     /// Replicas attesting to the proposal (leader via pre-prepare, others via
     /// prepare votes).
-    prepares: BTreeSet<ReplicaId>,
-    commits: BTreeSet<ReplicaId>,
+    prepares: VoteSet,
+    commits: VoteSet,
     sent_commit: bool,
     delivered: bool,
 }
@@ -251,7 +281,13 @@ impl PbftInstance {
         now: SimTime,
     ) -> Vec<SbAction> {
         let mut sink = ActionSink::new();
-        if msg.instance() != self.cfg.instance {
+        // Ids come off the wire: one outside `0..n` names no replica, so it
+        // must neither count toward a quorum nor size a vote set.
+        let n = self.cfg.num_replicas;
+        if msg.instance() != self.cfg.instance
+            || from.value() >= n
+            || msg.voter().is_some_and(|voter| voter.value() >= n)
+        {
             return sink.into_vec();
         }
         match msg {
@@ -516,12 +552,13 @@ impl PbftInstance {
         }
         let votes = self.checkpoint_votes.entry(sn).or_default();
         votes.insert(voter, digest);
-        let voters: Vec<ReplicaId> = votes
-            .iter()
-            .filter(|(_, d)| **d == digest)
-            .map(|(r, _)| *r)
-            .collect();
-        if voters.len() >= self.cfg.quorum() {
+        let matching = votes.values().filter(|d| **d == digest).count();
+        if matching >= self.cfg.quorum() {
+            let voters: Vec<ReplicaId> = votes
+                .iter()
+                .filter(|(_, d)| **d == digest)
+                .map(|(r, _)| *r)
+                .collect();
             // The quorum of matching votes *is* the certificate: surface it
             // instead of counting and dropping it, so the ordering and
             // execution layers above can truncate on, snapshot at, and
@@ -823,6 +860,60 @@ mod tests {
     }
 
     #[test]
+    fn vote_set_inserts_counts_and_clears_across_words() {
+        let mut votes = VoteSet::default();
+        assert_eq!(votes.len(), 0);
+        for (i, id) in [0, 63, 64, 127, 200].into_iter().enumerate() {
+            assert!(votes.insert(ReplicaId::new(id)), "first vote of {id}");
+            assert!(!votes.insert(ReplicaId::new(id)), "duplicate vote of {id}");
+            assert_eq!(votes.len(), i + 1);
+        }
+        // Earlier words survive growth, and a low id after a high one lands.
+        assert!(!votes.insert(ReplicaId::new(0)));
+        assert!(votes.insert(ReplicaId::new(1)));
+        assert_eq!(votes.len(), 6);
+        votes.clear();
+        assert_eq!(votes.len(), 0);
+        assert!(votes.insert(ReplicaId::new(200)));
+        assert_eq!(votes.len(), 1);
+    }
+
+    #[test]
+    fn out_of_range_voter_does_not_count_toward_a_quorum() {
+        let n = 4;
+        let mut backup = PbftInstance::new(cfg(1, n));
+        let block = make_block(0, 0, 0, 0, 1);
+        let digest = block.digest();
+        let prepare = |voter: u32| SbMessage::Prepare {
+            instance: InstanceId::new(0),
+            view: View::new(0),
+            sn: SeqNum::new(0),
+            digest,
+            voter: ReplicaId::new(voter),
+        };
+        let commits = |actions: &[SbAction]| {
+            actions
+                .iter()
+                .filter(|a| matches!(a, SbAction::Broadcast { msg } if msg.kind() == "commit"))
+                .count()
+        };
+        // Leader's pre-prepare + our own prepare: one short of the quorum of 3.
+        let now = SimTime::ZERO;
+        let actions =
+            backup.handle_message(ReplicaId::new(0), SbMessage::PrePrepare { block }, now);
+        assert_eq!(commits(&actions), 0);
+        // Neither a vote claiming an id ≥ n nor one relayed by such a sender
+        // completes it.
+        let actions = backup.handle_message(ReplicaId::new(2), prepare(n + 5), now);
+        assert!(actions.is_empty(), "{actions:?}");
+        let actions = backup.handle_message(ReplicaId::new(n + 5), prepare(2), now);
+        assert!(actions.is_empty(), "{actions:?}");
+        // A real third attestation does.
+        let actions = backup.handle_message(ReplicaId::new(2), prepare(2), now);
+        assert_eq!(commits(&actions), 1);
+    }
+
+    #[test]
     fn leader_cannot_propose_wrong_sequence() {
         let mut leader = PbftInstance::new(cfg(0, 4));
         let wrong_sn = make_block(0, 5, 0, 0, 1);
@@ -973,12 +1064,13 @@ mod tests {
         cluster.run();
         // At most one of the two digests may be delivered, and every replica
         // that delivered anything delivered the same digest.
-        let mut delivered_digests = std::collections::BTreeSet::new();
+        let mut delivered_digests = Vec::new();
         for r in 1..4 {
             for b in cluster.delivered(ReplicaId::new(r)) {
-                delivered_digests.insert(b.digest());
+                delivered_digests.push(b.digest());
             }
         }
+        delivered_digests.dedup();
         assert!(delivered_digests.len() <= 1);
     }
 

@@ -38,8 +38,8 @@ use crate::node::{NodeId, Payload};
 use crate::stats::StatsCollector;
 use orthrus_types::pool::parallel_for_mut;
 use orthrus_types::rng::StdRng;
-use orthrus_types::{Duration, ProfTimer, SimTime};
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet, VecDeque};
+use orthrus_types::{Duration, FxHashMap, FxHashSet, ProfTimer, SimTime};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::hash::{Hash, Hasher};
 
 /// Minimum number of predicted invocations in a lookahead window before the
@@ -121,26 +121,33 @@ pub struct WindowSample {
     pub invocations: u64,
 }
 
-/// The simulation: actors plus the virtual world they live in.
-pub struct Simulation<M> {
-    actors: HashMap<NodeId, Box<dyn Actor<M>>>,
-    queue: EventQueue<EngineEvent<M>>,
-    network: NetworkConfig,
-    faults: FaultPlan,
-    stats: StatsCollector,
-    rngs: HashMap<NodeId, StdRng>,
-    nic_free: HashMap<NodeId, SimTime>,
-    /// Timers scheduled but not yet popped, keyed `(owner, per-node id)`.
-    /// Entries leave on pop, so the set is bounded by in-flight timers.
-    armed_timers: HashSet<(NodeId, u64)>,
-    /// Armed timers that were cancelled. Entries leave when the timer's event
-    /// pops (even if the node crashed meanwhile), so long runs do not leak.
-    cancelled_timers: HashSet<(NodeId, u64)>,
+/// An actor and its private simulation state: one map lookup per invocation
+/// reaches all of it, and a parallel lane takes the whole record with it.
+struct NodeState<M> {
+    actor: Box<dyn Actor<M>>,
+    rng: StdRng,
+    /// When the node's NIC finishes serializing what it has already sent.
+    nic_free: SimTime,
     /// Per-node timer-id allocator. Ids are only ever compared within one
     /// node, so per-node streams keep allocation independent of the global
     /// event interleaving — which is what lets a lane allocate ids on a
     /// worker thread and still match the serial walk bit for bit.
-    timer_seqs: HashMap<NodeId, u64>,
+    timer_seq: u64,
+}
+
+/// The simulation: actors plus the virtual world they live in.
+pub struct Simulation<M> {
+    nodes: FxHashMap<NodeId, NodeState<M>>,
+    queue: EventQueue<EngineEvent<M>>,
+    network: NetworkConfig,
+    faults: FaultPlan,
+    stats: StatsCollector,
+    /// Timers scheduled but not yet popped, keyed `(owner, per-node id)`.
+    /// Entries leave on pop, so the set is bounded by in-flight timers.
+    armed_timers: FxHashSet<(NodeId, u64)>,
+    /// Armed timers that were cancelled. Entries leave when the timer's event
+    /// pops (even if the node crashed meanwhile), so long runs do not leak.
+    cancelled_timers: FxHashSet<(NodeId, u64)>,
     now: SimTime,
     seed: u64,
     events_processed: u64,
@@ -185,16 +192,13 @@ impl<M: Payload + Clone + Send + 'static> Simulation<M> {
     /// Create a simulation over the given network and fault plan.
     pub fn with_faults(network: NetworkConfig, faults: FaultPlan, seed: u64) -> Self {
         Self {
-            actors: HashMap::new(),
+            nodes: FxHashMap::default(),
             queue: EventQueue::new(),
             network,
             faults,
             stats: StatsCollector::new(),
-            rngs: HashMap::new(),
-            nic_free: HashMap::new(),
-            armed_timers: HashSet::new(),
-            cancelled_timers: HashSet::new(),
-            timer_seqs: HashMap::new(),
+            armed_timers: FxHashSet::default(),
+            cancelled_timers: FxHashSet::default(),
             now: SimTime::ZERO,
             seed,
             events_processed: 0,
@@ -268,9 +272,14 @@ impl<M: Payload + Clone + Send + 'static> Simulation<M> {
         let mut hasher = orthrus_types::crypto::FnvHasher::default();
         id.hash(&mut hasher);
         let node_seed = self.seed ^ hasher.finish();
-        // orthrus: allow(ambient-rng): per-node stream derived from the scenario seed XOR a stable node-id hash.
-        self.rngs.insert(id, StdRng::seed_from_u64(node_seed));
-        self.actors.insert(id, actor);
+        let state = NodeState {
+            actor,
+            // orthrus: allow(ambient-rng): per-node stream derived from the scenario seed XOR a stable node-id hash.
+            rng: StdRng::seed_from_u64(node_seed),
+            nic_free: SimTime::ZERO,
+            timer_seq: 0,
+        };
+        self.nodes.insert(id, state);
         self.queue
             .schedule(self.now, EngineEvent::Start { node: id });
         if let NodeId::Replica(replica) = id {
@@ -314,12 +323,13 @@ impl<M: Payload + Clone + Send + 'static> Simulation<M> {
 
     /// Look at an actor's final state, down-cast to its concrete type.
     pub fn actor_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        self.actors.get(&id).and_then(|a| a.as_any().downcast_ref())
+        let state = self.nodes.get(&id)?;
+        state.actor.as_any().downcast_ref()
     }
 
     /// Number of registered actors.
     pub fn actor_count(&self) -> usize {
-        self.actors.len()
+        self.nodes.len()
     }
 
     /// Run until the event queue drains or virtual time would exceed
@@ -454,7 +464,7 @@ impl<M: Payload + Clone + Send + 'static> Simulation<M> {
         if self.node_crashed(node, self.now) {
             return;
         }
-        let Some(mut actor) = self.actors.remove(&node) else {
+        let Some(state) = self.nodes.get_mut(&node) else {
             return;
         };
 
@@ -462,29 +472,23 @@ impl<M: Payload + Clone + Send + 'static> Simulation<M> {
         let mut timer_requests: Vec<(Duration, u64, TimerId)> = Vec::new();
         let mut cancel_requests: Vec<u64> = Vec::new();
         {
-            let rng = self
-                .rngs
-                .get_mut(&node)
-                // orthrus: allow(panic-path): add_actor installs the rng stream with the actor; the guard above already returned for unknown nodes.
-                .expect("every actor has an rng stream");
             let mut ctx = Context {
                 now: self.now,
                 self_id: node,
-                rng,
+                rng: &mut state.rng,
                 stats: &mut self.stats,
                 outbox: &mut outbox,
                 timer_requests: &mut timer_requests,
                 cancel_requests: &mut cancel_requests,
-                next_timer_id: self.timer_seqs.entry(node).or_insert(0),
+                next_timer_id: &mut state.timer_seq,
             };
             match invocation {
-                Invocation::Start => actor.on_start(&mut ctx),
-                Invocation::Message { from, msg } => actor.on_message(from, msg, &mut ctx),
-                Invocation::Timer { tag } => actor.on_timer(tag, &mut ctx),
-                Invocation::Recover => actor.on_recover(&mut ctx),
+                Invocation::Start => state.actor.on_start(&mut ctx),
+                Invocation::Message { from, msg } => state.actor.on_message(from, msg, &mut ctx),
+                Invocation::Timer { tag } => state.actor.on_timer(tag, &mut ctx),
+                Invocation::Recover => state.actor.on_recover(&mut ctx),
             }
         }
-        self.actors.insert(node, actor);
 
         // Apply buffered timer requests.
         for (delay, tag, id) in timer_requests {
@@ -503,28 +507,21 @@ impl<M: Payload + Clone + Send + 'static> Simulation<M> {
         // Resolve buffered sends through the network model (the exact code
         // path a parallel lane uses) and schedule the results.
         if !outbox.is_empty() {
-            let emissions = {
-                let rng = self
-                    .rngs
-                    .get_mut(&node)
-                    // orthrus: allow(panic-path): same invariant as above — rng streams exist for every registered actor.
-                    .expect("every actor has an rng stream");
-                let mut sender = SenderState {
-                    rng,
-                    nic_free: self.nic_free.entry(node).or_insert(SimTime::ZERO),
-                    stats: &mut self.stats,
-                    messages_sent: &mut self.messages_sent,
-                    bytes_sent: &mut self.bytes_sent,
-                };
-                resolve_outbox(
-                    &self.network,
-                    &self.faults,
-                    self.now,
-                    node,
-                    outbox,
-                    &mut sender,
-                )
+            let mut sender = SenderState {
+                rng: &mut state.rng,
+                nic_free: &mut state.nic_free,
+                stats: &mut self.stats,
+                messages_sent: &mut self.messages_sent,
+                bytes_sent: &mut self.bytes_sent,
             };
+            let emissions = resolve_outbox(
+                &self.network,
+                &self.faults,
+                self.now,
+                node,
+                outbox,
+                &mut sender,
+            );
             for emission in emissions {
                 self.schedule_emission(emission);
             }
@@ -832,7 +829,7 @@ impl<M: Payload + Clone + Send + 'static> Simulation<M> {
         time: SimTime,
         inv: LaneInvocation<M>,
     ) {
-        if !self.actors.contains_key(&node) {
+        if !self.nodes.contains_key(&node) {
             return;
         }
         planned
@@ -852,18 +849,11 @@ impl<M: Payload + Clone + Send + 'static> Simulation<M> {
             .into_iter()
             .map(|(node, pending)| LaneTask {
                 node,
-                actor: self
-                    .actors
+                state: self
+                    .nodes
                     .remove(&node)
                     // orthrus: allow(panic-path): plan_window only plans invocations for registered actors; a miss is an engine bug, not a recoverable schedule state.
                     .expect("planned lanes have actors"),
-                rng: self
-                    .rngs
-                    .remove(&node)
-                    // orthrus: allow(panic-path): add_actor seeds an rng stream alongside every actor; the two maps share a key set by construction.
-                    .expect("every actor has an rng stream"),
-                nic_free: self.nic_free.get(&node).copied().unwrap_or(SimTime::ZERO),
-                timer_seq: self.timer_seqs.get(&node).copied().unwrap_or(0),
                 pending,
                 records: Vec::new(),
                 stats: StatsCollector::new(),
@@ -884,10 +874,7 @@ impl<M: Payload + Clone + Send + 'static> Simulation<M> {
     ) -> BTreeMap<NodeId, VecDeque<InvocationRecord<M>>> {
         let mut fifos = BTreeMap::new();
         for lane in lanes {
-            self.actors.insert(lane.node, lane.actor);
-            self.rngs.insert(lane.node, lane.rng);
-            self.nic_free.insert(lane.node, lane.nic_free);
-            self.timer_seqs.insert(lane.node, lane.timer_seq);
+            self.nodes.insert(lane.node, lane.state);
             self.messages_sent += lane.messages_sent;
             self.bytes_sent += lane.bytes_sent;
             self.stats.absorb(lane.stats);
@@ -1056,8 +1043,8 @@ impl<M: Payload + Clone + Send + 'static> Simulation<M> {
 
 /// Mutable sender-side state threaded through network resolution. The same
 /// code path computes delivery schedules for the serial engine (borrowing
-/// the engine's own maps) and for a parallel lane (borrowing the lane's
-/// local copies), so the two cannot drift apart.
+/// the engine's node record and counters) and for a parallel lane (borrowing
+/// the lane's), so the two cannot drift apart.
 struct SenderState<'a> {
     rng: &'a mut StdRng,
     nic_free: &'a mut SimTime,
@@ -1268,16 +1255,12 @@ struct InvocationRecord<M> {
     emissions: Vec<ResolvedEmission<M>>,
 }
 
-/// A per-actor work packet for one lookahead window: the actor plus its
-/// private simulation state (RNG stream, NIC availability, timer-id
-/// allocator) moves onto a worker thread, executes its predicted
+/// A per-actor work packet for one lookahead window: the node's
+/// [`NodeState`] moves onto a worker thread, executes its predicted
 /// invocations, and the outcome merges back at the barrier.
 struct LaneTask<M> {
     node: NodeId,
-    actor: Box<dyn Actor<M>>,
-    rng: StdRng,
-    nic_free: SimTime,
-    timer_seq: u64,
+    state: NodeState<M>,
     pending: Vec<PlannedInv<M>>,
     records: Vec<InvocationRecord<M>>,
     stats: StatsCollector,
@@ -1336,7 +1319,7 @@ fn run_lane<M: Payload + Clone + Send + 'static>(
     // Ids of timers this lane cancelled. A pending in-window timer invocation
     // with a matching id is skipped without a record: the replay applies the
     // recorded cancel for real, so its tombstone check skips the pop too.
-    let mut cancelled_pending: HashSet<u64> = HashSet::new();
+    let mut cancelled_pending: FxHashSet<u64> = FxHashSet::default();
     let pending = std::mem::take(&mut lane.pending);
     for planned in pending {
         let mut outbox: Vec<Outbound<M>> = Vec::new();
@@ -1347,31 +1330,31 @@ fn run_lane<M: Payload + Clone + Send + 'static>(
             let mut ctx = Context {
                 now: planned.time,
                 self_id: lane.node,
-                rng: &mut lane.rng,
+                rng: &mut lane.state.rng,
                 stats: &mut lane.stats,
                 outbox: &mut outbox,
                 timer_requests: &mut timer_requests,
                 cancel_requests: &mut cancel_requests,
-                next_timer_id: &mut lane.timer_seq,
+                next_timer_id: &mut lane.state.timer_seq,
             };
             match planned.inv {
                 LaneInvocation::Start => {
-                    lane.actor.on_start(&mut ctx);
+                    lane.state.actor.on_start(&mut ctx);
                     kind = RecordKind::Start;
                 }
                 LaneInvocation::Message { from, msg } => {
-                    lane.actor.on_message(from, msg, &mut ctx);
+                    lane.state.actor.on_message(from, msg, &mut ctx);
                     kind = RecordKind::Message;
                 }
                 LaneInvocation::Timer { id, tag } => {
                     if cancelled_pending.contains(&id.0) {
                         continue;
                     }
-                    lane.actor.on_timer(tag, &mut ctx);
+                    lane.state.actor.on_timer(tag, &mut ctx);
                     kind = RecordKind::Timer;
                 }
                 LaneInvocation::Recover => {
-                    lane.actor.on_recover(&mut ctx);
+                    lane.state.actor.on_recover(&mut ctx);
                     kind = RecordKind::Recover;
                 }
             }
@@ -1390,8 +1373,8 @@ fn run_lane<M: Payload + Clone + Send + 'static>(
         cancelled_pending.extend(cancel_requests.iter().copied());
         let emissions = {
             let mut sender = SenderState {
-                rng: &mut lane.rng,
-                nic_free: &mut lane.nic_free,
+                rng: &mut lane.state.rng,
+                nic_free: &mut lane.state.nic_free,
                 stats: &mut lane.stats,
                 messages_sent: &mut lane.messages_sent,
                 bytes_sent: &mut lane.bytes_sent,

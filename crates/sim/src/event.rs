@@ -3,52 +3,29 @@
 //! Events are ordered by `(time, insertion sequence)`. The insertion sequence
 //! is a deterministic tie-breaker for events scheduled at the same virtual
 //! time, so a run is reproducible whatever the heap does internally. The
-//! queue is one `BinaryHeap`, `O(log n)` per operation.
+//! queue is one `BinaryHeap`, `O(log n)` per operation, over 24-byte
+//! `(time, seq, slot)` entries: payloads sit out of line in a slab, so a sift
+//! moves three words per level however large the event type is.
 
 use orthrus_types::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// An entry in the event queue.
-#[derive(Debug)]
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> Entry<E> {
-    /// The total order events pop in.
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest event pops first.
-        other.key().cmp(&self.key())
-    }
-}
+/// A heap entry: the `(time, seq)` ordering key plus the slab slot holding
+/// the payload (keys are unique, so the slot never decides a comparison).
+/// `Reverse` because `BinaryHeap` is a max-heap and the earliest event must
+/// pop first.
+type Entry = Reverse<(SimTime, u64, u32)>;
 
 /// A deterministic priority queue of simulation events.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: BinaryHeap<Entry>,
+    /// Payloads of the queued entries, indexed by the entry's slot. Freed
+    /// slots are reused before the slab grows, so it never holds more slots
+    /// than the largest number of events that were queued at once.
+    slab: Vec<Option<E>>,
+    free: Vec<u32>,
     next_seq: u64,
     scheduled: u64,
     processed: u64,
@@ -66,6 +43,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         Self {
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             scheduled: 0,
             processed: 0,
@@ -73,43 +52,58 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Store `payload` in a free slab slot and push its key onto the heap.
+    fn insert(&mut self, time: SimTime, seq: u64, payload: E) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            u32::try_from(self.slab.len() - 1).expect("under 2^32 queued events")
+        });
+        self.slab[slot as usize] = Some(payload);
+        self.heap.push(Reverse((time, seq, slot)));
+    }
+
+    /// Pop the earliest entry if its time is at most `limit`; otherwise leave
+    /// the queue untouched and return `Err` with the time of the next event
+    /// (`Err(None)` when empty). Does not touch the processed counter.
+    fn remove_before(&mut self, limit: SimTime) -> Result<(SimTime, u64, E), Option<SimTime>> {
+        let &Reverse((next, ..)) = self.heap.peek().ok_or(None)?;
+        if next > limit {
+            return Err(Some(next));
+        }
+        let Reverse((time, seq, slot)) = self.heap.pop().expect("peeked entry exists");
+        let payload = self.slab[slot as usize]
+            .take()
+            .expect("queued entry owns its slot");
+        self.free.push(slot);
+        Ok((time, seq, payload))
+    }
+
     /// Schedule `payload` to fire at absolute virtual time `time`.
     pub fn schedule(&mut self, time: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.scheduled += 1;
-        self.heap.push(Entry { time, seq, payload });
+        self.insert(time, seq, payload);
         self.peak_len = self.peak_len.max(self.heap.len());
     }
 
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        self.processed += 1;
-        Some((entry.time, entry.payload))
+        self.pop_before(SimTime(u64::MAX)).ok()
     }
 
     /// Pop the earliest event if its time is at most `limit`; otherwise leave
     /// the queue untouched and return `Err` with the time of the next event
     /// (`Err(None)` when empty).
     pub fn pop_before(&mut self, limit: SimTime) -> Result<(SimTime, E), Option<SimTime>> {
-        let entry = self.pop_entry_before(limit)?;
+        let (time, _, payload) = self.remove_before(limit)?;
         self.processed += 1;
-        Ok((entry.time, entry.payload))
-    }
-
-    /// [`EventQueue::pop_before`] without the processed counter.
-    fn pop_entry_before(&mut self, limit: SimTime) -> Result<Entry<E>, Option<SimTime>> {
-        match self.heap.peek() {
-            None => Err(None),
-            Some(e) if e.time > limit => Err(Some(e.time)),
-            Some(_) => Ok(self.heap.pop().expect("peeked entry exists")),
-        }
+        Ok((time, payload))
     }
 
     /// Virtual time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.heap.peek().map(|&Reverse((time, ..))| time)
     }
 
     /// Number of events waiting in the queue.
@@ -155,8 +149,8 @@ impl<E> EventQueue<E> {
             return out;
         }
         let below = SimTime(limit.0 - 1);
-        while let Ok(entry) = self.pop_entry_before(below) {
-            out.push((entry.time, entry.seq, entry.payload));
+        while let Ok(entry) = self.remove_before(below) {
+            out.push(entry);
         }
         out
     }
@@ -166,7 +160,7 @@ impl<E> EventQueue<E> {
     /// bookkeeping (the entries were already counted when first scheduled).
     pub(crate) fn restore(&mut self, entries: Vec<(SimTime, u64, E)>) {
         for (time, seq, payload) in entries {
-            self.heap.push(Entry { time, seq, payload });
+            self.insert(time, seq, payload);
         }
     }
 }
@@ -207,8 +201,8 @@ mod tests {
     /// Oracle test: for many seeds, a random interleaving of `schedule`,
     /// `pop`, `pop_before` and `drain_upto` + `restore` — sub-µs ties, past
     /// times, far-future offsets — pops exactly the stable `(time, seq)` sort
-    /// of what was scheduled, and the counters and `peak_len` match a plain
-    /// sorted-`Vec` model.
+    /// of what was scheduled, the counters and `peak_len` match a plain
+    /// sorted-`Vec` model, and the payload slab never outgrows `peak_len`.
     #[test]
     fn random_interleavings_pop_the_stable_time_seq_sort() {
         for seed in 0..20u64 {
@@ -273,11 +267,23 @@ mod tests {
                 assert_eq!(q.total_scheduled(), next_id);
                 assert_eq!(q.total_processed(), popped);
                 assert_eq!(q.peak_len(), peak);
+                assert!(q.slab.len() <= peak, "slab outgrew the peak at seed {seed}");
+                assert_eq!(q.slab.len() - q.free.len(), pending.len());
             }
             let rest: Vec<_> = std::iter::from_fn(|| q.pop().map(|(t, id)| (t.0, id))).collect();
             assert_eq!(rest, pending, "final drain diverged at seed {seed}");
             assert_eq!(q.total_processed(), next_id);
         }
+    }
+
+    /// A sift moves heap entries, so their size must not depend on the event
+    /// type: three words, whatever the payload.
+    #[test]
+    fn heap_entries_are_24_bytes_for_any_payload() {
+        assert_eq!(std::mem::size_of::<Entry>(), 24);
+        let mut q: EventQueue<[u8; 256]> = EventQueue::new();
+        q.schedule(t(1), [7; 256]);
+        assert_eq!(q.pop(), Some((t(1), [7; 256])));
     }
 
     /// The shape of a saturated LAN run: a backlog of tens of thousands of

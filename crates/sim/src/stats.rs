@@ -11,8 +11,7 @@
 //! * **time series** — throughput and latency averaged over 0.5 s intervals
 //!   (Fig. 7).
 
-use orthrus_types::{Duration, SimTime, TxId};
-use std::collections::HashMap;
+use orthrus_types::{Duration, FxHashMap, SimTime, TxId};
 
 /// The processing stages a transaction passes through (paper §VII-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,7 +118,7 @@ impl LatencyBreakdown {
 /// Collector of all simulation metrics.
 #[derive(Debug, Default)]
 pub struct StatsCollector {
-    txs: HashMap<TxId, TxRecord>,
+    txs: FxHashMap<TxId, TxRecord>,
     /// Total number of blocks delivered by SB instances.
     pub blocks_delivered: u64,
     /// Total number of view changes completed.
