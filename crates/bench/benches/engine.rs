@@ -1,8 +1,8 @@
-//! Engine snapshot: quantifies the coalesced multicast delivery path, the
-//! parallel scenario sweep and the intra-run parallel engine, and records the
-//! result to `BENCH_engine.json` at the repository root.
+//! Engine snapshot: quantifies the coalesced multicast delivery path and the
+//! parallel scenario sweep, and records the result to `BENCH_engine.json` at
+//! the repository root.
 //!
-//! Three measurements:
+//! Two measurements:
 //!
 //! 1. **Broadcast storm** — an n-replica gossip round-trip through the full
 //!    engine (every replica broadcasts each round until a fixed round count),
@@ -11,20 +11,14 @@
 //!    a 128-replica, ≥1e6-delivery scenario.
 //! 2. **Scenario sweep** — a multi-point paper-style sweep run serially and
 //!    on the scoped thread pool, with a cross-thread-count determinism check.
-//! 3. **Intra-run parallel engine** — one fig3-style point (128 replicas at
-//!    full scale) on the serial engine vs the conservative-window parallel
-//!    engine: bit-identity, measured wall clock, and a work-span makespan
-//!    model at a fixed width so the speedup claim is host-independent.
 //!
 //! Run with `cargo bench --bench engine` (reduced scale) or
 //! `ORTHRUS_FULL_SCALE=1 cargo bench --bench engine` (paper scale).
 
 use orthrus_bench::harness::{self, BenchScale};
-use orthrus_core::{
-    build_simulation, run_scenario, run_scenarios_with_threads, ScenarioOutcome, StopCondition,
-};
+use orthrus_core::{run_scenario, run_scenarios_with_threads};
 use orthrus_sim::{Actor, Context, NetworkConfig, NodeId, Payload, Simulation, SimulationReport};
-use orthrus_types::{Duration, EngineMode, NetworkKind, ProtocolKind, SimTime};
+use orthrus_types::{NetworkKind, ProtocolKind};
 use std::any::Any;
 use std::sync::Arc;
 use std::time::Instant;
@@ -163,6 +157,10 @@ fn storm_json(name: &str, r: &StormResult) -> String {
 // 2. Parallel scenario sweep
 // ----------------------------------------------------------------------
 
+/// Fixed machine width the work-span model is evaluated at, so the modeled
+/// speedup is comparable across benchmark hosts.
+const MODEL_WIDTH: u64 = 8;
+
 struct SweepResult {
     scenarios: usize,
     threads: usize,
@@ -172,8 +170,8 @@ struct SweepResult {
     /// work-span model (no schedule can beat it).
     span_ms: f64,
     /// Greedy list-schedule makespan of the measured per-scenario times at
-    /// the fixed [`MODEL_WIDTH`], host-independent like the intra-run and
-    /// executor models (the CI box has one core, so walls under-report).
+    /// the fixed [`MODEL_WIDTH`], host-independent like the executor model
+    /// (the walls depend on how many cores the host has).
     modeled_makespan_ms: f64,
     modeled_speedup: f64,
     identical: bool,
@@ -253,129 +251,6 @@ fn sweep_bench(scale: BenchScale) -> SweepResult {
     }
 }
 
-// ----------------------------------------------------------------------
-// 3. Intra-run parallel engine (conservative windows)
-// ----------------------------------------------------------------------
-
-/// Fixed machine width the work-span model is evaluated at, so the modeled
-/// speedup is comparable across benchmark hosts (including 1-core CI).
-const MODEL_WIDTH: u64 = 8;
-
-struct IntraRunResult {
-    replicas: u32,
-    transactions: usize,
-    threads: usize,
-    serial_wall_ms: f64,
-    parallel_wall_ms: f64,
-    windows_parallel: u64,
-    windows_serial: u64,
-    modeled_serial_ms: f64,
-    modeled_makespan_ms: f64,
-    identical: bool,
-}
-
-/// One fig3-style point (Orthrus, WAN, no faults) run once on the serial
-/// engine and once on the conservative-window parallel engine, with a
-/// bit-identity check between the two outcomes.
-///
-/// Wall-clock numbers are honest but host-dependent (a 1-core runner pays
-/// window overhead with no parallelism to show for it), so the headline
-/// metric is a **work-span makespan model** over the profiled windows:
-///
-/// ```text
-/// modeled_serial   = sum_w (serial_ns + sum_lane_ns)
-/// modeled_makespan = sum_w (serial_ns + max(max_lane_ns, sum_lane_ns / W))
-/// ```
-///
-/// with `W = MODEL_WIDTH` — each window's serial plan/replay phases on the
-/// critical path, lane work bounded below by both the longest lane (span)
-/// and perfect width-`W` load balance (work / W). The model is evaluated
-/// from per-lane wall times measured in-process, so it reflects this
-/// codebase, not an abstract event count.
-fn intra_run_bench(scale: BenchScale) -> IntraRunResult {
-    let replicas = match scale {
-        BenchScale::Reduced => 16u32,
-        BenchScale::Full => 128u32,
-    };
-    // Workload stays at the reduced size even at full scale: the engine's
-    // window structure is driven by replica count and network lookahead,
-    // and full-size workloads only stretch the wall clock.
-    let mut base = harness::paper_scenario(
-        ProtocolKind::Orthrus,
-        NetworkKind::Wan,
-        replicas,
-        0.46,
-        false,
-        BenchScale::Reduced,
-    );
-    // Measure the loaded confirm phase only: for this WAN grid the digest
-    // quiesce phase never converges and would burn the full simulated-time
-    // budget in idle timer churn, swamping both walls with identical work.
-    base.stop = vec![StopCondition::AllConfirmed, StopCondition::SimTimeLimit];
-    let threads = orthrus_core::sweep_threads().max(2);
-    // The parallel engine resolves its thread count through the same
-    // `ORTHRUS_SWEEP_THREADS` knob as the sweep pool; publish the choice so
-    // both run_scenario calls below see it.
-    std::env::set_var("ORTHRUS_SWEEP_THREADS", threads.to_string());
-
-    let wall = Instant::now();
-    let serial = run_scenario(&base.clone().with_engine_mode(EngineMode::Serial))
-        .expect("bench scenario must validate");
-    let serial_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-
-    let parallel_scenario = base.clone().with_engine_mode(EngineMode::Parallel);
-    let wall = Instant::now();
-    let parallel = run_scenario(&parallel_scenario).expect("bench scenario must validate");
-    let parallel_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-
-    let identical = outcomes_identical(&serial, &parallel);
-
-    // Profiled pass: same scenario, driven directly so the per-window lane
-    // times are observable (run_scenario does not expose them). The drive
-    // loop mirrors run_scenario's AllConfirmed slicing.
-    let (mut sim, submitted) =
-        build_simulation(&parallel_scenario).expect("bench scenario must validate");
-    sim.set_engine_profiling(true);
-    let deadline = SimTime::ZERO + parallel_scenario.max_sim_time;
-    while sim.now() < deadline {
-        let slice_end = (sim.now() + Duration::from_secs(1)).min(deadline);
-        sim.run_until(slice_end);
-        if sim.stats().confirmed_count() >= submitted && submitted > 0 {
-            break;
-        }
-    }
-    let mut modeled_serial_ns = 0.0f64;
-    let mut modeled_makespan_ns = 0.0f64;
-    for s in sim.window_samples() {
-        let work = s.sum_lane_ns as f64;
-        let span = s.max_lane_ns as f64;
-        modeled_serial_ns += s.serial_ns as f64 + work;
-        modeled_makespan_ns += s.serial_ns as f64 + span.max(work / MODEL_WIDTH as f64);
-    }
-
-    IntraRunResult {
-        replicas,
-        transactions: base.workload.num_transactions,
-        threads,
-        serial_wall_ms,
-        parallel_wall_ms,
-        windows_parallel: sim.windows_parallel(),
-        windows_serial: sim.windows_serial(),
-        modeled_serial_ms: modeled_serial_ns / 1e6,
-        modeled_makespan_ms: modeled_makespan_ns / 1e6,
-        identical,
-    }
-}
-
-fn outcomes_identical(a: &ScenarioOutcome, b: &ScenarioOutcome) -> bool {
-    a.confirmed == b.confirmed
-        && a.submitted == b.submitted
-        && a.avg_latency == b.avg_latency
-        && a.p99_latency == b.p99_latency
-        && a.state_digests == b.state_digests
-        && a.report == b.report
-}
-
 fn main() {
     let scale = BenchScale::from_env();
     let replicas = match scale {
@@ -436,26 +311,6 @@ fn main() {
         sweep.span_ms, sweep.modeled_makespan_ms, sweep.modeled_speedup
     );
 
-    println!("\n-- intra-run parallel engine (conservative windows) --");
-    let intra = intra_run_bench(scale);
-    let modeled_speedup = intra.modeled_serial_ms / intra.modeled_makespan_ms.max(0.001);
-    println!(
-        "{} replicas, {} txs: serial {:.0} ms, parallel {:.0} ms ({} threads), \
-         {} parallel / {} serial windows",
-        intra.replicas,
-        intra.transactions,
-        intra.serial_wall_ms,
-        intra.parallel_wall_ms,
-        intra.threads,
-        intra.windows_parallel,
-        intra.windows_serial,
-    );
-    println!(
-        "work-span model @ width {MODEL_WIDTH}: serial {:.0} ms, makespan {:.0} ms, \
-         speedup {modeled_speedup:.2} (identical: {})",
-        intra.modeled_serial_ms, intra.modeled_makespan_ms, intra.identical
-    );
-
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -484,21 +339,6 @@ fn main() {
             "    \"modeled_makespan_ms\": {:.1},\n",
             "    \"modeled_speedup\": {:.2},\n",
             "    \"identical_across_thread_counts\": {}\n",
-            "  }},\n",
-            "  \"intra_run\": {{\n",
-            "    \"replicas\": {},\n",
-            "    \"transactions\": {},\n",
-            "    \"threads\": {},\n",
-            "    \"serial_wall_ms\": {:.1},\n",
-            "    \"parallel_wall_ms\": {:.1},\n",
-            "    \"wall_speedup\": {:.2},\n",
-            "    \"windows_parallel\": {},\n",
-            "    \"windows_serial\": {},\n",
-            "    \"model_width\": {},\n",
-            "    \"modeled_serial_ms\": {:.1},\n",
-            "    \"modeled_makespan_ms\": {:.1},\n",
-            "    \"modeled_speedup\": {:.2},\n",
-            "    \"identical_across_thread_counts\": {}\n",
             "  }}\n",
             "}}\n"
         ),
@@ -524,19 +364,6 @@ fn main() {
         sweep.modeled_makespan_ms,
         sweep.modeled_speedup,
         sweep.identical,
-        intra.replicas,
-        intra.transactions,
-        intra.threads,
-        intra.serial_wall_ms,
-        intra.parallel_wall_ms,
-        intra.serial_wall_ms / intra.parallel_wall_ms.max(0.001),
-        intra.windows_parallel,
-        intra.windows_serial,
-        MODEL_WIDTH,
-        intra.modeled_serial_ms,
-        intra.modeled_makespan_ms,
-        modeled_speedup,
-        intra.identical,
     );
     // Cargo runs benches with the package directory as cwd; the snapshot
     // belongs at the workspace root next to ROADMAP.md.
@@ -549,10 +376,6 @@ fn main() {
     }
     if !sweep.identical {
         eprintln!("warning: sweep outcomes diverged across thread counts");
-        std::process::exit(1);
-    }
-    if !intra.identical {
-        eprintln!("warning: parallel-engine outcome diverged from the serial engine");
         std::process::exit(1);
     }
 }

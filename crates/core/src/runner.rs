@@ -29,8 +29,8 @@ use orthrus_sim::{
     FaultPlan, NetworkConfig, NodeId, QueueKind, Simulation, SimulationReport, ThroughputPoint,
 };
 use orthrus_types::{
-    Digest, Duration, EngineMode, ExecutionMode, NetworkKind, OrthrusError, ProtocolConfig,
-    ProtocolKind, ReplicaId, Result, SharedTx, SimTime,
+    Digest, Duration, ExecutionMode, NetworkKind, OrthrusError, ProtocolConfig, ProtocolKind,
+    ReplicaId, Result, SharedTx, SimTime,
 };
 use orthrus_workload::{Workload, WorkloadConfig};
 use std::sync::Arc;
@@ -139,12 +139,6 @@ pub struct Scenario {
     /// `benchmark`-archetype PR.
     #[doc(hidden)]
     pub queue: QueueKind,
-    /// Simulation-engine mode: the serial reference walk or the conservative
-    /// time-window parallel scheduler. Both produce bit-identical reports and
-    /// outcomes (the differential tests pin this); the choice only changes
-    /// wall-clock. The parallel engine's thread count comes from the same
-    /// `ORTHRUS_SWEEP_THREADS` knob as the sweep pool.
-    pub engine_mode: EngineMode,
     /// When the run may stop (see [`StopCondition`]).
     pub stop: Vec<StopCondition>,
 }
@@ -164,7 +158,6 @@ impl Scenario {
             max_sim_time: Duration::from_secs(120),
             seed: 42,
             queue: Default::default(),
-            engine_mode: EngineMode::default(),
             stop: StopCondition::DEFAULT.to_vec(),
         }
     }
@@ -258,32 +251,11 @@ impl Scenario {
         self
     }
 
-    /// Enable (or disable) parallel partial-log execution — the boolean
-    /// shorthand for [`Scenario::with_execution_mode`]: `true` selects the
-    /// soaked sharded default, `false` the serial reference walk. Every mode
-    /// produces bit-identical traces (the differential tests pin this), so
-    /// the choice only changes wall-clock.
-    pub fn with_parallel_execution(self, enabled: bool) -> Self {
-        self.with_execution_mode(if enabled {
-            ExecutionMode::ShardedDemotion
-        } else {
-            ExecutionMode::Serial
-        })
-    }
-
     /// Select how partial logs execute (`ProtocolConfig::execution_mode`):
     /// the serial reference walk, the sharded demotion scheduler, or
     /// Block-STM optimistic execution.
     pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
         self.config.execution_mode = mode;
-        self
-    }
-
-    /// Select the simulation engine (`Scenario::engine_mode`): the serial
-    /// reference walk or the conservative time-window parallel scheduler.
-    /// Bit-identical either way; parallel only changes wall-clock.
-    pub fn with_engine_mode(mut self, mode: EngineMode) -> Self {
-        self.engine_mode = mode;
         self
     }
 
@@ -459,12 +431,6 @@ pub fn build_simulation(scenario: &Scenario) -> Result<(Simulation<NetMessage>, 
     let network = NetworkConfig::for_kind(scenario.network);
     let mut sim: Simulation<NetMessage> =
         Simulation::with_faults(network, scenario.faults.clone(), scenario.seed);
-    if scenario.engine_mode == EngineMode::Parallel {
-        // Same thread knob as the sweep pool; gating is on the *requested*
-        // count so single-core CI still exercises the windowed code path
-        // (`parallel_for_mut` degrades to a serial loop internally).
-        sim.set_parallel_engine(sweep_threads());
-    }
 
     // Replicas must agree with the runner on the logical-client → client-actor
     // mapping so they can route replies.

@@ -25,7 +25,7 @@
 use crate::spec::{parse_axis, Axis, AxisKey, AxisValues, Params, Spec, SpecError, SweepSpec};
 use orthrus_core::Scenario;
 use orthrus_sim::FaultPlan;
-use orthrus_types::{Duration, ExecutionMode, ReplicaId, SimTime};
+use orthrus_types::{Duration, ReplicaId, SimTime};
 use orthrus_workload::WorkloadConfig;
 
 /// Whether to lower the spec's reduced (default) or full-scale grid.
@@ -96,24 +96,11 @@ fn params_to_scenario(params: &Params) -> Result<Scenario, SpecError> {
     if let Some(depth) = params.max_inflight_blocks {
         scenario.config.max_inflight_blocks = depth;
     }
-    if let Some(enabled) = params.parallel_execution {
-        // Boolean shorthand: `true` is the soaked sharded default, `false`
-        // the serial reference walk. An explicit `execution_mode` (applied
-        // below) always wins over the shorthand.
-        scenario.config.execution_mode = if enabled {
-            ExecutionMode::ShardedDemotion
-        } else {
-            ExecutionMode::Serial
-        };
-    }
     if let Some(mode) = params.execution_mode {
         scenario.config.execution_mode = mode;
     }
     if let Some(enabled) = params.checkpoint_gc {
         scenario.config.checkpoint_gc = enabled;
-    }
-    if let Some(mode) = params.engine_mode {
-        scenario.engine_mode = mode;
     }
     if let Some(accounts) = params.accounts {
         scenario.workload.num_accounts = accounts;

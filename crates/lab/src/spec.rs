@@ -26,7 +26,7 @@
 //! the round trip does not preserve.
 
 use orthrus_core::StopCondition;
-use orthrus_types::{EngineMode, ExecutionMode, NetworkKind, ProtocolKind};
+use orthrus_types::{ExecutionMode, NetworkKind, ProtocolKind};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -162,17 +162,10 @@ pub struct Params {
     pub view_change_timeout_ms: Option<u64>,
     /// `max_inflight_blocks = <u64>`
     pub max_inflight_blocks: Option<u64>,
-    /// `parallel_execution = true | false`
-    pub parallel_execution: Option<bool>,
-    /// `execution_mode = serial | sharded | stm` (wins over the
-    /// `parallel_execution` boolean shorthand when both are set)
+    /// `execution_mode = serial | sharded | stm`
     pub execution_mode: Option<ExecutionMode>,
     /// `checkpoint_gc = true | false`
     pub checkpoint_gc: Option<bool>,
-    /// `engine_mode = serial | parallel` — simulation engine: the serial
-    /// reference walk or the conservative time-window parallel scheduler
-    /// (bit-identical outcomes; parallel only changes wall-clock)
-    pub engine_mode: Option<EngineMode>,
     /// `accounts = <u64>`
     pub accounts: Option<u64>,
     /// `transactions = <usize>`
@@ -377,15 +370,6 @@ fn parse_execution_mode(value: &str, line: usize) -> Result<ExecutionMode, SpecE
     })
 }
 
-fn parse_engine_mode(value: &str, line: usize) -> Result<EngineMode, SpecError> {
-    EngineMode::from_name(value).ok_or_else(|| {
-        SpecError::at(
-            line,
-            format!("unknown engine_mode {value:?} (serial|parallel)"),
-        )
-    })
-}
-
 fn parse_bool(value: &str, line: usize) -> Result<bool, SpecError> {
     match value {
         "true" => Ok(true),
@@ -473,10 +457,8 @@ impl Params {
             "max_inflight_blocks" => {
                 put!(max_inflight_blocks, parse_num(value, line, "depth")?)
             }
-            "parallel_execution" => put!(parallel_execution, parse_bool(value, line)?),
             "execution_mode" => put!(execution_mode, parse_execution_mode(value, line)?),
             "checkpoint_gc" => put!(checkpoint_gc, parse_bool(value, line)?),
-            "engine_mode" => put!(engine_mode, parse_engine_mode(value, line)?),
             "accounts" => put!(accounts, parse_num(value, line, "account count")?),
             "transactions" => put!(transactions, parse_num(value, line, "transaction count")?),
             "payment_share" => put!(payment_share, parse_finite_f64(value, line, "share")?),
@@ -869,14 +851,10 @@ fn write_params(out: &mut String, params: &Params) {
     kv!("batch_timeout_ms", params.batch_timeout_ms);
     kv!("view_change_timeout_ms", params.view_change_timeout_ms);
     kv!("max_inflight_blocks", params.max_inflight_blocks);
-    kv!("parallel_execution", params.parallel_execution);
     if let Some(mode) = params.execution_mode {
         let _ = writeln!(out, "execution_mode = {}", mode.name());
     }
     kv!("checkpoint_gc", params.checkpoint_gc);
-    if let Some(mode) = params.engine_mode {
-        let _ = writeln!(out, "engine_mode = {}", mode.name());
-    }
     kv!("accounts", params.accounts);
     kv!("transactions", params.transactions);
     kv!("payment_share", params.payment_share);

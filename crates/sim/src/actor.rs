@@ -28,10 +28,8 @@ pub(crate) enum Outbound<M> {
 /// Handlers must not block; any work a node wants to do "later" is expressed
 /// by sending itself a message or setting a timer. All state lives inside the
 /// actor, so two actors never share memory — exactly like separate processes
-/// on separate machines. Actors are `Send` so the parallel engine can hand
-/// each one to a worker thread for a lookahead window (`ARCHITECTURE.md`,
-/// "Parallel engine").
-pub trait Actor<M>: Any + Send {
+/// on separate machines.
+pub trait Actor<M>: Any {
     /// Called once when the simulation starts (or when the actor is added to
     /// a running simulation).
     fn on_start(&mut self, _ctx: &mut Context<'_, M>) {}

@@ -52,38 +52,17 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Store `payload` in a free slab slot and push its key onto the heap.
-    fn insert(&mut self, time: SimTime, seq: u64, payload: E) {
+    /// Schedule `payload` to fire at absolute virtual time `time`.
+    pub fn schedule(&mut self, time: SimTime, payload: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.scheduled += 1;
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slab.push(None);
             u32::try_from(self.slab.len() - 1).expect("under 2^32 queued events")
         });
         self.slab[slot as usize] = Some(payload);
         self.heap.push(Reverse((time, seq, slot)));
-    }
-
-    /// Pop the earliest entry if its time is at most `limit`; otherwise leave
-    /// the queue untouched and return `Err` with the time of the next event
-    /// (`Err(None)` when empty). Does not touch the processed counter.
-    fn remove_before(&mut self, limit: SimTime) -> Result<(SimTime, u64, E), Option<SimTime>> {
-        let &Reverse((next, ..)) = self.heap.peek().ok_or(None)?;
-        if next > limit {
-            return Err(Some(next));
-        }
-        let Reverse((time, seq, slot)) = self.heap.pop().expect("peeked entry exists");
-        let payload = self.slab[slot as usize]
-            .take()
-            .expect("queued entry owns its slot");
-        self.free.push(slot);
-        Ok((time, seq, payload))
-    }
-
-    /// Schedule `payload` to fire at absolute virtual time `time`.
-    pub fn schedule(&mut self, time: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled += 1;
-        self.insert(time, seq, payload);
         self.peak_len = self.peak_len.max(self.heap.len());
     }
 
@@ -96,7 +75,15 @@ impl<E> EventQueue<E> {
     /// the queue untouched and return `Err` with the time of the next event
     /// (`Err(None)` when empty).
     pub fn pop_before(&mut self, limit: SimTime) -> Result<(SimTime, E), Option<SimTime>> {
-        let (time, _, payload) = self.remove_before(limit)?;
+        let &Reverse((next, ..)) = self.heap.peek().ok_or(None)?;
+        if next > limit {
+            return Err(Some(next));
+        }
+        let Reverse((time, _, slot)) = self.heap.pop().expect("peeked entry exists");
+        let payload = self.slab[slot as usize]
+            .take()
+            .expect("queued entry owns its slot");
+        self.free.push(slot);
         self.processed += 1;
         Ok((time, payload))
     }
@@ -129,39 +116,6 @@ impl<E> EventQueue<E> {
     /// Largest number of events that were ever waiting simultaneously.
     pub fn peak_len(&self) -> usize {
         self.peak_len
-    }
-
-    /// The sequence number the next scheduled event will receive.
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Remove every entry with `time < limit`, in exact pop order, returning
-    /// the raw `(time, seq, payload)` triples. Unlike [`EventQueue::pop`]
-    /// this does NOT touch the processed counter: the parallel engine drains
-    /// a window to plan it, re-inserts the entries verbatim via
-    /// [`EventQueue::restore`], and then replays them through the normal pop
-    /// path — which is where the counters (and `peak_len`) must move, so the
-    /// round trip is invisible in the queue statistics.
-    pub(crate) fn drain_upto(&mut self, limit: SimTime) -> Vec<(SimTime, u64, E)> {
-        let mut out = Vec::new();
-        if limit.0 == 0 {
-            return out;
-        }
-        let below = SimTime(limit.0 - 1);
-        while let Ok(entry) = self.remove_before(below) {
-            out.push(entry);
-        }
-        out
-    }
-
-    /// Re-insert entries previously removed by [`EventQueue::drain_upto`]
-    /// with their original `(time, seq)` keys, bypassing the scheduled/peak
-    /// bookkeeping (the entries were already counted when first scheduled).
-    pub(crate) fn restore(&mut self, entries: Vec<(SimTime, u64, E)>) {
-        for (time, seq, payload) in entries {
-            self.insert(time, seq, payload);
-        }
     }
 }
 
@@ -199,10 +153,10 @@ mod tests {
     }
 
     /// Oracle test: for many seeds, a random interleaving of `schedule`,
-    /// `pop`, `pop_before` and `drain_upto` + `restore` — sub-µs ties, past
-    /// times, far-future offsets — pops exactly the stable `(time, seq)` sort
-    /// of what was scheduled, the counters and `peak_len` match a plain
-    /// sorted-`Vec` model, and the payload slab never outgrows `peak_len`.
+    /// `pop` and `pop_before` — sub-µs ties, past times, far-future offsets —
+    /// pops exactly the stable `(time, seq)` sort of what was scheduled, the
+    /// counters and `peak_len` match a plain sorted-`Vec` model, and the
+    /// payload slab never outgrows `peak_len`.
     #[test]
     fn random_interleavings_pop_the_stable_time_seq_sort() {
         for seed in 0..20u64 {
@@ -252,15 +206,6 @@ mod tests {
                         now = now.max(time.as_micros());
                         popped += 1;
                     }
-                }
-                if rng.gen_range(0..8u32) == 0 {
-                    let limit = now + rng.gen_range(0..20_000u64);
-                    let drained = q.drain_upto(SimTime(limit));
-                    let below = pending.partition_point(|&(t, _)| t < limit);
-                    let got: Vec<_> = drained.iter().map(|&(t, _, id)| (t.0, id)).collect();
-                    assert_eq!(got, pending[..below], "drain diverged at seed {seed}");
-                    assert_eq!(q.len(), pending.len() - below);
-                    q.restore(drained);
                 }
                 assert_eq!(q.len(), pending.len());
                 assert_eq!(q.peek_time(), pending.first().map(|&(t, _)| SimTime(t)));
@@ -313,47 +258,5 @@ mod tests {
         }
         assert_eq!(q.pop(), None);
         assert_eq!(q.total_processed(), BACKLOG + 5);
-    }
-
-    #[test]
-    fn drain_and_restore_round_trip_is_invisible() {
-        let mut q = EventQueue::new();
-        for i in 0..50u64 {
-            q.schedule(SimTime::from_micros(i % 7), i);
-        }
-        let scheduled = q.total_scheduled();
-        let peak = q.peak_len();
-        // Drain strictly below 5 µs: pop order must match (time, seq).
-        let drained = q.drain_upto(SimTime::from_micros(5));
-        let mut last = (SimTime::ZERO, 0u64);
-        for &(time, seq, _) in &drained {
-            assert!(time < SimTime::from_micros(5));
-            assert!((time, seq) > last || last == (SimTime::ZERO, 0));
-            last = (time, seq);
-        }
-        assert_eq!(q.total_processed(), 0, "drain must not count as pops");
-        q.restore(drained);
-        assert_eq!(q.total_scheduled(), scheduled, "restore must not re-count");
-        assert_eq!(q.peak_len(), peak);
-        // The restored queue pops exactly like an untouched one.
-        let mut fresh = EventQueue::new();
-        for i in 0..50u64 {
-            fresh.schedule(SimTime::from_micros(i % 7), i);
-        }
-        loop {
-            let a = q.pop();
-            assert_eq!(a, fresh.pop());
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn drain_upto_zero_is_a_no_op() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::ZERO, 1u32);
-        assert!(q.drain_upto(SimTime::ZERO).is_empty());
-        assert_eq!(q.len(), 1);
     }
 }

@@ -215,27 +215,6 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Would running the half-open window `[start, end)` in parallel risk
-    /// diverging from the serial walk? The parallel engine calls this before
-    /// every lookahead window and falls back to the serial path on `true`.
-    ///
-    /// Conservative by design: stragglers and selfish replicas perturb
-    /// latency/behaviour for the whole run, so any such plan is a permanent
-    /// hazard; a permanent crash makes every window from its onset onward
-    /// serial; a crash-recover fault covers `[crash_at, recover_at)` (windows
-    /// entirely after the restart may run parallel again).
-    pub fn parallel_hazard_in(&self, start: SimTime, end: SimTime) -> bool {
-        if !self.stragglers.is_empty() || !self.selfish.is_empty() {
-            return true;
-        }
-        if self.crashes.iter().any(|c| end > c.at) {
-            return true;
-        }
-        self.crash_recoveries
-            .iter()
-            .any(|c| end > c.crash_at && start < c.recover_at)
-    }
-
     /// Number of replicas that are faulty in any way at `now`.
     pub fn faulty_count(&self, now: SimTime) -> usize {
         let mut faulty: Vec<ReplicaId> = self
@@ -383,29 +362,6 @@ mod tests {
             .with_crash_recover(r(1), SimTime::from_secs(1), SimTime::from_secs(2))
             .with_crash_recover(r(1), SimTime::from_secs(4), SimTime::from_secs(5));
         assert!(twice.validate(4).is_err());
-    }
-
-    #[test]
-    fn parallel_hazard_windows() {
-        let t = SimTime::from_secs;
-        assert!(!FaultPlan::none().parallel_hazard_in(t(0), t(100)));
-        // Stragglers and selfish nodes are hazards for the whole run.
-        assert!(FaultPlan::one_straggler(r(0)).parallel_hazard_in(t(90), t(91)));
-        assert!(FaultPlan::none()
-            .with_selfish(r(1))
-            .parallel_hazard_in(t(0), t(1)));
-        // A permanent crash poisons every window from its onset onward.
-        let crash = FaultPlan::none().with_crash(r(2), t(10));
-        assert!(!crash.parallel_hazard_in(t(0), t(10)));
-        assert!(crash.parallel_hazard_in(t(5), t(11)));
-        assert!(crash.parallel_hazard_in(t(50), t(51)));
-        // A crash-recover fault covers [crash_at, recover_at) only.
-        let cr = FaultPlan::none().with_crash_recover(r(1), t(10), t(20));
-        assert!(!cr.parallel_hazard_in(t(0), t(10)));
-        assert!(cr.parallel_hazard_in(t(9), t(11)));
-        assert!(cr.parallel_hazard_in(t(15), t(16)));
-        assert!(cr.parallel_hazard_in(t(19), t(21)));
-        assert!(!cr.parallel_hazard_in(t(20), t(30)));
     }
 
     #[test]

@@ -157,36 +157,6 @@ impl NetworkConfig {
         base.mul_f64(factor.max(0.0))
     }
 
-    /// Conservative lower bound on the engine-observed delivery delay of any
-    /// message between two *distinct* nodes: the lookahead of the parallel
-    /// engine's time windows.
-    ///
-    /// The engine charges `processing_per_message` at the sender (NIC slot
-    /// start) and again at the receiver, plus the jittered propagation delay,
-    /// plus a non-negative serialization delay, all scaled by straggler
-    /// factors that are always ≥ 1. The smallest possible cross-node latency
-    /// is therefore `2 × processing + (1 − jitter) × min cross-node base`;
-    /// one extra microsecond is shaved off to stay strictly below any
-    /// `mul_f64` round-to-nearest result. Self-sends (1 µs base) are *not*
-    /// covered — the window scheduler treats those as lane-local spawns.
-    pub fn delivery_lookahead(&self) -> Duration {
-        let min_base = match self.kind {
-            NetworkKind::Lan => Duration::from_micros(LAN_ONE_WAY_US),
-            NetworkKind::Wan => {
-                let min_ms = WAN_ONE_WAY_MS
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .min()
-                    .expect("matrix is non-empty");
-                Duration::from_millis(min_ms)
-            }
-        };
-        let jittered_floor = (min_base.as_micros() as f64 * (1.0 - self.jitter)).floor() as u64;
-        let processing = self.processing_per_message.as_micros();
-        Duration::from_micros((2 * processing + jittered_floor).saturating_sub(1))
-    }
-
     /// Serialization (transmission) delay of `bytes` on a link of this
     /// bandwidth.
     pub fn serialization_delay(&self, bytes: u64) -> Duration {
@@ -270,37 +240,6 @@ mod tests {
                 .sample_latency(NodeId::replica(0), NodeId::replica(1), &mut rng)
                 .as_micros() as f64;
             assert!(sampled >= base * 0.94 && sampled <= base * 1.06);
-        }
-    }
-
-    #[test]
-    fn lookahead_is_a_strict_lower_bound_on_cross_node_latency() {
-        for net in [NetworkConfig::lan(), NetworkConfig::wan()] {
-            let lookahead = net.delivery_lookahead();
-            assert!(lookahead > Duration::ZERO);
-            let mut rng = StdRng::seed_from_u64(11);
-            let processing = net.processing_per_message;
-            for from in 0..8u32 {
-                for to in 0..8u32 {
-                    if from == to {
-                        continue;
-                    }
-                    for _ in 0..50 {
-                        let total = processing
-                            + net.sample_latency(
-                                NodeId::replica(from),
-                                NodeId::replica(to),
-                                &mut rng,
-                            )
-                            + processing;
-                        assert!(
-                            total > lookahead,
-                            "{:?}: sampled {total:?} <= lookahead {lookahead:?}",
-                            net.kind
-                        );
-                    }
-                }
-            }
         }
     }
 

@@ -137,14 +137,6 @@ pub struct StatsCollector {
     pub glog_wait_max_us: u64,
 }
 
-#[inline]
-fn merge_min(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
-    match (a, b) {
-        (Some(x), Some(y)) => Some(x.min(y)),
-        (x, y) => x.or(y),
-    }
-}
-
 impl StatsCollector {
     /// Create an empty collector.
     pub fn new() -> Self {
@@ -215,33 +207,6 @@ impl StatsCollector {
         } else {
             self.glog_wait_total_us as f64 / self.glog_wait_count as f64
         }
-    }
-
-    /// Merge `other` into `self`. Every recorded fact is commutative: the
-    /// first-write-wins timestamps merge by minimum (recorders always pass
-    /// the current — monotone — engine clock, so the earliest record is the
-    /// one the serial walk would have kept), aborts OR, counters and wait
-    /// sums add, maxima max. The parallel engine folds lane-local collectors
-    /// back through this and lands on the exact serial collector regardless
-    /// of merge order.
-    pub fn absorb(&mut self, other: StatsCollector) {
-        // orthrus: allow(nondet-iter): commutative merge — min for timestamps, OR for aborts, sums for counters — so visit order cannot leak.
-        for (id, rec) in other.txs {
-            let entry = self.txs.entry(id).or_default();
-            entry.submitted = merge_min(entry.submitted, rec.submitted);
-            for (slot, incoming) in entry.stages.iter_mut().zip(rec.stages) {
-                *slot = merge_min(*slot, incoming);
-            }
-            entry.confirmed = merge_min(entry.confirmed, rec.confirmed);
-            entry.aborted |= rec.aborted;
-        }
-        self.blocks_delivered += other.blocks_delivered;
-        self.view_changes += other.view_changes;
-        self.messages_sent += other.messages_sent;
-        self.bytes_sent += other.bytes_sent;
-        self.glog_wait_total_us += other.glog_wait_total_us;
-        self.glog_wait_count += other.glog_wait_count;
-        self.glog_wait_max_us = self.glog_wait_max_us.max(other.glog_wait_max_us);
     }
 
     /// Number of transactions submitted.
@@ -564,50 +529,5 @@ mod tests {
         assert_eq!(s.glog_wait_total_us, 400);
         assert_eq!(s.glog_wait_max_us, 300);
         assert_eq!(s.glog_wait_mean_us(), 200.0);
-    }
-
-    #[test]
-    fn absorb_matches_interleaved_recording() {
-        // Record the same facts (a) into one collector in engine order and
-        // (b) split across two collectors merged afterwards; every read-side
-        // aggregate must agree.
-        let mut serial = StatsCollector::new();
-        serial.tx_submitted(tx(0), at(5));
-        serial.stage_reached(tx(0), LatencyStage::Send, at(10));
-        serial.tx_confirmed(tx(0), at(40));
-        serial.tx_confirmed(tx(0), at(90)); // late duplicate, first wins
-        serial.tx_submitted(tx(1), at(7));
-        serial.tx_aborted(tx(1), at(30));
-        serial.block_delivered();
-        serial.view_change_completed();
-        serial.glog_wait(Duration::from_micros(50));
-        serial.glog_wait(Duration::from_micros(20));
-
-        let mut a = StatsCollector::new();
-        let mut b = StatsCollector::new();
-        a.tx_submitted(tx(0), at(5));
-        b.stage_reached(tx(0), LatencyStage::Send, at(10));
-        // The duplicate confirm lands in the *other* collector: min-merge
-        // must still keep the earliest timestamp.
-        b.tx_confirmed(tx(0), at(90));
-        a.tx_confirmed(tx(0), at(40));
-        b.tx_submitted(tx(1), at(7));
-        a.tx_aborted(tx(1), at(30));
-        a.block_delivered();
-        b.view_change_completed();
-        b.glog_wait(Duration::from_micros(50));
-        a.glog_wait(Duration::from_micros(20));
-        let mut merged = StatsCollector::new();
-        merged.absorb(b);
-        merged.absorb(a);
-
-        assert_eq!(merged.confirmed_count(), serial.confirmed_count());
-        assert_eq!(merged.aborted_count(), serial.aborted_count());
-        assert_eq!(merged.average_latency(), serial.average_latency());
-        assert_eq!(merged.blocks_delivered, serial.blocks_delivered);
-        assert_eq!(merged.view_changes, serial.view_changes);
-        assert_eq!(merged.glog_wait_total_us, serial.glog_wait_total_us);
-        assert_eq!(merged.glog_wait_max_us, serial.glog_wait_max_us);
-        assert_eq!(merged.latencies().len(), serial.latencies().len());
     }
 }

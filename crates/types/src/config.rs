@@ -136,53 +136,6 @@ impl fmt::Display for ExecutionMode {
     }
 }
 
-/// How the discrete-event engine walks a scenario's event queue.
-///
-/// Both modes are bit-identical by construction — the parallel scheduler is
-/// a conservative time-window scheme whose barrier replay reproduces the
-/// serial walk's queue bookkeeping exactly, and the differential tests pin
-/// identical outcomes and digests under `ORTHRUS_SWEEP_THREADS ∈ {1, 4}` in
-/// CI — so the mode is purely a performance choice. `Serial` stays the
-/// oracle `Parallel` is pinned against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum EngineMode {
-    /// The single-threaded reference walk: pop one event, dispatch, repeat.
-    #[default]
-    Serial,
-    /// Conservative time-window parallelism: per-actor lanes execute a
-    /// lookahead window's events concurrently, merged at a deterministic
-    /// barrier. Windows overlapping fault activity fall back to serial.
-    Parallel,
-}
-
-impl EngineMode {
-    /// All engine modes, oracle first.
-    pub const ALL: [EngineMode; 2] = [EngineMode::Serial, EngineMode::Parallel];
-
-    /// The spec-file name of the mode (`engine_mode = <name>`).
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineMode::Serial => "serial",
-            EngineMode::Parallel => "parallel",
-        }
-    }
-
-    /// Parse a spec-file mode name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "serial" => Some(EngineMode::Serial),
-            "parallel" | "windows" => Some(EngineMode::Parallel),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for EngineMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Which network environment the evaluation runs in (paper §VII-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkKind {

@@ -9,8 +9,7 @@
 //!
 //! A disabled timer ([`ProfTimer::maybe`] with `false`, or
 //! [`ProfTimer::off`]) never reads the clock at all, so profiling is
-//! genuinely zero-cost when off — important for the engine's inner window
-//! loop, which constructs one of these per window.
+//! genuinely zero-cost when off.
 
 /// An optional wall-clock stopwatch for profiling-only measurements.
 ///

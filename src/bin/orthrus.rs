@@ -29,7 +29,9 @@
 //! Specs are resolved against the built-in registry first; anything
 //! containing a path separator or ending in `.orth` is read from disk.
 //! `--full` (or `ORTHRUS_FULL_SCALE=1`) applies the spec's `[full_scale]`
-//! overrides; `--threads` (or `ORTHRUS_SWEEP_THREADS`) sets the pool width.
+//! overrides; `--threads` (or `ORTHRUS_SWEEP_THREADS`) sets the width of the
+//! sweep pool (how many points run at once) and of each replica's execution
+//! pool. Results do not depend on it.
 
 use orthrus_bench::harness::{self, MeasuredPoint, SweepJob};
 use orthrus_core::sweep_threads;
@@ -40,7 +42,9 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  orthrus list\n  orthrus show <name|file.orth>\n  orthrus run <name|file.orth> \
          [--threads N] [--json PATH] [--full]\n  orthrus lint [files...]\n  orthrus analyze \
-         [--json PATH]"
+         [--json PATH]\n\n--threads N (default: ORTHRUS_SWEEP_THREADS, else the host's cores) sets how \
+         many sweep points run\nat once and how wide each replica's execution pool is; \
+         results do not depend on it."
     );
     ExitCode::from(2)
 }
@@ -202,9 +206,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
     }
     let threads = threads.unwrap_or_else(sweep_threads);
     // Publish the resolved count so every in-process consumer of
-    // `sweep_threads()` agrees with the CLI flag: the sweep pool, the
-    // replicas' plog execution pools, and the conservative-window parallel
-    // engine for scenarios with `engine_mode = parallel`.
+    // `sweep_threads()` agrees with the CLI flag: the sweep pool and the
+    // replicas' plog execution pools.
     std::env::set_var("ORTHRUS_SWEEP_THREADS", threads.to_string());
     let jobs: Vec<SweepJob> = points.into_iter().map(SweepJob::from).collect();
     let label = x_label(&spec);

@@ -424,7 +424,7 @@ fn snapshot_clone_is_isolated_from_post_snapshot_writes() {
 }
 
 // ----------------------------------------------------------------------
-// Scenario level: parallel_execution on/off across protocols and faults
+// Scenario level: execution modes across protocols and faults
 // ----------------------------------------------------------------------
 
 fn fingerprint(outcome: &ScenarioOutcome) -> (usize, usize, u64, u64, u64, Vec<u64>) {
@@ -438,6 +438,8 @@ fn fingerprint(outcome: &ScenarioOutcome) -> (usize, usize, u64, u64, u64, Vec<u
     )
 }
 
+/// The scenario every test below varies, on the serial reference walk (the
+/// default is `ShardedDemotion`), so "serial" sides need no override.
 fn base_scenario(protocol: ProtocolKind, seed: u64) -> Scenario {
     let workload = WorkloadConfig {
         num_accounts: 64,
@@ -453,6 +455,7 @@ fn base_scenario(protocol: ProtocolKind, seed: u64) -> Scenario {
         .with_batch_size(64)
         .with_batch_timeout(Duration::from_millis(20))
         .with_submission_window(Duration::from_millis(500))
+        .with_execution_mode(ExecutionMode::Serial)
 }
 
 fn run(scenario: &Scenario) -> ScenarioOutcome {
@@ -466,7 +469,9 @@ fn parallel_execution_is_bit_identical_for_all_protocols() {
     for protocol in ProtocolKind::ALL {
         for seed in [5u64, 6] {
             let serial = run(&base_scenario(protocol, seed));
-            let parallel = run(&base_scenario(protocol, seed).with_parallel_execution(true));
+            let parallel =
+                run(&base_scenario(protocol, seed)
+                    .with_execution_mode(ExecutionMode::ShardedDemotion));
             assert_eq!(
                 fingerprint(&serial),
                 fingerprint(&parallel),
@@ -499,7 +504,7 @@ fn parallel_execution_is_bit_identical_under_faults() {
         let straggler_serial = run(&base_scenario(protocol, 9).with_straggler());
         let straggler_parallel = run(&base_scenario(protocol, 9)
             .with_straggler()
-            .with_parallel_execution(true));
+            .with_execution_mode(ExecutionMode::ShardedDemotion));
         assert_eq!(
             fingerprint(&straggler_serial),
             fingerprint(&straggler_parallel),
@@ -509,7 +514,7 @@ fn parallel_execution_is_bit_identical_under_faults() {
         let crash_serial = run(&base_scenario(protocol, 10).with_faults(crash_plan()));
         let crash_parallel = run(&base_scenario(protocol, 10)
             .with_faults(crash_plan())
-            .with_parallel_execution(true));
+            .with_execution_mode(ExecutionMode::ShardedDemotion));
         assert_eq!(
             fingerprint(&crash_serial),
             fingerprint(&crash_parallel),
@@ -606,7 +611,8 @@ fn optimistic_stm_is_bit_identical_under_faults() {
 #[test]
 fn parallel_execution_conserves_supply_across_seeds() {
     for seed in [21u64, 22, 23] {
-        let scenario = base_scenario(ProtocolKind::Orthrus, seed).with_parallel_execution(true);
+        let scenario = base_scenario(ProtocolKind::Orthrus, seed)
+            .with_execution_mode(ExecutionMode::ShardedDemotion);
         let (sim, _) = orthrus_core::build_simulation(&scenario).expect("valid scenario");
         let genesis_supply: u128 = sim
             .actor_as::<orthrus_core::ReplicaNode>(orthrus_sim::NodeId::replica(0))
@@ -653,7 +659,9 @@ fn hot_account_workload_shows_shard_imbalance() {
     scenario.workload.num_accounts = 64;
     scenario.workload.num_shared_objects = 8;
     let serial = run(&scenario);
-    let parallel = run(&scenario.clone().with_parallel_execution(true));
+    let parallel = run(&scenario
+        .clone()
+        .with_execution_mode(ExecutionMode::ShardedDemotion));
     assert_eq!(serial.shard_ops, parallel.shard_ops);
     assert_eq!(serial.confirmed, serial.submitted);
 

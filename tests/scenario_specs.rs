@@ -122,9 +122,6 @@ fn random_params(rng: &mut StdRng, protocol_required: bool) -> Params {
         params.max_inflight_blocks = Some(rng.gen_range(1..32));
     }
     if rng.gen_bool(0.3) {
-        params.parallel_execution = Some(rng.gen_bool(0.5));
-    }
-    if rng.gen_bool(0.3) {
         params.execution_mode =
             Some(ExecutionMode::ALL[rng.gen_range(0..ExecutionMode::ALL.len() as u64) as usize]);
     }
@@ -284,15 +281,24 @@ fn randomized_specs_round_trip_exactly() {
     }
 }
 
-/// The `queue` key went with the calendar queue. A spec that still sets it
-/// must fail loudly, not run on a queue other than the one it names.
+/// Keys that went with what they selected — the calendar queue, the windowed
+/// engine, the boolean twin of `execution_mode`. A spec that still sets one
+/// must fail loudly, not run as something other than what it names.
 #[test]
 fn removed_queue_key_is_rejected_with_its_line() {
-    let text = "kind = scenario\nname = stale\n\n[scenario]\nprotocol = orthrus\n\
-                network = lan\nreplicas = 4\nqueue = calendar\n";
-    let err = parse(text).expect_err("`queue` is no longer a parameter");
-    assert_eq!(err.line, Some(8));
-    assert_eq!(err.msg, "unknown parameter \"queue\"");
+    for (key, value) in [
+        ("queue", "calendar"),
+        ("engine_mode", "parallel"),
+        ("parallel_execution", "true"),
+    ] {
+        let text = format!(
+            "kind = scenario\nname = stale\n\n[scenario]\nprotocol = orthrus\n\
+             network = lan\nreplicas = 4\n{key} = {value}\n"
+        );
+        let err = parse(&text).expect_err("removed keys are no longer parameters");
+        assert_eq!(err.line, Some(8));
+        assert_eq!(err.msg, format!("unknown parameter {key:?}"));
+    }
 }
 
 // ----------------------------------------------------------------------
