@@ -53,15 +53,15 @@ pub enum Rule {
     /// scenario-derived seed. Ambient entropy breaks seed ⇒ digest identity.
     AmbientRng,
     /// `std::thread` use outside the deterministic sweep pool. All
-    /// parallelism must flow through `parallel_for_mut`/`parallel_map` so
-    /// thread count can never influence results.
+    /// parallelism must flow through `parallel_map` so thread count can
+    /// never influence results.
     StrayThread,
     /// `unsafe` without an adjacent `// SAFETY:` justification. Also feeds
     /// the workspace-wide unsafe inventory in the report.
     UnsafeAudit,
-    /// `unwrap`/`expect`/`panic!` on engine dispatch, actor handler, and STM
-    /// speculative-wave paths, where a panic escalates a recoverable abort
-    /// into a torn-down wave.
+    /// `unwrap`/`expect`/`panic!` on engine dispatch and actor handler
+    /// paths, where a panic tears down the whole simulation run instead of
+    /// failing one message or transaction.
     PanicPath,
     /// A malformed suppression: unknown rule name or missing reason.
     BadSuppression,
@@ -111,7 +111,7 @@ impl Rule {
             Rule::AmbientRng => "RNG construction outside orthrus_types::rng seeded paths",
             Rule::StrayThread => "std::thread use outside the deterministic sweep pool",
             Rule::UnsafeAudit => "unsafe block/impl without a SAFETY: justification",
-            Rule::PanicPath => "unwrap/expect/panic! on engine dispatch and STM wave paths",
+            Rule::PanicPath => "unwrap/expect/panic! on engine dispatch and actor handler paths",
             Rule::BadSuppression => "suppression with unknown rule name or missing reason",
         }
     }
@@ -143,14 +143,12 @@ const DETERMINISTIC_CRATES: [&str; 7] = [
     "crates/types/",
 ];
 
-/// Files on engine-dispatch / actor-handler / STM-wave paths where a panic
-/// escalates a recoverable abort (the `panic-path` scope from the issue).
-const PANIC_PATH_FILES: [&str; 5] = [
+/// Files on engine-dispatch / actor-handler paths, where a panic tears down
+/// the whole run (the `panic-path` scope).
+const PANIC_PATH_FILES: [&str; 3] = [
     "crates/sim/src/engine.rs",
     "crates/core/src/replica.rs",
     "crates/core/src/client.rs",
-    "crates/execution/src/stm_scheduler.rs",
-    "crates/execution/src/mvmemory.rs",
 ];
 
 fn is_deterministic_crate(path: &str) -> bool {
@@ -595,8 +593,8 @@ pub fn check_file(fa: &FileAnalysis<'_>, original: &str, report: &mut Report) {
                         rule: Rule::PanicPath,
                         line: i,
                         message: format!(
-                            "`{}` on an engine/actor/STM path — a panic here tears down the \
-                             wave instead of producing an abort verdict; justify the invariant",
+                            "`{}` on an engine/actor path — a panic here tears down the whole \
+                             run; justify the invariant",
                             pat.trim_start_matches('.').trim_end_matches('(')
                         ),
                     });

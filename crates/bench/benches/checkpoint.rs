@@ -6,12 +6,11 @@
 //! Two measurements:
 //!
 //! 1. **Retention** — a long fig3-class run (every instance proposing many
-//!    blocks) executed twice, checkpoint GC on and off, sampling replica
-//!    0's retained log entries (plog blocks + glog payloads + PBFT slots)
-//!    every 250 ms of virtual time. The two runs must be bit-identical in
-//!    everything except retention (truncation is memory-only); with GC on
-//!    the series plateaus at the in-flight window, with GC off it tracks
-//!    the delivered history.
+//!    blocks), sampling replica 0's retained log entries (plog blocks + glog
+//!    payloads + PBFT slots) every 250 ms of virtual time. Checkpoint
+//!    truncation must hold the series at a plateau (the in-flight window)
+//!    far below the delivered history, which is what an untruncated log
+//!    would keep.
 //! 2. **Recovery** — a run in which one replica crashes mid-load and
 //!    restarts later: reports the state-transfer latency (restart → first
 //!    install) and checks the recovered replica reconverges to the same
@@ -34,12 +33,12 @@ struct RetentionRun {
     final_retained: u64,
     peak_retained: u64,
     peak_retained_bytes: u64,
-    confirmed: usize,
-    digests: Vec<Digest>,
-    events: u64,
+    /// Blocks replica 0 delivered: every one of them would still be
+    /// retained without truncation.
+    delivered_blocks: u64,
 }
 
-fn retention_scenario(scale: BenchScale, gc: bool) -> Scenario {
+fn retention_scenario(scale: BenchScale) -> Scenario {
     let (replicas, transactions) = match scale {
         BenchScale::Reduced => (16, 6_000),
         BenchScale::Full => (128, 60_000),
@@ -59,15 +58,13 @@ fn retention_scenario(scale: BenchScale, gc: bool) -> Scenario {
         .with_batch_timeout(Duration::from_millis(20))
         .with_num_clients(8)
         .with_submission_window(Duration::from_secs(10))
-        .with_max_sim_time(Duration::from_secs(120))
-        .with_checkpoint_gc(gc);
+        .with_max_sim_time(Duration::from_secs(120));
     scenario.config.checkpoint_interval = 4;
     scenario
 }
 
 /// Run the retention scenario in fixed 250 ms slices, sampling replica 0's
-/// retained-entry count after each slice. Slicing is identical for both GC
-/// settings, so everything except retention must match exactly.
+/// retained-entry count after each slice.
 fn measure_retention(scenario: &Scenario) -> RetentionRun {
     let (mut sim, submitted) = build_simulation(scenario).expect("bench scenario must validate");
     let deadline = SimTime::ZERO + scenario.max_sim_time;
@@ -77,13 +74,13 @@ fn measure_retention(scenario: &Scenario) -> RetentionRun {
     // Run to all-confirmed, then two extra seconds of drain so the last
     // checkpoints (and their truncations) land.
     let mut drain_until: Option<SimTime> = None;
-    let report = loop {
+    loop {
         let now = sim.now();
         if now >= deadline {
-            break sim.run_until(now);
+            break;
         }
         let slice_end = (now + slice).min(deadline);
-        let report = sim.run_until(slice_end);
+        sim.run_until(slice_end);
         let node = sim
             .actor_as::<ReplicaNode>(NodeId::replica(0))
             .expect("replica 0 exists");
@@ -91,7 +88,7 @@ fn measure_retention(scenario: &Scenario) -> RetentionRun {
         peak = peak.max(retained);
         series.push((sim.now().as_micros() / 1_000, retained));
         match drain_until {
-            Some(t) if sim.now() >= t => break report,
+            Some(t) if sim.now() >= t => break,
             Some(_) => {}
             None => {
                 if sim.stats().confirmed_count() >= submitted {
@@ -99,24 +96,16 @@ fn measure_retention(scenario: &Scenario) -> RetentionRun {
                 }
             }
         }
-    };
+    }
     let node = sim
         .actor_as::<ReplicaNode>(NodeId::replica(0))
         .expect("replica 0 exists");
-    let digests = (0..scenario.config.num_replicas)
-        .filter_map(|r| {
-            sim.actor_as::<ReplicaNode>(NodeId::replica(r))
-                .map(|n| n.executor().state_digest())
-        })
-        .collect();
     RetentionRun {
         final_retained: node.retained_log_entries(),
         peak_retained: node.peak_retained_entries().max(peak),
         peak_retained_bytes: node.peak_retained_bytes(),
-        confirmed: sim.stats().confirmed_count(),
-        digests,
+        delivered_blocks: node.delivered_blocks(),
         series,
-        events: report.events_processed,
     }
 }
 
@@ -188,32 +177,26 @@ fn main() {
     let scale = BenchScale::from_env();
     println!("== checkpoint bench ({scale:?} scale) ==");
 
-    let on_scenario = retention_scenario(scale, true);
-    let off_scenario = retention_scenario(scale, false);
-    let replicas = on_scenario.config.num_replicas;
-    let transactions = on_scenario.workload.num_transactions;
-    println!("retention: {replicas} replicas, {transactions} txs, GC on …");
-    let gc_on = measure_retention(&on_scenario);
-    println!("retention: GC off …");
-    let gc_off = measure_retention(&off_scenario);
+    let scenario = retention_scenario(scale);
+    let replicas = scenario.config.num_replicas;
+    let transactions = scenario.workload.num_transactions;
+    println!("retention: {replicas} replicas, {transactions} txs …");
+    let retention = measure_retention(&scenario);
 
-    let identical = gc_on.digests == gc_off.digests
-        && gc_on.confirmed == gc_off.confirmed
-        && gc_on.events == gc_off.events;
-    // Bounded = the GC-on steady state is a plateau well below the GC-off
-    // history: the final retained window must be a fraction of what no-GC
-    // retains, and no bigger than its own observed peak (no late growth).
-    let bounded = gc_on.final_retained * 2 <= gc_off.final_retained.max(1)
-        && gc_on.final_retained <= gc_on.peak_retained;
+    // Bounded = the steady state is a plateau well below the delivered
+    // history: the final retained window must be a fraction of the blocks
+    // delivered (each of which an untruncated log would still hold), and no
+    // bigger than its own observed peak (no late growth).
+    let bounded = retention.final_retained * 2 <= retention.delivered_blocks.max(1)
+        && retention.final_retained <= retention.peak_retained;
     println!(
-        "  GC on : final {:>6} entries (peak {:>6}, peak {:>9} bytes)",
-        gc_on.final_retained, gc_on.peak_retained, gc_on.peak_retained_bytes
+        "  final {:>6} entries (peak {:>6}, peak {:>9} bytes) of {} delivered blocks",
+        retention.final_retained,
+        retention.peak_retained,
+        retention.peak_retained_bytes,
+        retention.delivered_blocks
     );
-    println!(
-        "  GC off: final {:>6} entries (peak {:>6}, peak {:>9} bytes)",
-        gc_off.final_retained, gc_off.peak_retained, gc_off.peak_retained_bytes
-    );
-    println!("  identical traces: {identical}   bounded: {bounded}");
+    println!("  bounded: {bounded}");
 
     println!("recovery: crash-recover one replica …");
     let recovery = measure_recovery(scale);
@@ -234,22 +217,17 @@ fn main() {
         json,
         "{{\n  \"bench\": \"checkpoint\",\n  \"scale\": \"{scale:?}\",\n  \"retention\": {{\n    \
          \"replicas\": {replicas},\n    \"transactions\": {transactions},\n    \
-         \"gc_on\": {{\"final_retained_entries\": {}, \"peak_retained_entries\": {}, \
-         \"peak_retained_bytes\": {}, \"series\": {}}},\n    \
-         \"gc_off\": {{\"final_retained_entries\": {}, \"peak_retained_entries\": {}, \
-         \"peak_retained_bytes\": {}, \"series\": {}}},\n    \
-         \"identical_traces\": {identical},\n    \"bounded\": {bounded}\n  }},\n  \
+         \"final_retained_entries\": {}, \"peak_retained_entries\": {}, \
+         \"peak_retained_bytes\": {}, \"delivered_blocks\": {},\n    \
+         \"series\": {},\n    \"bounded\": {bounded}\n  }},\n  \
          \"recovery\": {{\"replicas\": {}, \"crash_at_ms\": {}, \"recover_at_ms\": {}, \
          \"recovery_latency_ms\": {:.3}, \"digests_converged\": {}, \
          \"confirmed\": {}, \"submitted\": {}}}\n}}\n",
-        gc_on.final_retained,
-        gc_on.peak_retained,
-        gc_on.peak_retained_bytes,
-        series_json(&gc_on.series),
-        gc_off.final_retained,
-        gc_off.peak_retained,
-        gc_off.peak_retained_bytes,
-        series_json(&gc_off.series),
+        retention.final_retained,
+        retention.peak_retained,
+        retention.peak_retained_bytes,
+        retention.delivered_blocks,
+        series_json(&retention.series),
         recovery.replicas,
         recovery.crash_at_ms,
         recovery.recover_at_ms,
@@ -268,12 +246,8 @@ fn main() {
         Ok(()) => println!("\nsnapshot written to {}", path.display()),
         Err(err) => eprintln!("warning: could not write {}: {err}", path.display()),
     }
-    if !identical {
-        eprintln!("error: GC on/off traces diverged — truncation must be memory-only");
-        std::process::exit(1);
-    }
     if !bounded {
-        eprintln!("error: retained entries did not plateau under checkpoint GC");
+        eprintln!("error: retained entries did not plateau under checkpoint truncation");
         std::process::exit(1);
     }
     if !recovery.digests_converged {

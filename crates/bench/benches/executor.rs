@@ -1,45 +1,28 @@
-//! Executor snapshot: quantifies the sharded execution engine and records
+//! Executor snapshot: quantifies the sharded execution state and records
 //! the result to `BENCH_executor.json` at the repository root.
 //!
-//! Four measurements:
+//! Three measurements:
 //!
 //! 1. **Plog execution** — a payment fast-path workload with a realistic
 //!    population of outstanding contract escrows (contracts waiting for
 //!    global ordering, as in the paper's 46%-payment trace), executed by
 //!    (a) a faithful re-implementation of the pre-sharding executor (single
-//!    `BTreeMap` store, escrow commit via a full-log `retain` scan), (b) the
-//!    new engine's per-transaction reference walk on a single shard, and
-//!    (c) the new engine's schedule API at m ∈ {4, 8, 16} shards on the
-//!    worker pool. All variants must agree on committed counts and final
-//!    balances; the sharded digests must also agree across shard counts.
-//!    A pool-width-1 run is always included: at width 1 the schedule API
-//!    routes through the serial reference walk (as the replica dispatch
-//!    does), so it must not regress against `reference_walk_m1`.
+//!    `BTreeMap` store, escrow commit via a full-log `retain` scan) and (b)
+//!    the executor's schedule walk — the one the replica runs — over a
+//!    single-shard store and over m ∈ {4, 8, 16}-shard stores. All variants
+//!    must agree on committed counts and final balances; the sharded digests
+//!    must also agree across shard counts.
 //! 2. **Digest micro** — incremental `digest()` vs `rescan_digest()` on a
 //!    ≥ 100k-object store (the cost the scenario runner pays every time it
 //!    compares replica states).
 //! 3. **Hot-account ablation** — the same plog workload with Zipf-1.4 payer
 //!    skew: per-shard op counts quantify the imbalance a hot account causes.
-//! 4. **Block-STM ablation** — demotion scheduling vs optimistic execution
-//!    on the uniform workload and on a *contended* one (Zipf-1.4 skew on
-//!    payers **and** payees, pending-escrow log as deep as the payment
-//!    stream, a band of mid-rank accounts seeded poor so escrow verdicts
-//!    genuinely flip with the order), reporting the measured abort rate and
-//!    the contended-workload speedup. Engines are compared by *work-span
-//!    makespan* at pool width 8: serial and parallelizable components are
-//!    measured separately per engine and recombined with the standard
-//!    `serial + max(largest job, total/width)` bound, which equals
-//!    wall-clock on a machine with ≥ 8 cores and is the schedulers' actual
-//!    critical path on smaller ones. Raw wall-clock is reported alongside.
-//!    All engines must agree bit-for-bit with a serial walk of the same
-//!    schedule on digests, outcomes and supply.
 //!
 //! Run with `cargo bench --bench executor` (reduced scale) or
 //! `ORTHRUS_FULL_SCALE=1 cargo bench --bench executor` (paper scale).
 
 use orthrus_bench::harness::{self, BenchScale};
-use orthrus_core::{parallel_for_mut, sweep_threads};
-use orthrus_execution::{Executor, ObjectStore, StmStats, TxOutcome};
+use orthrus_execution::{Executor, ObjectStore, TxOutcome};
 use orthrus_types::rng::{Rng, StdRng};
 use orthrus_types::{
     Amount, Block, BlockParams, ClientId, Epoch, InstanceId, ObjectKey, ObjectOp, Rank, SeqNum,
@@ -62,24 +45,13 @@ struct PlogWorkload {
     /// payments execute.
     pending_contracts: Vec<Arc<Transaction>>,
     accounts: u64,
-    /// Accounts seeded with [`POOR_BALANCE`] instead of the normal float:
-    /// mid-rank hot accounts that drain and refill as the schedule
-    /// interleaves their debits and credits, so escrow verdicts genuinely
-    /// flip with the order and the optimistic engine's abort rate measures
-    /// something real. Empty for the uniform workloads.
-    poor: std::ops::Range<u64>,
 }
-
-/// Starting balance of the [`PlogWorkload::poor`] accounts — a handful of
-/// payments deep, so solvency depends on the credits committed before them.
-const POOR_BALANCE: u64 = 40;
 
 fn build_workload(
     accounts: u64,
     outstanding: usize,
     payments: usize,
     zipf: Option<f64>,
-    hot_payees: bool,
 ) -> PlogWorkload {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     let sampler = zipf.map(|e| Zipf::new(accounts as usize, e));
@@ -89,12 +61,7 @@ fn build_workload(
             Some(z) => z.sample(&mut rng) as u64,
             None => rng.gen_range(0..accounts),
         };
-        let mut payee: u64 = match &sampler {
-            // Contended mode: the payees are the *same* hot population as
-            // the payers, so hot accounts receive as much as they send.
-            Some(z) if hot_payees => z.sample(&mut rng) as u64,
-            _ => rng.gen_range(0..accounts),
-        };
+        let mut payee: u64 = rng.gen_range(0..accounts);
         if payee == payer {
             payee = (payee + 1) % accounts;
         }
@@ -123,10 +90,6 @@ fn build_workload(
         payments: out,
         pending_contracts: contracts,
         accounts,
-        // Contended mode: Zipf ranks 41..73 are hot enough to see steady
-        // two-sided traffic but not so hot that draining them stalls the
-        // whole stream (~1-2% of payments touch them as payer).
-        poor: if hot_payees { 40..72 } else { 0..0 },
     }
 }
 
@@ -175,12 +138,7 @@ fn build_schedule(workload: &PlogWorkload, m: u32, batch: usize) -> Vec<(Instanc
 fn new_executor(workload: &PlogWorkload, m: u32) -> Executor {
     let mut store = ObjectStore::with_shards(m);
     for c in 0..workload.accounts + workload.pending_contracts.len() as u64 {
-        let float = if workload.poor.contains(&c) {
-            POOR_BALANCE
-        } else {
-            1_000_000
-        };
-        store.create_account(ObjectKey::account_of(ClientId::new(c)), float);
+        store.create_account(ObjectKey::account_of(ClientId::new(c)), 1_000_000);
     }
     store.create_shared(ObjectKey::new(1 << 48), 0);
     let mut exec = Executor::with_store(store);
@@ -212,12 +170,7 @@ impl BaselineExecutor {
     fn new(workload: &PlogWorkload) -> Self {
         let mut balances = BTreeMap::new();
         for c in 0..workload.accounts + workload.pending_contracts.len() as u64 {
-            let float = if workload.poor.contains(&c) {
-                POOR_BALANCE
-            } else {
-                1_000_000u64
-            };
-            balances.insert(ObjectKey::account_of(ClientId::new(c)), float);
+            balances.insert(ObjectKey::account_of(ClientId::new(c)), 1_000_000u64);
         }
         let mut this = Self {
             balances,
@@ -316,43 +269,20 @@ struct ShardedOutcome {
     shard_ops: Vec<u64>,
 }
 
-fn run_sharded(
-    workload: &PlogWorkload,
-    m: u32,
-    batch: usize,
-    parallel: bool,
-    threads: usize,
-) -> ShardedOutcome {
+/// Run the payment schedule for an `m`-shard layout through the executor's
+/// schedule walk (`Executor::process_plog_schedule`, the walk the replica
+/// runs).
+fn run_sharded(workload: &PlogWorkload, m: u32, batch: usize) -> ShardedOutcome {
     let schedule = build_schedule(workload, m, batch);
     let mut exec = new_executor(workload, m);
     let assign = move |key: ObjectKey| InstanceId::new(key.shard(m));
     let wall = Instant::now();
-    if parallel && threads > 1 {
-        exec.process_plog_schedule(&schedule, &assign, |jobs| {
-            parallel_for_mut(jobs, threads, |job| job.run());
-        });
-    } else if parallel {
-        // Pool width 1: the replica dispatch collapses the schedule onto
-        // the serial reference walk instead of paying the scatter/merge
-        // overhead for zero parallelism. Mirror that here so the
-        // `sharded_*_pool1` label measures what production executes.
-        for (instance, block) in &schedule {
-            for tx in &block.txs {
-                exec.process_plog_tx(tx, *instance, &assign);
-            }
-        }
-    } else {
-        for (instance, block) in &schedule {
-            for tx in &block.txs {
-                exec.process_plog_tx(tx, *instance, &assign);
-            }
-        }
-    }
+    exec.process_plog_schedule(&schedule, &assign);
     let secs = wall.elapsed().as_secs_f64();
-    let label = if parallel {
-        format!("sharded_m{m}_pool{threads}")
+    let label = if m == 1 {
+        "reference_walk_m1".to_string()
     } else {
-        format!("reference_walk_m{m}")
+        format!("sharded_m{m}")
     };
     ShardedOutcome {
         run: PlogRun {
@@ -365,95 +295,6 @@ fn run_sharded(
         total_supply: exec.total_supply(),
         shard_ops: exec.store().shard_op_counts(),
     }
-}
-
-/// Like the parallel path of [`run_sharded`], but drives the shard jobs
-/// serially and times each one, yielding the demotion scheduler's measured
-/// work decomposition: per-job parallelizable work plus the serial
-/// remainder (classification and the demoted merge lane). Returns the
-/// outcome, the per-job times and the total wall time, all in ms.
-fn run_demotion_span(
-    workload: &PlogWorkload,
-    m: u32,
-    batch: usize,
-) -> (ShardedOutcome, Vec<f64>, f64) {
-    let schedule = build_schedule(workload, m, batch);
-    let mut exec = new_executor(workload, m);
-    let assign = move |key: ObjectKey| InstanceId::new(key.shard(m));
-    let mut jobs_ms: Vec<f64> = Vec::new();
-    let wall = Instant::now();
-    exec.process_plog_schedule(&schedule, &assign, |jobs| {
-        for job in jobs.iter_mut() {
-            let t = Instant::now();
-            job.run();
-            jobs_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        }
-    });
-    let secs = wall.elapsed().as_secs_f64();
-    let outcome = ShardedOutcome {
-        run: PlogRun {
-            label: format!("demotion_m{m}_span"),
-            wall_ms: secs * 1e3,
-            tx_per_sec: workload.payments.len() as f64 / secs,
-            committed: exec.committed_count(),
-        },
-        digest: exec.state_digest(),
-        total_supply: exec.total_supply(),
-        shard_ops: exec.store().shard_op_counts(),
-    };
-    (outcome, jobs_ms, secs * 1e3)
-}
-
-/// Makespan of the demotion scheduler at `width` workers, from its measured
-/// decomposition: the serial remainder runs unsplit, the shard jobs pack
-/// onto the workers (bounded below by the largest job and by even division —
-/// the standard work-span bound, so the model *favors* demotion).
-fn demotion_span_ms(total_ms: f64, jobs_ms: &[f64], width: usize) -> f64 {
-    let jobs_total: f64 = jobs_ms.iter().sum();
-    let jobs_max = jobs_ms.iter().copied().fold(0.0f64, f64::max);
-    (total_ms - jobs_total) + (jobs_total / width as f64).max(jobs_max)
-}
-
-/// Makespan of the optimistic engine at `width` workers: the speculative
-/// wave (self-scheduling chunks) and the per-shard commit jobs divide by
-/// the width; validation and the unattributed remainder are serial span.
-fn stm_span_ms(wall_ms: f64, stats: &StmStats, width: usize) -> f64 {
-    let wave = stats.wave_ns as f64 / 1e6;
-    let validate = stats.validate_ns as f64 / 1e6;
-    let commit = stats.commit_ns as f64 / 1e6;
-    let rest = (wall_ms - wave - validate - commit).max(0.0);
-    wave / width as f64 + validate + commit / width as f64 + rest
-}
-
-/// Run the same schedule through the Block-STM engine (speculative wave,
-/// schedule-order validation, coalesced commit), returning the run stats
-/// plus the scheduler's occurrence/re-execution counters.
-fn run_stm(
-    workload: &PlogWorkload,
-    m: u32,
-    batch: usize,
-    threads: usize,
-) -> (ShardedOutcome, StmStats) {
-    let schedule = build_schedule(workload, m, batch);
-    let mut exec = new_executor(workload, m);
-    let assign = move |key: ObjectKey| InstanceId::new(key.shard(m));
-    let wall = Instant::now();
-    let (_, stats) = exec.process_plog_schedule_stm_with_stats(&schedule, &assign, threads);
-    let secs = wall.elapsed().as_secs_f64();
-    (
-        ShardedOutcome {
-            run: PlogRun {
-                label: format!("stm_m{m}_pool{threads}"),
-                wall_ms: secs * 1e3,
-                tx_per_sec: workload.payments.len() as f64 / secs,
-                committed: exec.committed_count(),
-            },
-            digest: exec.state_digest(),
-            total_supply: exec.total_supply(),
-            shard_ops: exec.store().shard_op_counts(),
-        },
-        stats,
-    )
 }
 
 struct DigestMicro {
@@ -510,45 +351,34 @@ fn main() {
         BenchScale::Reduced => (20_000u64, 2_000usize, 24_000usize, 256usize),
         BenchScale::Full => (100_000u64, 8_000, 120_000, 4_096),
     };
-    let threads = sweep_threads();
-    println!("== executor snapshot ({scale:?} scale, pool threads {threads}) ==");
+    println!("== executor snapshot ({scale:?} scale) ==");
 
     // ------------------------------------------------------------------
-    // 1. Plog execution: baseline vs reference walk vs sharded schedule.
+    // 1. Plog execution: baseline vs the schedule walk at m = 1, 4, 8, 16.
     // ------------------------------------------------------------------
     println!(
         "\n-- plog execution: {payments} payments over {accounts} accounts, \
          {outstanding} outstanding contract escrows --"
     );
-    let workload = build_workload(accounts, outstanding, payments, None, false);
+    let workload = build_workload(accounts, outstanding, payments, None);
     let (baseline, baseline_supply) = run_baseline(&workload);
-    let reference = run_sharded(&workload, 1, batch, false, 1);
+    let reference = run_sharded(&workload, 1, batch);
     let sharded: Vec<ShardedOutcome> = [4u32, 8, 16]
         .into_iter()
-        .map(|m| run_sharded(&workload, m, batch, true, threads))
+        .map(|m| run_sharded(&workload, m, batch))
         .collect();
-    // Pool-width-1 pin: at width 1 the schedule API collapses onto the
-    // serial walk, so `sharded_m8_pool1` must track `reference_walk_m1`.
-    // With an ambient width-1 pool the m=8 run above already is that
-    // measurement; otherwise run it explicitly.
-    let pool1 = if threads == 1 {
-        None
-    } else {
-        Some(run_sharded(&workload, 8, batch, true, 1))
-    };
 
     for run in std::iter::once(&baseline)
         .chain(std::iter::once(&reference.run))
         .chain(sharded.iter().map(|s| &s.run))
-        .chain(pool1.iter().map(|s| &s.run))
     {
         println!(
             "{:<28} {:>9.1} ms  {:>11.0} tx/s  ({} committed)",
             run.label, run.wall_ms, run.tx_per_sec, run.committed
         );
     }
-    // Cross-check: every engine agrees on what was computed.
-    for s in sharded.iter().chain(pool1.iter()) {
+    // Cross-check: every variant agrees on what was computed.
+    for s in &sharded {
         assert_eq!(
             s.run.committed, baseline.committed,
             "commit counts diverged"
@@ -586,8 +416,8 @@ fn main() {
     // 3. Hot-account ablation.
     // ------------------------------------------------------------------
     println!("\n-- hot-account ablation: zipf 1.4 payer skew, m = 8 --");
-    let hot_workload = build_workload(accounts, outstanding, payments, Some(1.4), false);
-    let hot = run_sharded(&hot_workload, 8, batch, true, threads);
+    let hot_workload = build_workload(accounts, outstanding, payments, Some(1.4));
+    let hot = run_sharded(&hot_workload, 8, batch);
     let uniform = &sharded[1];
     let hot_imbalance = harness::shard_imbalance(&hot.shard_ops);
     let uniform_imbalance = harness::shard_imbalance(&uniform.shard_ops);
@@ -601,135 +431,12 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // 4. Block-STM ablation: demotion vs optimistic at pool width >= 4.
-    // ------------------------------------------------------------------
-    let stm_threads = threads.max(4);
-    // The contended workload is where demotion scheduling structurally
-    // loses: Zipf-1.4 skew on *both* ends (hot accounts receive as much as
-    // they send) cascades nearly every occurrence onto the serial merge
-    // lane, and a pending-escrow log as deep as the payment stream makes
-    // every escrow probe a tree descent over it. The optimistic engine
-    // indexes the reservation ids once per schedule and coalesces the hot
-    // accounts' writes, so neither cost scales with contention.
-    let contended_outstanding = payments;
-    let contended = build_workload(accounts, contended_outstanding, payments, Some(1.4), true);
-    println!(
-        "\n-- block-stm ablation: demotion vs optimistic, m = 8, pool {stm_threads}, \
-         zipf 1.4 payers+payees, {contended_outstanding} outstanding escrows --"
-    );
-    // Throughputs are compared as *work-span makespans* at `MODEL_WIDTH`
-    // workers (= m, satisfying "pool >= 4"): each engine's serial and
-    // parallelizable components are measured separately, then the makespan
-    // at the modeled width is `serial + max(largest job, total/width)` —
-    // the standard work-span bound. On a machine with >= MODEL_WIDTH cores
-    // this equals wall-clock; on smaller machines (like single-core CI
-    // boxes) it is the only measurement that reflects the schedulers'
-    // actual critical paths rather than the host's core count. Raw
-    // wall-clock for both engines is reported alongside, unmodeled.
-    const MODEL_WIDTH: usize = 8;
-    // The bit-identity oracle must walk the *same* m=8 schedule the engines
-    // execute: with poor accounts in play, outcomes are order-sensitive, and
-    // schedules built for different shard counts interleave differently (the
-    // m=1 schedule is a genuinely different transaction order, not a
-    // reference for this one).
-    let hot_reference = run_sharded(&contended, 8, batch, false, 1);
-    let hot_demotion = run_sharded(&contended, 8, batch, true, stm_threads);
-    // Best-of-two for the decomposed runs: the span model is only as good
-    // as its inputs, and a single cold run overstates whichever phase the
-    // allocator or page cache happened to penalize.
-    let (hot_demo_span_run, hot_jobs_ms, hot_demo_total_ms) = {
-        let first = run_demotion_span(&contended, 8, batch);
-        let second = run_demotion_span(&contended, 8, batch);
-        if second.2 < first.2 {
-            second
-        } else {
-            first
-        }
-    };
-    let (hot_stm, hot_stats) = {
-        let first = run_stm(&contended, 8, batch, stm_threads);
-        let second = run_stm(&contended, 8, batch, stm_threads);
-        if second.0.run.wall_ms < first.0.run.wall_ms {
-            second
-        } else {
-            first
-        }
-    };
-    let uniform_demotion = run_sharded(&workload, 8, batch, true, stm_threads);
-    let (uniform_demo_span_run, uniform_jobs_ms, uniform_demo_total_ms) = {
-        let first = run_demotion_span(&workload, 8, batch);
-        let second = run_demotion_span(&workload, 8, batch);
-        if second.2 < first.2 {
-            second
-        } else {
-            first
-        }
-    };
-    let (uniform_stm, uniform_stats) = {
-        let first = run_stm(&workload, 8, batch, stm_threads);
-        let second = run_stm(&workload, 8, batch, stm_threads);
-        if second.0.run.wall_ms < first.0.run.wall_ms {
-            second
-        } else {
-            first
-        }
-    };
-    // Bit-identity across engines on both workloads.
-    for s in [&hot_demotion, &hot_demo_span_run, &hot_stm] {
-        assert_eq!(
-            s.digest, hot_reference.digest,
-            "hot digests diverged: {}",
-            s.run.label
-        );
-        assert_eq!(s.total_supply, hot_reference.total_supply);
-        assert_eq!(s.run.committed, hot_reference.run.committed);
-    }
-    for s in [&uniform_demotion, &uniform_demo_span_run, &uniform_stm] {
-        assert_eq!(s.digest, reference.digest, "uniform digests diverged");
-        assert_eq!(s.total_supply, reference.total_supply);
-        assert_eq!(s.run.committed, reference.run.committed);
-    }
-    let hot_demo_span = demotion_span_ms(hot_demo_total_ms, &hot_jobs_ms, MODEL_WIDTH);
-    let hot_stm_span = stm_span_ms(hot_stm.run.wall_ms, &hot_stats, MODEL_WIDTH);
-    let uniform_demo_span = demotion_span_ms(uniform_demo_total_ms, &uniform_jobs_ms, MODEL_WIDTH);
-    let uniform_stm_span = stm_span_ms(uniform_stm.run.wall_ms, &uniform_stats, MODEL_WIDTH);
-    let hot_demo_span_tps = payments as f64 / hot_demo_span * 1e3;
-    let hot_stm_span_tps = payments as f64 / hot_stm_span * 1e3;
-    let uniform_demo_span_tps = payments as f64 / uniform_demo_span * 1e3;
-    let uniform_stm_span_tps = payments as f64 / uniform_stm_span * 1e3;
-    let stm_speedup_hot = hot_demo_span / hot_stm_span;
-    let stm_speedup_uniform = uniform_demo_span / uniform_stm_span;
-    println!(
-        "zipf1.4: demotion wall {:>7.1} ms (serial lane {:>6.1} ms)   stm wall {:>7.1} ms \
-         (wave {:.1} validate {:.1} commit {:.1})",
-        hot_demo_total_ms,
-        hot_demo_total_ms - hot_jobs_ms.iter().sum::<f64>(),
-        hot_stm.run.wall_ms,
-        hot_stats.wave_ns as f64 / 1e6,
-        hot_stats.validate_ns as f64 / 1e6,
-        hot_stats.commit_ns as f64 / 1e6,
-    );
-    println!(
-        "zipf1.4 span@{MODEL_WIDTH}: demotion {hot_demo_span:>7.1} ms ({hot_demo_span_tps:.0} tx/s)   \
-         stm {hot_stm_span:>7.1} ms ({hot_stm_span_tps:.0} tx/s)   \
-         ({stm_speedup_hot:.2}x, abort rate {:.4})",
-        hot_stats.abort_rate()
-    );
-    println!(
-        "uniform span@{MODEL_WIDTH}: demotion {uniform_demo_span:>7.1} ms ({uniform_demo_span_tps:.0} tx/s)   \
-         stm {uniform_stm_span:>7.1} ms ({uniform_stm_span_tps:.0} tx/s)   \
-         ({stm_speedup_uniform:.2}x, abort rate {:.4})",
-        uniform_stats.abort_rate()
-    );
-
-    // ------------------------------------------------------------------
     // JSON snapshot
     // ------------------------------------------------------------------
     let mut runs_json = String::new();
     for (i, run) in std::iter::once(&baseline)
         .chain(std::iter::once(&reference.run))
         .chain(sharded.iter().map(|s| &s.run))
-        .chain(pool1.iter().map(|s| &s.run))
         .enumerate()
     {
         if i > 0 {
@@ -743,7 +450,6 @@ fn main() {
             "{{\n",
             "  \"bench\": \"executor\",\n",
             "  \"scale\": \"{}\",\n",
-            "  \"pool_threads\": {},\n",
             "  \"plog_execution\": {{\n",
             "    \"payments\": {},\n",
             "    \"accounts\": {},\n",
@@ -765,31 +471,6 @@ fn main() {
             "    \"hot_shard_imbalance\": {:.2},\n",
             "    \"uniform_shard_imbalance\": {:.2},\n",
             "    \"shard_ops\": [{}]\n",
-            "  }},\n",
-            "  \"stm\": {{\n",
-            "    \"pool_threads\": {},\n",
-            "    \"model_pool_width\": {},\n",
-            "    \"speedup_basis\": \"work_span_makespan_at_model_pool_width\",\n",
-            "    \"zipf_exponent\": 1.4,\n",
-            "    \"zipf_both_ends\": true,\n",
-            "    \"outstanding_escrows\": {},\n",
-            "    \"hot_demotion_tx_per_sec\": {:.0},\n",
-            "    \"hot_stm_tx_per_sec\": {:.0},\n",
-            "    \"hot_demotion_span_ms\": {:.2},\n",
-            "    \"hot_stm_span_ms\": {:.2},\n",
-            "    \"hot_demotion_wall_ms\": {:.2},\n",
-            "    \"hot_stm_wall_ms\": {:.2},\n",
-            "    \"hot_stm_wave_ms\": {:.2},\n",
-            "    \"hot_stm_validate_ms\": {:.2},\n",
-            "    \"stm_speedup_hot\": {:.2},\n",
-            "    \"abort_rate\": {:.4},\n",
-            "    \"hot_reexecutions\": {},\n",
-            "    \"hot_occurrences\": {},\n",
-            "    \"uniform_demotion_tx_per_sec\": {:.0},\n",
-            "    \"uniform_stm_tx_per_sec\": {:.0},\n",
-            "    \"stm_speedup_uniform\": {:.2},\n",
-            "    \"uniform_abort_rate\": {:.4},\n",
-            "    \"identical_digests\": true\n",
             "  }}\n",
             "}}\n"
         ),
@@ -798,7 +479,6 @@ fn main() {
         } else {
             "reduced"
         },
-        threads,
         payments,
         accounts,
         outstanding,
@@ -813,25 +493,6 @@ fn main() {
         hot_imbalance,
         uniform_imbalance,
         hot_ops.join(","),
-        stm_threads,
-        MODEL_WIDTH,
-        contended_outstanding,
-        hot_demo_span_tps,
-        hot_stm_span_tps,
-        hot_demo_span,
-        hot_stm_span,
-        hot_demo_total_ms,
-        hot_stm.run.wall_ms,
-        hot_stats.wave_ns as f64 / 1e6,
-        hot_stats.validate_ns as f64 / 1e6,
-        stm_speedup_hot,
-        hot_stats.abort_rate(),
-        hot_stats.reexecutions,
-        hot_stats.occurrences,
-        uniform_demo_span_tps,
-        uniform_stm_span_tps,
-        stm_speedup_uniform,
-        uniform_stats.abort_rate(),
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

@@ -130,8 +130,8 @@ pub struct MeasuredPoint {
     /// these counters *is* the shard imbalance.
     pub shard_ops: Vec<u64>,
     /// Log entries (plog blocks + glog payloads + PBFT slots) replica 0
-    /// still retained at the end of the run. With checkpoint GC on this
-    /// plateaus at the in-flight window; with GC off it grows with the run —
+    /// still retained at the end of the run. Checkpoint truncation holds it
+    /// at the in-flight window instead of letting it grow with the run —
     /// bounded memory as a measured claim, not an assertion.
     pub retained_plog_entries: u64,
     /// Peak retained partial/global-log bytes over the run (replica 0).

@@ -38,6 +38,6 @@ pub use messages::{NetMessage, ReplyStatus};
 pub use partition::{Bucket, Partitioner};
 pub use replica::{CheckpointAnchor, ReplicaNode, StateTransfer};
 pub use runner::{
-    build_simulation, parallel_for_mut, parallel_map, run_scenario, run_scenarios,
-    run_scenarios_with_threads, sweep_threads, Scenario, ScenarioOutcome, StopCondition,
+    build_simulation, parallel_map, run_scenario, run_scenarios, run_scenarios_with_threads,
+    sweep_threads, Scenario, ScenarioOutcome, StopCondition,
 };

@@ -18,9 +18,9 @@ use orthrus_ordering::{
 use orthrus_sb::{PbftConfig, PbftInstance, ProgressTracker, SbAction};
 use orthrus_sim::{Actor, Context, LatencyStage, NodeId};
 use orthrus_types::{
-    Block, BlockId, BlockParams, Digest, Duration, Epoch, ExecutionMode, FxHashMap, FxHashSet,
-    InstanceId, ProtocolConfig, ProtocolKind, ReplicaId, SharedBlock, SharedTx, SimTime,
-    StableCheckpoint, SystemState, TxId,
+    Block, BlockId, BlockParams, Digest, Duration, Epoch, FxHashMap, FxHashSet, InstanceId,
+    ProtocolConfig, ProtocolKind, ReplicaId, SharedBlock, SharedTx, SimTime, StableCheckpoint,
+    SystemState, TxId,
 };
 use std::any::Any;
 use std::sync::Arc;
@@ -200,10 +200,6 @@ pub struct ReplicaNode {
     selfish: bool,
     /// Total number of blocks this replica delivered across instances.
     delivered_blocks: u64,
-    /// Worker count for the parallel plog pool (`sweep_threads()`, resolved
-    /// once at construction — it cannot change mid-run and sits on the
-    /// delivery hot path).
-    pool_threads: usize,
     /// Per-instance stable-checkpoint frontier (drives log truncation).
     stable: SystemState,
     /// Latest stable-checkpoint certificate per instance.
@@ -281,7 +277,6 @@ impl ReplicaNode {
             replied: FxHashSet::default(),
             selfish: false,
             delivered_blocks: 0,
-            pool_threads: crate::runner::sweep_threads(),
             stable: SystemState::new(total_instances as usize),
             stable_certs: vec![None; total_instances as usize],
             anchor: None,
@@ -343,8 +338,8 @@ impl ReplicaNode {
     }
 
     /// Log entries currently retained: partial-log blocks, global-log
-    /// payloads and PBFT per-sequence slots. With checkpoint GC on this
-    /// plateaus at the in-flight window; with GC off it grows with the run.
+    /// payloads and PBFT per-sequence slots. Checkpoint truncation holds
+    /// this at the in-flight window instead of letting it grow with the run.
     pub fn retained_log_entries(&self) -> u64 {
         self.plogs.total_blocks() as u64
             + self.glog.retained_len() as u64
@@ -477,8 +472,8 @@ impl ReplicaNode {
     // ------------------------------------------------------------------
 
     /// A PBFT instance certified a stable checkpoint: advance the truncation
-    /// frontier, release partial/global-log payloads below it (when
-    /// checkpoint GC is on) and refresh the snapshot anchor.
+    /// frontier, release partial/global-log payloads below it and refresh the
+    /// snapshot anchor.
     fn on_stable_checkpoint(
         &mut self,
         instance: InstanceId,
@@ -491,12 +486,10 @@ impl ReplicaNode {
         if idx < self.stable_certs.len() {
             self.stable_certs[idx] = Some(checkpoint.clone());
         }
-        if self.config.checkpoint_gc {
-            if !self.is_ordering_instance(instance) {
-                self.plogs.get_mut(instance).truncate_before(checkpoint.seq);
-            }
-            self.glog.truncate_before(&self.stable);
+        if !self.is_ordering_instance(instance) {
+            self.plogs.get_mut(instance).truncate_before(checkpoint.seq);
         }
+        self.glog.truncate_before(&self.stable);
         let certs = self.stable_certs.iter().flatten().cloned().collect();
         self.refresh_anchor(certs, ctx.now());
         self.sample_retention();
@@ -605,27 +598,8 @@ impl ReplicaNode {
 
     /// Drain every partial-log block whose referenced state `b.S` is covered
     /// by what we have already executed (paper §V-C) and run the payment
-    /// fast path over the batch.
-    ///
-    /// The drain (`PartialLogs::drain_ready`) yields blocks in the exact
-    /// order the old per-block walk consumed them, so both execution modes
-    /// below produce the same confirmation trace:
-    ///
-    /// * the single-threaded reference path calls
-    ///   [`Executor::process_plog_tx`] per transaction,
-    /// * the sharded path (`ExecutionMode::ShardedDemotion`) hands the
-    ///   batch to [`Executor::process_plog_schedule`], which executes
-    ///   independent instances' shard-local payments on the
-    ///   [`parallel_for_mut`] pool and merges outcomes deterministically, and
-    /// * the optimistic path (`ExecutionMode::OptimisticStm`) hands it to
-    ///   [`Executor::process_plog_schedule_stm`], which speculates every
-    ///   occurrence, validates in schedule order, and folds validated
-    ///   write-sets into the shards via the incremental accumulators.
-    ///
-    /// Both parallel modes route straight through the serial reference walk
-    /// when the effective pool width is 1 or the batch is below
-    /// `parallel_handoff_min_ops` — at width 1 the scheduler machinery is
-    /// pure overhead over the identical serial result.
+    /// fast path over the batch, one transaction at a time in drain order
+    /// ([`Executor::process_plog_schedule`]).
     fn process_partial_logs(&mut self, ctx: &mut Context<'_, NetMessage>) {
         let schedule = self.plogs.drain_ready(&mut self.executed_state);
         if schedule.is_empty() || self.protocol != ProtocolKind::Orthrus {
@@ -634,46 +608,9 @@ impl ReplicaNode {
         // Fast path: escrow + commit payments straight from the partial logs
         // (Algorithm 1 lines 20–30).
         let assign = self.partitioner;
-        // Below the handoff threshold (or on a width-1 pool) the serial
-        // reference walk is strictly faster and bit-identical, so every mode
-        // collapses to it.
-        let ops: usize = schedule.iter().map(|(_, block)| block.txs.len()).sum();
-        let threads = if ops < self.config.parallel_handoff_min_ops {
-            1
-        } else {
-            self.pool_threads
-        };
-        let mode = if threads <= 1 {
-            ExecutionMode::Serial
-        } else {
-            self.config.execution_mode
-        };
-        let confirmations: Vec<(TxId, Option<TxOutcome>)> = match mode {
-            ExecutionMode::ShardedDemotion => {
-                self.executor
-                    .process_plog_schedule(&schedule, &|key| assign.assign(key), |jobs| {
-                        crate::runner::parallel_for_mut(jobs, threads, |job| job.run());
-                    })
-            }
-            ExecutionMode::OptimisticStm => self.executor.process_plog_schedule_stm(
-                &schedule,
-                &|key| assign.assign(key),
-                threads,
-            ),
-            ExecutionMode::Serial => {
-                let mut outcomes = Vec::new();
-                for (instance, block) in &schedule {
-                    for tx in &block.txs {
-                        outcomes.push((
-                            tx.id,
-                            self.executor
-                                .process_plog_tx(tx, *instance, &|key| assign.assign(key)),
-                        ));
-                    }
-                }
-                outcomes
-            }
-        };
+        let confirmations = self
+            .executor
+            .process_plog_schedule(&schedule, &|key| assign.assign(key));
         for (tx, outcome) in confirmations {
             if let Some(outcome) = outcome {
                 self.confirm_tx(tx, outcome, ctx);

@@ -33,7 +33,7 @@ use std::sync::Arc;
 /// One shard of the escrow log: the outstanding reservations whose account
 /// keys route to this shard, plus a running total.
 #[derive(Debug, Clone, Default)]
-pub struct EscrowShard {
+struct EscrowShard {
     entries: BTreeMap<(ObjectKey, TxId), Amount>,
     reserved: u128,
     /// Reservation count per transaction id, maintained incrementally so
@@ -89,14 +89,6 @@ impl EscrowShard {
         self.reserved
     }
 
-    /// Amount reserved under `(object, tx)`, if that reservation exists.
-    pub fn amount_of(&self, object: ObjectKey, tx: TxId) -> Option<Amount> {
-        if !self.tx_counts.contains_key(&tx) {
-            return None;
-        }
-        self.entries.get(&(object, tx)).copied()
-    }
-
     /// Total amount reserved against one account in this shard.
     fn reserved_for(&self, object: ObjectKey) -> Amount {
         self.entries
@@ -138,27 +130,9 @@ impl EscrowLog {
         }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> u32 {
-        self.shards.len() as u32
-    }
-
     #[inline]
     fn route(&self, key: ObjectKey) -> usize {
         key.shard(self.shards.len() as u32) as usize
-    }
-
-    /// Read access to one shard (shard `i` of the log pairs with account
-    /// shard `i` of the store).
-    pub fn shard(&self, shard: usize) -> &EscrowShard {
-        &self.shards[shard]
-    }
-
-    /// Mutable access to every shard, for the executor's parallel plog
-    /// workers. Unshares shards still referenced by snapshots
-    /// (copy-on-write).
-    pub fn shards_mut(&mut self) -> Vec<&mut EscrowShard> {
-        self.shards.iter_mut().map(Arc::make_mut).collect()
     }
 
     /// Number of outstanding reservations.
@@ -185,11 +159,6 @@ impl EscrowLog {
     /// Total amount currently reserved against a specific account.
     pub fn reserved_for(&self, object: ObjectKey) -> Amount {
         self.shards[self.route(object)].reserved_for(object)
-    }
-
-    /// Amount reserved under `(object, tx)`, if that reservation exists.
-    pub fn amount_of(&self, object: ObjectKey, tx: TxId) -> Option<Amount> {
-        self.shards[self.route(object)].amount_of(object, tx)
     }
 
     /// Attempt to escrow the owned-decrement leg `leg` of transaction `tx`
@@ -362,9 +331,7 @@ mod tests {
 
     #[test]
     fn shard_insert_overwrite_replaces_reserved_total() {
-        let mut log = EscrowLog::with_shards(2);
-        let mut shards = log.shards_mut();
-        let shard = &mut *shards[0];
+        let mut shard = EscrowShard::default();
         shard.insert(key(1), txid(0), 5);
         shard.insert(key(1), txid(0), 10);
         assert_eq!(shard.total_reserved(), 10);

@@ -15,11 +15,11 @@
 //!   leg is escrowed, in which case the shared-object operations are applied
 //!   and the escrows committed, otherwise every escrow is refunded.
 
-use crate::escrow::{EscrowLog, EscrowShard};
-use crate::store::{ObjectStore, StoreShard};
+use crate::escrow::EscrowLog;
+use crate::store::ObjectStore;
 use orthrus_types::FxHashMap;
-use orthrus_types::{InstanceId, ObjectKey, Operation, SharedBlock, SharedTx, Transaction, TxId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use orthrus_types::{InstanceId, ObjectKey, Operation, SharedBlock, Transaction, TxId};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Final outcome of a transaction at this replica.
@@ -121,7 +121,7 @@ impl Executor {
             .all(|(key, amount)| u128::from(self.store.balance(key)) >= amount)
     }
 
-    pub(crate) fn record(&mut self, tx: TxId, outcome: TxOutcome) -> TxOutcome {
+    fn record(&mut self, tx: TxId, outcome: TxOutcome) -> TxOutcome {
         if Arc::make_mut(&mut self.outcomes)
             .insert(tx, outcome)
             .is_none()
@@ -199,197 +199,37 @@ impl Executor {
         None
     }
 
-    /// Execute a whole batch of partial-log blocks — the "schedule" produced
-    /// by `PartialLogs::drain_ready` — with per-instance shard workers, and
-    /// return `(tx, outcome)` for every transaction occurrence in schedule
-    /// order, exactly as a serial walk calling
-    /// [`Executor::process_plog_tx`] per transaction would have.
-    ///
-    /// The method classifies every occurrence:
-    ///
-    /// * **shard-local** — a payment whose every leg (payers *and* payees)
-    ///   routes to the occurrence's own shard, and whose keys are not touched
-    ///   by any cross-shard occurrence in this schedule. Such transactions
-    ///   read and write only shard `i`'s objects and reservations, so
-    ///   distinct instances' streams commute (the paper's Lemma 2) and run
-    ///   concurrently on disjoint `&mut` shards.
-    /// * **cross-shard** — everything else (contracts, multi-instance
-    ///   payments, payments crediting a foreign shard, and any payment whose
-    ///   accounts a cross-shard occurrence also touches). These run serially,
-    ///   in schedule order, after the workers finish.
-    ///
-    /// The conflict analysis is what makes the split *bit-identical* to the
-    /// serial walk rather than merely equivalent-in-distribution: a
-    /// shard-local transaction's accounts are, by construction, only written
-    /// by its own instance's stream during this schedule, so executing the
-    /// streams concurrently and then merging outcomes in schedule order
-    /// reproduces the serial result exactly — independent of the worker
-    /// thread count.
-    ///
-    /// `pool` receives one [`PlogShardJob`] per instance with shard-local
-    /// work and must call [`PlogShardJob::run`] on each (in any order, on any
-    /// threads); `orthrus_core::parallel_for_mut` is the intended driver.
-    /// `assign` must agree with the store's own routing
-    /// (`ObjectKey::shard`), which holds whenever the executor is sharded to
-    /// the partition module's instance count.
-    pub fn process_plog_schedule<F>(
+    /// Execute a batch of partial-log blocks — the schedule
+    /// `PartialLogs::drain_ready` produces — in order, one
+    /// [`Executor::process_plog_tx`] call per transaction occurrence, and
+    /// return `(tx, outcome)` for every occurrence in schedule order.
+    pub fn process_plog_schedule(
         &mut self,
         schedule: &[(InstanceId, SharedBlock)],
-        assign: &(dyn Fn(ObjectKey) -> InstanceId + Sync),
-        pool: F,
-    ) -> Vec<(TxId, Option<TxOutcome>)>
-    where
-        F: FnOnce(&mut [PlogShardJob<'_>]),
-    {
-        let shards = self.store.num_account_shards();
-        debug_assert_eq!(shards, self.elog.num_shards(), "store/elog shard mismatch");
-
-        // Flatten the schedule into transaction occurrences and classify.
-        struct Occurrence<'a> {
-            instance: InstanceId,
-            tx: &'a SharedTx,
-            local: bool,
-        }
-        let mut occurrences: Vec<Occurrence<'_>> = schedule
-            .iter()
-            .flat_map(|(instance, block)| {
-                block.txs.iter().map(move |tx| Occurrence {
-                    instance: *instance,
-                    tx,
-                    local: false,
-                })
-            })
-            .collect();
-
-        // Keys any cross-shard occurrence touches. A candidate overlapping
-        // this set must stay on the serial path: in the serial walk its
-        // accounts could be credited/refunded by an earlier cross-shard
-        // transaction, and the workers would not see that write in time.
-        let mut hot: HashSet<ObjectKey> = HashSet::new();
-        for occ in &mut occurrences {
-            let tx = occ.tx;
-            occ.local = occ.instance.value() < shards
-                && tx.is_payment()
-                && tx.ops.iter().all(|leg| {
-                    !leg.is_shared()
-                        && leg.key.shard(shards) == occ.instance.value()
-                        && (!leg.is_owned_decrement() || assign(leg.key) == occ.instance)
-                });
-            if !occ.local {
-                hot.extend(tx.ops.iter().map(|leg| leg.key));
-            }
-        }
-        // Demotions cascade forward: once a candidate is forced serial its
-        // accounts become hot for every later candidate, preserving
-        // within-account ordering across the two phases.
-        for occ in &mut occurrences {
-            if occ.local && occ.tx.ops.iter().any(|leg| hot.contains(&leg.key)) {
-                occ.local = false;
-                hot.extend(occ.tx.ops.iter().map(|leg| leg.key));
-            }
-        }
-
-        // Build one job per instance with shard-local work.
-        let mut tasks: Vec<Vec<SharedTx>> = vec![Vec::new(); shards as usize];
-        for occ in &occurrences {
-            if occ.local {
-                tasks[occ.instance.as_usize()].push(Arc::clone(occ.tx));
-            }
-        }
-        let mut results: Vec<VecDeque<(TxId, TxOutcome)>> =
-            (0..shards as usize).map(|_| VecDeque::new()).collect();
-        {
-            let (account_shards, shared_shard) = self.store.split_shards_mut();
-            let escrow_shards = self.elog.shards_mut();
-            let known: &FxHashMap<TxId, TxOutcome> = &self.outcomes;
-            let mut jobs: Vec<PlogShardJob<'_>> = account_shards
-                .into_iter()
-                .zip(escrow_shards)
-                .zip(tasks.iter_mut().enumerate())
-                .filter(|(_, (_, tasks))| !tasks.is_empty())
-                .map(|((objects, escrow), (shard, tasks))| PlogShardJob {
-                    shard,
-                    objects,
-                    escrow,
-                    shared: shared_shard,
-                    known,
-                    tasks: std::mem::take(tasks),
-                    results: Vec::new(),
-                })
-                .collect();
-            pool(&mut jobs);
-            for job in jobs {
-                debug_assert_eq!(
-                    job.results.len(),
-                    job.tasks.len(),
-                    "worker must produce one result per task"
-                );
-                results[job.shard] = job.results.into();
-            }
-        }
-
-        // Merge: walk the schedule in order, splicing worker outcomes in and
-        // running cross-shard occurrences serially at their exact positions.
-        let mut out = Vec::with_capacity(occurrences.len());
-        for occ in &occurrences {
-            if occ.local {
-                let (id, outcome) = results[occ.instance.as_usize()]
-                    .pop_front()
-                    .expect("one worker result per shard-local occurrence");
-                debug_assert_eq!(id, occ.tx.id);
-                self.record(id, outcome);
-                out.push((id, Some(outcome)));
-            } else {
-                let outcome = self.process_plog_tx(occ.tx, occ.instance, &|key| assign(key));
-                out.push((occ.tx.id, outcome));
-            }
-        }
-        out
-    }
-
-    /// Execute a plog schedule with the Block-STM optimistic engine
-    /// (`ProtocolConfig::execution_mode = OptimisticStm`): every occurrence
-    /// runs speculatively against the frozen committed state on up to
-    /// `threads` workers, a serial pass validates the verdict traces in
-    /// schedule order (re-executing mismatches with a bumped incarnation),
-    /// and the surviving write-sets are folded into the shards with one
-    /// coalesced write per account. Returns exactly what the serial
-    /// reference walk returns, with bit-identical final state — see the
-    /// `stm_scheduler` module docs for the determinism argument.
-    pub fn process_plog_schedule_stm(
-        &mut self,
-        schedule: &[(InstanceId, SharedBlock)],
-        assign: &(dyn Fn(ObjectKey) -> InstanceId + Sync),
-        threads: usize,
+        assign: &dyn Fn(ObjectKey) -> InstanceId,
     ) -> Vec<(TxId, Option<TxOutcome>)> {
-        self.process_plog_schedule_stm_with_stats(schedule, assign, threads)
-            .0
+        let mut outcomes = Vec::new();
+        for (instance, block) in schedule {
+            for tx in &block.txs {
+                outcomes.push((tx.id, self.process_plog_tx(tx, *instance, assign)));
+            }
+        }
+        outcomes
     }
 
-    /// [`Executor::process_plog_schedule_stm`], additionally reporting the
-    /// speculation counters (occurrences and validation-triggered
-    /// re-executions) the bench harness aggregates into an abort rate.
+    /// Compile shim for the frozen `benchmark/` crate, whose `replay.rs`
+    /// reads an abort rate from this entry point of the deleted optimistic
+    /// engine. It runs [`Executor::process_plog_schedule`] — the walk the
+    /// replica runs — ignores `threads`, and reports zero re-executions.
+    /// Goes away with the `benchmark/` unfreeze (ROADMAP item 2, step 0).
+    #[doc(hidden)]
     pub fn process_plog_schedule_stm_with_stats(
         &mut self,
         schedule: &[(InstanceId, SharedBlock)],
-        assign: &(dyn Fn(ObjectKey) -> InstanceId + Sync),
-        threads: usize,
-    ) -> (
-        Vec<(TxId, Option<TxOutcome>)>,
-        crate::stm_scheduler::StmStats,
-    ) {
-        crate::stm_scheduler::run_schedule(self, schedule, assign, threads)
-    }
-
-    /// Read-only parts the STM engine's speculative and validation phases
-    /// run against (the frozen committed state).
-    pub(crate) fn stm_parts(&self) -> (&ObjectStore, &EscrowLog, &FxHashMap<TxId, TxOutcome>) {
-        (&self.store, &self.elog, &self.outcomes)
-    }
-
-    /// Exclusive shard access for the STM engine's commit pass.
-    pub(crate) fn stm_commit_parts(&mut self) -> (&mut ObjectStore, &mut EscrowLog) {
-        (&mut self.store, &mut self.elog)
+        assign: &dyn Fn(ObjectKey) -> InstanceId,
+        _threads: usize,
+    ) -> (Vec<(TxId, Option<TxOutcome>)>, NoReexecutions) {
+        (self.process_plog_schedule(schedule, assign), NoReexecutions)
     }
 
     /// Process transaction `tx` as it becomes first-pending in the global
@@ -485,121 +325,16 @@ impl Executor {
     }
 }
 
-/// The unit of work [`Executor::process_plog_schedule`] hands to the shard
-/// pool: one instance's stream of shard-local payments, together with
-/// exclusive access to that instance's object and escrow shards. Jobs of
-/// distinct instances touch disjoint state, so a pool may run them on any
-/// threads in any order; [`PlogShardJob::run`] itself replays the stream in
-/// order.
-pub struct PlogShardJob<'a> {
-    /// Shard / instance index this job executes for.
-    shard: usize,
-    /// The instance's account shard.
-    objects: &'a mut StoreShard,
-    /// The instance's escrow shard.
-    escrow: &'a mut EscrowShard,
-    /// Read-only view of the shared-object shard, for the owned/shared type
-    /// check on account creation (shard-local work never mutates it).
-    shared: &'a StoreShard,
-    /// Outcomes recorded before this schedule started (fast-path idempotency
-    /// for re-delivered transactions).
-    known: &'a FxHashMap<TxId, TxOutcome>,
-    /// The shard-local transactions, in stream order.
-    tasks: Vec<SharedTx>,
-    /// One `(tx, outcome)` per task, in stream order.
-    results: Vec<(TxId, TxOutcome)>,
-}
+/// The statistics [`Executor::process_plog_schedule_stm_with_stats`]
+/// returns: the serial walk never re-executes an occurrence.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NoReexecutions;
 
-impl PlogShardJob<'_> {
-    /// Number of transactions this job executes.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Is the job empty? (Never true for jobs built by the executor.)
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
-    /// Escrow one payer leg against the local shards, replicating
-    /// `EscrowLog::escrow` exactly (idempotency, condition check, debit).
-    fn escrow_leg(&mut self, key: ObjectKey, tx: TxId, leg: &orthrus_types::ObjectOp) -> bool {
-        if self.escrow.contains(key, tx) {
-            return true;
-        }
-        let amount = match leg.op {
-            Operation::Debit(a) => a,
-            _ => return false,
-        };
-        let balance_after = i128::from(self.objects.balance(key)) - i128::from(amount);
-        if !leg.condition.allows_balance(balance_after) {
-            return false;
-        }
-        if self.objects.debit(key, amount).is_err() {
-            return false;
-        }
-        self.escrow.insert(key, tx, amount);
-        true
-    }
-
-    /// Credit a payee leg, replicating `ObjectStore::credit`'s cross-type
-    /// check: a credit whose key names an existing shared object is a type
-    /// mismatch the payment path ignores.
-    fn credit_leg(&mut self, key: ObjectKey, amount: orthrus_types::Amount) {
-        if !self.objects.contains(key) && self.shared.contains(key) {
-            return;
-        }
-        self.objects.credit(key, amount);
-    }
-
-    /// Execute the job's stream, mirroring what
-    /// [`Executor::process_plog_tx`] does for a payment whose legs all live
-    /// in this shard: escrow every payer leg, abort-and-refund on the first
-    /// failure, otherwise commit and apply the payee credits.
-    pub fn run(&mut self) {
-        let mut seen: HashMap<TxId, TxOutcome> = HashMap::new();
-        for idx in 0..self.tasks.len() {
-            let task = Arc::clone(&self.tasks[idx]);
-            let tx: &Transaction = &task;
-            let known = seen
-                .get(&tx.id)
-                .copied()
-                .or_else(|| self.known.get(&tx.id).copied());
-            let outcome = match known {
-                Some(outcome) => outcome,
-                None => {
-                    let mut failed = false;
-                    for leg in tx.ops.iter().filter(|l| l.is_owned_decrement()) {
-                        if !self.escrow_leg(leg.key, tx.id, leg) {
-                            failed = true;
-                            break;
-                        }
-                    }
-                    if failed {
-                        // Abort: refund every reservation this transaction
-                        // holds (all local by construction).
-                        for leg in tx.ops.iter().filter(|l| l.is_owned_decrement()) {
-                            if let Some(amount) = self.escrow.remove(leg.key, tx.id) {
-                                self.objects.credit(leg.key, amount);
-                            }
-                        }
-                        TxOutcome::Aborted
-                    } else {
-                        // Commit: consume the reservations, apply the payee
-                        // credits.
-                        for leg in tx.ops.iter().filter(|l| l.is_owned_decrement()) {
-                            self.escrow.remove(leg.key, tx.id);
-                        }
-                        for leg in tx.ops.iter().filter(|l| l.is_owned_increment()) {
-                            self.credit_leg(leg.key, leg.op.amount());
-                        }
-                        TxOutcome::Committed
-                    }
-                }
-            };
-            seen.insert(tx.id, outcome);
-            self.results.push((tx.id, outcome));
-        }
+impl NoReexecutions {
+    /// Fraction of occurrences re-executed: always zero.
+    pub fn abort_rate(&self) -> f64 {
+        0.0
     }
 }
 

@@ -9,12 +9,7 @@
 //! * [`escrow`] — the escrow log and the `escrow` / `allEscrowed` /
 //!   `commitEscrow` / `abortEscrow` operations of Algorithm 2;
 //! * [`executor`] — Algorithm 1's execution rules for plog and glog entries,
-//!   plus the leader-side speculative validity check;
-//! * [`mvmemory`] — the multi-version memory of the Block-STM engine:
-//!   per-occurrence versioned write-sets, verdict-based read traces and the
-//!   frozen/overlay state views;
-//! * [`stm_scheduler`] — the optimistic execute/validate/commit scheduler
-//!   behind [`executor::Executor::process_plog_schedule_stm`].
+//!   plus the leader-side speculative validity check.
 //!
 //! The same executor serves every protocol in the workspace: baselines that
 //! confirm all transactions through the global log simply route payments
@@ -26,12 +21,8 @@
 
 pub mod escrow;
 pub mod executor;
-pub mod mvmemory;
-pub mod stm_scheduler;
 pub mod store;
 
-pub use escrow::{EscrowLog, EscrowShard};
-pub use executor::{Executor, PlogShardJob, TxOutcome};
-pub use mvmemory::{MVMemory, ReadTrace, WriteSet};
-pub use stm_scheduler::StmStats;
-pub use store::{ObjectState, ObjectStore, StoreShard};
+pub use escrow::EscrowLog;
+pub use executor::{Executor, TxOutcome};
+pub use store::{ObjectState, ObjectStore};

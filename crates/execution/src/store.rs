@@ -13,9 +13,8 @@
 //! shared objects. An owned object lives in the shard selected by
 //! [`ObjectKey::shard`] — the same routing function `Partitioner::assign`
 //! uses to map accounts to SB instances — so the accounts instance `i`
-//! serialises are exactly the objects shard `i` owns. That is what lets the
-//! executor hand disjoint `&mut` shards to per-instance workers when it
-//! executes independent partial logs in parallel.
+//! serialises are exactly the objects shard `i` owns, and per-shard op
+//! counters measure per-instance execution load.
 //!
 //! # Incremental digests
 //!
@@ -63,7 +62,7 @@ impl ObjectState {
 /// (digest accumulator, owned-balance total, mutation count) maintained on
 /// every write.
 #[derive(Debug, Clone, Default)]
-pub struct StoreShard {
+pub(crate) struct StoreShard {
     objects: BTreeMap<ObjectKey, ObjectState>,
     /// Wrapping sum of the entry digests of everything in `objects`.
     acc: u64,
@@ -79,11 +78,6 @@ impl StoreShard {
     /// Number of objects in the shard.
     pub fn len(&self) -> usize {
         self.objects.len()
-    }
-
-    /// Is the shard empty?
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
     }
 
     /// Successful mutating operations applied to this shard so far.
@@ -102,16 +96,6 @@ impl StoreShard {
             Some(ObjectState::Owned { balance }) => *balance,
             _ => 0,
         }
-    }
-
-    /// Existence and balance in a single tree descent: `Some(balance)` if any
-    /// entry sits under `key` (owned balance, or zero for a non-owned entry
-    /// — exactly the `(contains, balance)` pair), `None` if absent.
-    pub fn account_state(&self, key: ObjectKey) -> Option<Amount> {
-        self.objects.get(&key).map(|state| match state {
-            ObjectState::Owned { balance } => *balance,
-            _ => 0,
-        })
     }
 
     /// Value of a shared object in this shard (zero if absent).
@@ -191,17 +175,6 @@ impl StoreShard {
     fn write_shared(&mut self, key: ObjectKey, value: Value) {
         self.put(key, ObjectState::Shared { value });
         self.ops += 1;
-    }
-
-    /// Apply a coalesced run of `op_count` successful credits/debits against
-    /// one account in a single write: the accumulator updates telescope, so
-    /// writing only the final balance (and bumping `ops` by the run length)
-    /// leaves the shard bit-identical to applying every operation one by
-    /// one. Used by the Block-STM commit pass to fold a validated
-    /// per-account write run.
-    pub(crate) fn apply_owned_run(&mut self, key: ObjectKey, balance: Amount, op_count: u64) {
-        self.put(key, ObjectState::Owned { balance });
-        self.ops += op_count;
     }
 
     /// Iterate over the shard's objects in key order.
@@ -444,28 +417,6 @@ impl ObjectStore {
             .map(|s| s.op_count())
             .chain(std::iter::once(self.shared.op_count()))
             .collect()
-    }
-
-    /// Read access to one account shard (the executor's speculative readers
-    /// index shards directly during the Block-STM wave).
-    pub fn account_shard(&self, shard: usize) -> &StoreShard {
-        &self.accounts[shard]
-    }
-
-    /// Read access to the shared-object shard.
-    pub fn shared_shard(&self) -> &StoreShard {
-        &self.shared
-    }
-
-    /// Split the store into its mutable account shards and the (read-only)
-    /// shared shard, for the executor's parallel plog workers. Unshares any
-    /// shard still referenced by a snapshot (copy-on-write), so in-flight
-    /// state transfers never observe the workers' writes.
-    pub fn split_shards_mut(&mut self) -> (Vec<&mut StoreShard>, &StoreShard) {
-        (
-            self.accounts.iter_mut().map(Arc::make_mut).collect(),
-            &self.shared,
-        )
     }
 }
 

@@ -96,12 +96,6 @@ fn params_to_scenario(params: &Params) -> Result<Scenario, SpecError> {
     if let Some(depth) = params.max_inflight_blocks {
         scenario.config.max_inflight_blocks = depth;
     }
-    if let Some(mode) = params.execution_mode {
-        scenario.config.execution_mode = mode;
-    }
-    if let Some(enabled) = params.checkpoint_gc {
-        scenario.config.checkpoint_gc = enabled;
-    }
     if let Some(accounts) = params.accounts {
         scenario.workload.num_accounts = accounts;
     }
@@ -198,7 +192,6 @@ fn x_from_params(key: AxisKey, params: &Params) -> Option<f64> {
         AxisKey::SelfishCount => params.selfish_count.map(f64::from),
         AxisKey::ZipfExponent => params.zipf_exponent,
         AxisKey::MaxInflightBlocks => params.max_inflight_blocks.map(|d| d as f64),
-        AxisKey::ExecutionMode => None,
     }
 }
 
@@ -258,10 +251,6 @@ fn apply_axis_value(
         (AxisKey::MaxInflightBlocks, AxisValues::Ints(list)) => {
             params.max_inflight_blocks = Some(list[index]);
             Ok(Some(list[index] as f64))
-        }
-        (AxisKey::ExecutionMode, AxisValues::Modes(list)) => {
-            params.execution_mode = Some(list[index]);
-            Ok(None)
         }
         (key, _) => Err(SpecError::general(format!(
             "axis {} carries values of the wrong type",
@@ -336,21 +325,14 @@ impl Spec {
                     }
                     combos = next;
                 }
-                // A mode axis produces series that differ only in how plogs
-                // execute, so the default label must carry the mode or the
-                // series would collide under one name.
-                let has_mode_axis = axes.iter().any(|axis| axis.key == AxisKey::ExecutionMode);
                 combos
                     .into_iter()
                     .map(|(params, axis_x)| {
                         let scenario = params_to_scenario(&params)?;
-                        let label = params.label.clone().unwrap_or_else(|| {
-                            let base = scenario.protocol.label().to_string();
-                            match params.execution_mode {
-                                Some(mode) if has_mode_axis => format!("{base} [{}]", mode.name()),
-                                _ => base,
-                            }
-                        });
+                        let label = params
+                            .label
+                            .clone()
+                            .unwrap_or_else(|| scenario.protocol.label().to_string());
                         let x = params
                             .x
                             .or(axis_x)
@@ -557,13 +539,11 @@ network = lan\n\
 replicas = 4\n\
 transactions = 100\n\
 accounts = 32\n\
-checkpoint_gc = false\n\
 crash_recover = 2@300..1800\n";
         let spec = parse(doc).expect("parse");
         let points = spec.lower(SpecScale::Reduced).expect("lower");
         assert_eq!(points.len(), 1);
         let scenario = &points[0].scenario;
-        assert!(!scenario.config.checkpoint_gc);
         assert_eq!(scenario.faults.crash_recoveries.len(), 1);
         let spec_fault = scenario.faults.crash_recoveries[0];
         assert_eq!(spec_fault.replica.value(), 2);

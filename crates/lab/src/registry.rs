@@ -2,7 +2,7 @@
 //! embedded at compile time so the `orthrus` CLI works from any directory.
 //!
 //! The registry seeds the paper's whole evaluation grid (§VII): Figures 3–8
-//! plus the four ablation studies and a tiny `quickstart` smoke scenario.
+//! plus the five ablation studies and a tiny `quickstart` smoke scenario.
 //! Each entry's name matches its file stem; golden-file tests in
 //! `tests/scenario_specs.rs` pin that every entry parses, round-trips and
 //! lowers to valid scenarios at both scales.
@@ -51,7 +51,6 @@ pub const ENTRIES: &[RegistryEntry] = &[
     entry!("ablation_global_ordering"),
     entry!("ablation_multi_payer"),
     entry!("ablation_hot_account"),
-    entry!("ablation_stm_contention"),
     entry!("ablation_inflight"),
     entry!("recovery_smoke"),
     entry!("recovery_protocols"),

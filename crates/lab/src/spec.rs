@@ -26,7 +26,7 @@
 //! the round trip does not preserve.
 
 use orthrus_core::StopCondition;
-use orthrus_types::{ExecutionMode, NetworkKind, ProtocolKind};
+use orthrus_types::{NetworkKind, ProtocolKind};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -162,10 +162,6 @@ pub struct Params {
     pub view_change_timeout_ms: Option<u64>,
     /// `max_inflight_blocks = <u64>`
     pub max_inflight_blocks: Option<u64>,
-    /// `execution_mode = serial | sharded | stm`
-    pub execution_mode: Option<ExecutionMode>,
-    /// `checkpoint_gc = true | false`
-    pub checkpoint_gc: Option<bool>,
     /// `accounts = <u64>`
     pub accounts: Option<u64>,
     /// `transactions = <usize>`
@@ -239,14 +235,11 @@ pub enum AxisKey {
     /// (`ProtocolConfig::max_inflight_blocks`) — the adaptive-batching sweep
     /// axis.
     MaxInflightBlocks,
-    /// Partial-log execution mode (not usable as `x_axis`; series axis for
-    /// the STM contention ablation).
-    ExecutionMode,
 }
 
 impl AxisKey {
     /// All axis keys (used by the parser and lint diagnostics).
-    pub const ALL: [AxisKey; 10] = [
+    pub const ALL: [AxisKey; 9] = [
         AxisKey::Protocol,
         AxisKey::Replicas,
         AxisKey::Seed,
@@ -256,7 +249,6 @@ impl AxisKey {
         AxisKey::SelfishCount,
         AxisKey::ZipfExponent,
         AxisKey::MaxInflightBlocks,
-        AxisKey::ExecutionMode,
     ];
 
     /// Stable spec-file name of the axis.
@@ -271,7 +263,6 @@ impl AxisKey {
             AxisKey::SelfishCount => "selfish_count",
             AxisKey::ZipfExponent => "zipf_exponent",
             AxisKey::MaxInflightBlocks => "max_inflight_blocks",
-            AxisKey::ExecutionMode => "execution_mode",
         }
     }
 
@@ -291,15 +282,12 @@ pub struct Axis {
 }
 
 /// Axis values, typed per [`AxisKey`]: `protocol` takes protocol names,
-/// `execution_mode` takes mode names, `zipf_exponent` takes floats, every
-/// other axis takes unsigned integers (written as a comma list or, for
-/// seeds, a `start..=end` range).
+/// `zipf_exponent` takes floats, every other axis takes unsigned integers
+/// (written as a comma list or, for seeds, a `start..=end` range).
 #[derive(Debug, Clone, PartialEq)]
 pub enum AxisValues {
     /// Protocol names (the `protocol` axis).
     Protocols(Vec<ProtocolKind>),
-    /// Execution-mode names (the `execution_mode` axis).
-    Modes(Vec<ExecutionMode>),
     /// Unsigned integers (every numeric axis except `zipf_exponent`).
     Ints(Vec<u64>),
     /// Floats (the `zipf_exponent` axis).
@@ -311,7 +299,6 @@ impl AxisValues {
     pub fn len(&self) -> usize {
         match self {
             AxisValues::Protocols(v) => v.len(),
-            AxisValues::Modes(v) => v.len(),
             AxisValues::Ints(v) => v.len(),
             AxisValues::Floats(v) => v.len(),
         }
@@ -357,26 +344,6 @@ fn parse_network(value: &str, line: usize) -> Result<NetworkKind, SpecError> {
         _ => Err(SpecError::at(
             line,
             format!("unknown network {value:?} (lan|wan)"),
-        )),
-    }
-}
-
-fn parse_execution_mode(value: &str, line: usize) -> Result<ExecutionMode, SpecError> {
-    ExecutionMode::from_name(value).ok_or_else(|| {
-        SpecError::at(
-            line,
-            format!("unknown execution_mode {value:?} (serial|sharded|stm)"),
-        )
-    })
-}
-
-fn parse_bool(value: &str, line: usize) -> Result<bool, SpecError> {
-    match value {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        _ => Err(SpecError::at(
-            line,
-            format!("expected true|false, got {value:?}"),
         )),
     }
 }
@@ -457,8 +424,6 @@ impl Params {
             "max_inflight_blocks" => {
                 put!(max_inflight_blocks, parse_num(value, line, "depth")?)
             }
-            "execution_mode" => put!(execution_mode, parse_execution_mode(value, line)?),
-            "checkpoint_gc" => put!(checkpoint_gc, parse_bool(value, line)?),
             "accounts" => put!(accounts, parse_num(value, line, "account count")?),
             "transactions" => put!(transactions, parse_num(value, line, "transaction count")?),
             "payment_share" => put!(payment_share, parse_finite_f64(value, line, "share")?),
@@ -598,11 +563,6 @@ pub(crate) fn parse_axis(key: &str, value: &str, line: usize) -> Result<Axis, Sp
                 .map(|item| parse_protocol(item, line))
                 .collect::<Result<_, _>>()?,
         ),
-        AxisKey::ExecutionMode => AxisValues::Modes(
-            list_items(value)
-                .map(|item| parse_execution_mode(item, line))
-                .collect::<Result<_, _>>()?,
-        ),
         AxisKey::ZipfExponent => AxisValues::Floats(
             list_items(value)
                 .map(|item| parse_finite_f64(item, line, "exponent"))
@@ -725,7 +685,7 @@ pub fn parse(text: &str) -> Result<Spec, SpecError> {
                     }
                     let axis = AxisKey::from_name(value)
                         .ok_or_else(|| SpecError::at(line, format!("unknown x_axis {value:?}")))?;
-                    if axis == AxisKey::Protocol || axis == AxisKey::ExecutionMode {
+                    if axis == AxisKey::Protocol {
                         return Err(SpecError::at(
                             line,
                             format!("x_axis = {} is not numeric", axis.name()),
@@ -851,10 +811,6 @@ fn write_params(out: &mut String, params: &Params) {
     kv!("batch_timeout_ms", params.batch_timeout_ms);
     kv!("view_change_timeout_ms", params.view_change_timeout_ms);
     kv!("max_inflight_blocks", params.max_inflight_blocks);
-    if let Some(mode) = params.execution_mode {
-        let _ = writeln!(out, "execution_mode = {}", mode.name());
-    }
-    kv!("checkpoint_gc", params.checkpoint_gc);
     kv!("accounts", params.accounts);
     kv!("transactions", params.transactions);
     kv!("payment_share", params.payment_share);
@@ -908,7 +864,6 @@ fn write_axis(out: &mut String, axis: &Axis) {
             .iter()
             .map(|p| protocol_name(*p).to_string())
             .collect::<Vec<_>>(),
-        AxisValues::Modes(list) => list.iter().map(|m| m.name().to_string()).collect(),
         AxisValues::Ints(list) => list.iter().map(u64::to_string).collect(),
         AxisValues::Floats(list) => list.iter().map(f64::to_string).collect(),
     };
@@ -1033,7 +988,6 @@ name = rec\n\
 protocol = orthrus\n\
 network = lan\n\
 replicas = 4\n\
-checkpoint_gc = false\n\
 crash_recover = 2@300..1800, 3@9000..15000\n";
         let spec = parse(doc).expect("parse");
         let Spec::Scenario(scenario) = &spec else {
@@ -1043,7 +997,6 @@ crash_recover = 2@300..1800, 3@9000..15000\n";
             scenario.params.crash_recover,
             Some(vec![(2, 300, 1800), (3, 9000, 15000)])
         );
-        assert_eq!(scenario.params.checkpoint_gc, Some(false));
         let reparsed = parse(&serialize(&spec)).expect("reparse");
         assert_eq!(spec, reparsed);
     }

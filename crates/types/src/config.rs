@@ -71,71 +71,6 @@ impl fmt::Display for ProtocolKind {
     }
 }
 
-/// How a replica executes the payment fast path over its partial logs.
-///
-/// All three modes are bit-identical by construction — the differential
-/// tests pin identical outcomes, state digests and per-shard op counters
-/// under `ORTHRUS_SWEEP_THREADS ∈ {1, 4}` in CI — so the mode is purely a
-/// performance choice. `Serial` stays the oracle the other two are pinned
-/// against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecutionMode {
-    /// The single-threaded reference walk: one `process_plog_tx` call per
-    /// occurrence, in schedule order.
-    Serial,
-    /// The PR 3 sharded scheduler: payments whose keys all live on their own
-    /// instance's shard run on per-shard workers; everything touching a key
-    /// a cross-shard occurrence also touches is demoted (with a forward
-    /// cascade) to the serial merge lane.
-    ShardedDemotion,
-    /// Block-STM style optimistic execution: every occurrence executes
-    /// speculatively against a multi-version view, is validated in schedule
-    /// order (re-executing with a bumped incarnation on read-set conflict),
-    /// and validated write-sets are folded into the store per shard. No
-    /// serial lane, no hot-key cascade.
-    OptimisticStm,
-}
-
-impl ExecutionMode {
-    /// All execution modes, in oracle-first order.
-    pub const ALL: [ExecutionMode; 3] = [
-        ExecutionMode::Serial,
-        ExecutionMode::ShardedDemotion,
-        ExecutionMode::OptimisticStm,
-    ];
-
-    /// The spec-file name of the mode (`execution_mode = <name>`).
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecutionMode::Serial => "serial",
-            ExecutionMode::ShardedDemotion => "sharded",
-            ExecutionMode::OptimisticStm => "stm",
-        }
-    }
-
-    /// Parse a spec-file mode name (the long aliases are accepted for
-    /// readability in hand-written specs).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "serial" => Some(ExecutionMode::Serial),
-            "sharded" | "sharded_demotion" => Some(ExecutionMode::ShardedDemotion),
-            "stm" | "optimistic_stm" => Some(ExecutionMode::OptimisticStm),
-            _ => None,
-        }
-    }
-
-    /// Does this mode hand work to pool threads at all?
-    pub fn is_parallel(self) -> bool {
-        !matches!(self, ExecutionMode::Serial)
-    }
-}
-
-impl fmt::Display for ExecutionMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Which network environment the evaluation runs in (paper §VII-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkKind {
@@ -187,26 +122,6 @@ pub struct ProtocolConfig {
     /// delivered prefix) per instance. Deeper pipelining keeps NICs busier at
     /// large scale at the cost of more speculative state per instance.
     pub max_inflight_blocks: u64,
-    /// How partial logs are executed (see [`ExecutionMode`]): the serial
-    /// reference walk, the sharded demotion scheduler (soaked default), or
-    /// Block-STM optimistic execution. All modes are bit-identical by
-    /// construction (the differential tests pin this under
-    /// `ORTHRUS_SWEEP_THREADS ∈ {1, 4}` in CI); scenarios pick per run
-    /// (`Scenario::with_execution_mode`).
-    pub execution_mode: ExecutionMode,
-    /// Minimum number of transaction occurrences in a partial-log schedule
-    /// before the sharded path hands work to pool threads. Below the
-    /// threshold the same shard jobs run inline on the delivering thread —
-    /// identical results (the jobs are the unit of determinism), no thread
-    /// handoff latency for the small batches that dominate interactive
-    /// scenarios.
-    pub parallel_handoff_min_ops: usize,
-    /// Truncate partial/global logs and PBFT slot bookkeeping at stable
-    /// checkpoints. On by default — this is what bounds steady-state memory
-    /// on long runs; the off switch exists for the differential tests and
-    /// the `checkpoint` bench, which pin that truncation never changes
-    /// reports or state digests.
-    pub checkpoint_gc: bool,
 }
 
 impl Default for ProtocolConfig {
@@ -223,9 +138,6 @@ impl Default for ProtocolConfig {
             processing_delay: Duration::from_micros(30),
             num_client_actors: 4,
             max_inflight_blocks: 4,
-            execution_mode: ExecutionMode::ShardedDemotion,
-            parallel_handoff_min_ops: 64,
-            checkpoint_gc: true,
         }
     }
 }
@@ -378,41 +290,6 @@ mod tests {
         let mut c = ProtocolConfig::for_replicas(16);
         c.max_inflight_blocks = 16;
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn parallel_execution_defaults_on_with_opt_out() {
-        let c = ProtocolConfig::default();
-        assert_eq!(
-            c.execution_mode,
-            ExecutionMode::ShardedDemotion,
-            "sharded path soaked; default is on"
-        );
-        assert!(c.execution_mode.is_parallel());
-        assert!(c.checkpoint_gc, "checkpoint GC bounds memory by default");
-        assert!(c.parallel_handoff_min_ops > 0);
-        let mut c = ProtocolConfig::for_replicas(8);
-        c.execution_mode = ExecutionMode::Serial;
-        c.checkpoint_gc = false;
-        assert!(c.validate().is_ok(), "both opt-outs stay valid");
-    }
-
-    #[test]
-    fn execution_mode_names_round_trip() {
-        for mode in ExecutionMode::ALL {
-            assert_eq!(ExecutionMode::from_name(mode.name()), Some(mode));
-            assert_eq!(mode.to_string(), mode.name());
-        }
-        assert_eq!(
-            ExecutionMode::from_name("sharded_demotion"),
-            Some(ExecutionMode::ShardedDemotion)
-        );
-        assert_eq!(
-            ExecutionMode::from_name("optimistic_stm"),
-            Some(ExecutionMode::OptimisticStm)
-        );
-        assert_eq!(ExecutionMode::from_name("turbo"), None);
-        assert!(!ExecutionMode::Serial.is_parallel());
     }
 
     #[test]

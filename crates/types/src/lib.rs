@@ -47,7 +47,7 @@ pub mod transaction;
 
 pub use block::{Block, BlockHeader, BlockId, BlockParams, SharedBlock};
 pub use checkpoint::{CheckpointProof, StableCheckpoint};
-pub use config::{ExecutionMode, NetworkKind, ProtocolConfig, ProtocolKind};
+pub use config::{NetworkKind, ProtocolConfig, ProtocolKind};
 pub use crypto::{Digest, KeyPair, PublicKey, Signature};
 pub use error::{OrthrusError, Result};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};

@@ -1,15 +1,13 @@
 //! A zero-dependency scoped thread pool.
 //!
-//! Both helpers spawn up to `threads` scoped workers that claim work
+//! [`parallel_map`] spawns up to `threads` scoped workers that claim work
 //! through a shared atomic cursor, so uneven item costs balance
 //! automatically and each item is visited exactly once — parallelism changes
 //! wall-clock, never results. Worker counts are additionally clamped to the
 //! machine's available parallelism: oversubscribing cores buys nothing and
 //! costs context switches, and results are thread-count independent by
-//! design. They live in `orthrus-types` (the dependency root) so both the
-//! runner's scenario sweeps and the executor's shard/STM workers drive the
-//! same implementation; `orthrus_core` re-exports them under their
-//! historical paths.
+//! design. The runner's scenario sweeps are its caller; `orthrus_core`
+//! re-exports it under its historical path.
 
 /// Worker count actually used for a request of `threads` over `items` items.
 fn effective_threads(threads: usize, items: usize) -> usize {
@@ -65,40 +63,6 @@ where
     results
 }
 
-/// Apply `f` to every item of a mutable slice on the same scoped pool as
-/// [`parallel_map`], for work that needs exclusive access to each item
-/// (e.g. the executor's per-shard plog jobs, which carry `&mut` state
-/// shards).
-pub fn parallel_for_mut<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let threads = effective_threads(threads, items.len());
-    if threads <= 1 {
-        for item in items {
-            f(item);
-        }
-        return;
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<&mut T>> =
-        items.iter_mut().map(std::sync::Mutex::new).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= slots.len() {
-                    break;
-                }
-                // Claimed indices are unique, so the lock is uncontended; it
-                // exists to hand the `&mut` across the thread boundary safely.
-                f(&mut slots[i].lock().expect("no panics while holding the lock"));
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,20 +77,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_mut_visits_every_item_once() {
-        for threads in [1, 4, 9] {
-            let mut items: Vec<u64> = vec![0; 64];
-            parallel_for_mut(&mut items, threads, |x| *x += 1);
-            assert!(items.iter().all(|&x| x == 1));
-        }
-    }
-
-    #[test]
     fn empty_and_oversubscribed_inputs_are_fine() {
         let empty: Vec<u64> = Vec::new();
         assert!(parallel_map(&empty, 8, |x| *x).is_empty());
-        let mut two = vec![1u64, 2];
-        parallel_for_mut(&mut two, 16, |x| *x *= 10);
-        assert_eq!(two, vec![10, 20]);
+        assert_eq!(parallel_map(&[1u64, 2], 16, |x| x * 10), vec![10, 20]);
     }
 }

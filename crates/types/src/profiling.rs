@@ -1,8 +1,8 @@
 //! The one sanctioned wall-clock doorway for profiling instrumentation.
 //!
 //! The simulator runs on logical time; real (wall) time must never influence
-//! behavior, only *observability* — phase timings reported by `--profile`
-//! runs and the STM scheduler's statistics. Every such site goes through
+//! behavior, only *observability* — phase timings reported alongside a
+//! run's statistics. Every such site goes through
 //! [`ProfTimer`] so the static analyzer's `wall-clock` rule has exactly one
 //! suppression in the whole deterministic workspace (this file), and a
 //! grep for `Instant::now` outside `crates/bench` lands here.

@@ -30,8 +30,7 @@
 //! containing a path separator or ending in `.orth` is read from disk.
 //! `--full` (or `ORTHRUS_FULL_SCALE=1`) applies the spec's `[full_scale]`
 //! overrides; `--threads` (or `ORTHRUS_SWEEP_THREADS`) sets the width of the
-//! sweep pool (how many points run at once) and of each replica's execution
-//! pool. Results do not depend on it.
+//! sweep pool (how many points run at once). Results do not depend on it.
 
 use orthrus_bench::harness::{self, MeasuredPoint, SweepJob};
 use orthrus_core::sweep_threads;
@@ -43,8 +42,7 @@ fn usage() -> ExitCode {
         "usage:\n  orthrus list\n  orthrus show <name|file.orth>\n  orthrus run <name|file.orth> \
          [--threads N] [--json PATH] [--full]\n  orthrus lint [files...]\n  orthrus analyze \
          [--json PATH]\n\n--threads N (default: ORTHRUS_SWEEP_THREADS, else the host's cores) sets how \
-         many sweep points run\nat once and how wide each replica's execution pool is; \
-         results do not depend on it."
+         many sweep points run\nat once; results do not depend on it."
     );
     ExitCode::from(2)
 }
@@ -205,10 +203,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
     let threads = threads.unwrap_or_else(sweep_threads);
-    // Publish the resolved count so every in-process consumer of
-    // `sweep_threads()` agrees with the CLI flag: the sweep pool and the
-    // replicas' plog execution pools.
-    std::env::set_var("ORTHRUS_SWEEP_THREADS", threads.to_string());
     let jobs: Vec<SweepJob> = points.into_iter().map(SweepJob::from).collect();
     let label = x_label(&spec);
     let title = spec.title().unwrap_or_else(|| spec.name());

@@ -104,9 +104,9 @@ pub mod prelude {
     pub use orthrus_lab::{LoweredPoint, Spec, SpecScale};
     pub use orthrus_sim::{CrashRecoverSpec, FaultPlan, NetworkConfig, StatsCollector};
     pub use orthrus_types::{
-        Amount, Block, ClientId, Duration, ExecutionMode, InstanceId, NetworkKind, ObjectKey,
-        OrthrusError, ProtocolConfig, ProtocolKind, ReplicaId, SimTime, StableCheckpoint,
-        Transaction, TxId, TxKind,
+        Amount, Block, ClientId, Duration, InstanceId, NetworkKind, ObjectKey, OrthrusError,
+        ProtocolConfig, ProtocolKind, ReplicaId, SimTime, StableCheckpoint, Transaction, TxId,
+        TxKind,
     };
     pub use orthrus_workload::{Workload, WorkloadConfig};
 }

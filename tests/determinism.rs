@@ -177,52 +177,10 @@ fn sweeps_are_deterministic_across_thread_counts() {
     }
 }
 
-/// Differential test for the parallel execution engines: both the sharded
-/// demotion scheduler and Block-STM optimistic execution must leave every
-/// protocol's trace bit-identical to the single-threaded reference path. The
-/// serial path never reads `ORTHRUS_SWEEP_THREADS`, so this equality — which
-/// CI checks under `ORTHRUS_SWEEP_THREADS ∈ {1, 4}` — also pins both parallel
-/// paths across worker-pool widths.
-#[test]
-fn parallel_execution_matches_serial_for_every_protocol() {
-    for protocol in ProtocolKind::ALL {
-        let run_with = |mode: ExecutionMode| {
-            let mut s = scenario(17);
-            s.protocol = protocol;
-            s.config.execution_mode = mode;
-            run(&s)
-        };
-        let serial = run_with(ExecutionMode::Serial);
-        for mode in [ExecutionMode::ShardedDemotion, ExecutionMode::OptimisticStm] {
-            let parallel = run_with(mode);
-            assert_eq!(
-                fingerprint(&serial),
-                fingerprint(&parallel),
-                "{protocol} diverged between serial and {mode}"
-            );
-            assert_eq!(
-                serial.avg_latency, parallel.avg_latency,
-                "{protocol} latency trace diverged under {mode}"
-            );
-            assert_eq!(
-                serial.report, parallel.report,
-                "{protocol} simulation report diverged under {mode}"
-            );
-            assert_eq!(serial.shard_ops, parallel.shard_ops);
-        }
-        assert_eq!(
-            serial.confirmed, serial.submitted,
-            "{protocol} must complete"
-        );
-    }
-}
-
 /// Crash-recovery determinism: for every protocol, a replica that crashes
 /// mid-run and rejoins via state transfer must (a) not stop the workload
 /// from completing, (b) reconverge to the exact state digest of its peers,
-/// and (c) leave the whole trace reproducible run over run. CI executes this
-/// under `ORTHRUS_SWEEP_THREADS ∈ {1, 4}`, which pins the recovery path
-/// across shard-pool widths too.
+/// and (c) leave the whole trace reproducible run over run.
 #[test]
 fn crash_recovered_replica_reconverges_for_every_protocol() {
     for protocol in ProtocolKind::ALL {
@@ -265,41 +223,103 @@ fn crash_recovered_replica_reconverges_for_every_protocol() {
     }
 }
 
-/// Differential test for checkpoint-driven truncation: turning GC off must
-/// not change a single bit of the trace — truncation is memory-only. The
-/// retained-entry accounting is what differs: GC keeps the in-flight window,
-/// no-GC keeps the whole history.
+/// `scenario(29)` under each protocol as recorded with checkpoint truncation
+/// switched off (it was bit-identical with truncation on): final state
+/// digest, blocks delivered, average latency in µs, the report's events /
+/// messages / bytes / peak queue length, and the log entries replica 0 still
+/// retained at the end — the whole delivered history.
+const UNTRUNCATED_TRACES: [(ProtocolKind, u64, u64, u64, [u64; 4], u64); 6] = [
+    (
+        ProtocolKind::Orthrus,
+        17054277779727721308,
+        396,
+        12_237,
+        [5_456, 4_949, 1_651_272, 81],
+        201,
+    ),
+    (
+        ProtocolKind::Iss,
+        17054277779727721308,
+        780,
+        14_236,
+        [8_048, 7_553, 2_064_648, 82],
+        393,
+    ),
+    (
+        ProtocolKind::Rcc,
+        17054277779727721308,
+        780,
+        14_236,
+        [8_048, 7_553, 2_064_648, 82],
+        393,
+    ),
+    (
+        ProtocolKind::MirBft,
+        17054277779727721308,
+        780,
+        14_236,
+        [8_048, 7_553, 2_064_648, 82],
+        393,
+    ),
+    (
+        ProtocolKind::Dqbft,
+        3818474512258424656,
+        792,
+        13_032,
+        [8_120, 7_613, 2_072_904, 73],
+        204,
+    ),
+    (
+        ProtocolKind::Ladon,
+        17054277779727721308,
+        396,
+        12_372,
+        [5_456, 4_949, 1_651_272, 81],
+        201,
+    ),
+];
+
+/// Checkpoint-driven truncation is memory-only: every protocol's trace
+/// equals the one recorded without truncation, bit for bit, while the
+/// retained-entry count stays within what that run kept.
 #[test]
 fn checkpoint_truncation_is_memory_only_for_every_protocol() {
-    for protocol in ProtocolKind::ALL {
-        let run_with = |gc: bool| {
-            let mut s = scenario(29);
-            s.protocol = protocol;
-            s.config.checkpoint_gc = gc;
-            run(&s)
-        };
-        let gc_on = run_with(true);
-        let gc_off = run_with(false);
+    assert_eq!(
+        UNTRUNCATED_TRACES.map(|(protocol, ..)| protocol),
+        ProtocolKind::ALL
+    );
+    for (protocol, digest, blocks, latency_us, [events, messages, bytes, peak], retained) in
+        UNTRUNCATED_TRACES
+    {
+        let mut s = scenario(29);
+        s.protocol = protocol;
+        let outcome = run(&s);
         assert_eq!(
-            fingerprint(&gc_on),
-            fingerprint(&gc_off),
-            "{protocol} diverged across GC settings"
+            fingerprint(&outcome),
+            (300, 300, blocks, bytes, messages, vec![digest; 4]),
+            "{protocol} diverged from the untruncated trace"
         );
         assert_eq!(
-            gc_on.avg_latency, gc_off.avg_latency,
+            outcome.avg_latency,
+            Duration::from_micros(latency_us),
             "{protocol} latency trace diverged"
         );
         assert_eq!(
-            gc_on.report, gc_off.report,
+            outcome.report,
+            SimulationReport {
+                end_time: SimTime::from_secs(1),
+                events_processed: events,
+                messages_sent: messages,
+                bytes_sent: bytes,
+                peak_queue_len: peak,
+            },
             "{protocol} simulation report diverged"
         );
         assert!(
-            gc_on.retained_plog_entries <= gc_off.retained_plog_entries,
-            "{protocol}: GC on retains {} vs {} without",
-            gc_on.retained_plog_entries,
-            gc_off.retained_plog_entries
+            outcome.retained_plog_entries <= retained,
+            "{protocol}: truncation retains {} vs {retained} without",
+            outcome.retained_plog_entries
         );
-        assert_eq!(gc_on.confirmed, gc_on.submitted, "{protocol} must complete");
     }
 }
 

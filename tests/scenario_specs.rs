@@ -121,10 +121,6 @@ fn random_params(rng: &mut StdRng, protocol_required: bool) -> Params {
     if rng.gen_bool(0.3) {
         params.max_inflight_blocks = Some(rng.gen_range(1..32));
     }
-    if rng.gen_bool(0.3) {
-        params.execution_mode =
-            Some(ExecutionMode::ALL[rng.gen_range(0..ExecutionMode::ALL.len() as u64) as usize]);
-    }
     if rng.gen_bool(0.6) {
         params.accounts = Some(rng.gen_range(2..100_000));
     }
@@ -209,13 +205,6 @@ fn random_axis(rng: &mut StdRng, key: AxisKey) -> Axis {
                 .map(|_| ProtocolKind::ALL[rng.gen_range(0..6) as usize])
                 .collect(),
         ),
-        AxisKey::ExecutionMode => AxisValues::Modes(
-            (0..count)
-                .map(|_| {
-                    ExecutionMode::ALL[rng.gen_range(0..ExecutionMode::ALL.len() as u64) as usize]
-                })
-                .collect(),
-        ),
         AxisKey::ZipfExponent => {
             AxisValues::Floats((0..count).map(|_| rng.gen_range(0.0..2.0)).collect())
         }
@@ -250,10 +239,7 @@ fn randomized_specs_round_trip_exactly() {
                 .iter()
                 .map(|&key| random_axis(&mut rng, key))
                 .collect();
-            let x_axis = axes
-                .iter()
-                .map(|a| a.key)
-                .find(|&k| k != AxisKey::Protocol && k != AxisKey::ExecutionMode);
+            let x_axis = axes.iter().map(|a| a.key).find(|&k| k != AxisKey::Protocol);
             let full_scale = if rng.gen_bool(0.5) {
                 vec![
                     (
@@ -282,14 +268,17 @@ fn randomized_specs_round_trip_exactly() {
 }
 
 /// Keys that went with what they selected — the calendar queue, the windowed
-/// engine, the boolean twin of `execution_mode`. A spec that still sets one
-/// must fail loudly, not run as something other than what it names.
+/// engine, the parallel plog executors (and their boolean shorthand), and
+/// the switch that turned checkpoint truncation off. A spec that still sets
+/// one must fail loudly, not run as something other than what it names.
 #[test]
 fn removed_queue_key_is_rejected_with_its_line() {
     for (key, value) in [
         ("queue", "calendar"),
         ("engine_mode", "parallel"),
         ("parallel_execution", "true"),
+        ("execution_mode", "stm"),
+        ("checkpoint_gc", "false"),
     ] {
         let text = format!(
             "kind = scenario\nname = stale\n\n[scenario]\nprotocol = orthrus\n\
