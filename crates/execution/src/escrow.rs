@@ -20,28 +20,24 @@
 //! Reservations are split across shards with the same routing function as
 //! the object store ([`ObjectKey::shard`]): the reservation for a payer leg
 //! lives next to the account it locks. Commit and abort walk the
-//! transaction's payer legs and remove exactly those reservations — O(legs)
-//! instead of the former O(outstanding-entries) retain scan, which matters
-//! when thousands of contract escrows sit waiting for global ordering while
-//! the payment fast path keeps committing.
+//! transaction's payer legs and remove exactly those reservations, one hash
+//! probe per leg — O(legs) instead of the former O(outstanding-entries)
+//! retain scan, which matters when thousands of contract escrows sit waiting
+//! for global ordering while the payment fast path keeps committing.
 
 use crate::store::ObjectStore;
 use orthrus_types::{Amount, FxHashMap, ObjectKey, ObjectOp, Operation, Transaction, TxId};
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// One shard of the escrow log: the outstanding reservations whose account
-/// keys route to this shard, plus a running total.
+/// keys route to this shard, keyed by `(object, tx)`, plus a running total.
+/// Every probe on the execution path names both halves of the key, so each
+/// is one hash lookup.
 #[derive(Debug, Clone, Default)]
 struct EscrowShard {
-    entries: BTreeMap<(ObjectKey, TxId), Amount>,
+    entries: FxHashMap<(ObjectKey, TxId), Amount>,
     reserved: u128,
-    /// Reservation count per transaction id, maintained incrementally so
-    /// membership probes for ids holding nothing — the dominant case on the
-    /// payment fast path, where fresh transactions probe their own id
-    /// against a log full of pending contracts — answer with one hash
-    /// lookup instead of a tree descent.
-    tx_counts: FxHashMap<TxId, u32>,
 }
 
 impl EscrowShard {
@@ -57,30 +53,13 @@ impl EscrowShard {
 
     /// Is `(object, tx)` reserved in this shard?
     pub fn contains(&self, object: ObjectKey, tx: TxId) -> bool {
-        self.tx_counts.contains_key(&tx) && self.entries.contains_key(&(object, tx))
-    }
-
-    /// Record a reservation. Overwriting an existing `(object, tx)` entry
-    /// replaces its amount in the running total as well.
-    pub fn insert(&mut self, object: ObjectKey, tx: TxId, amount: Amount) {
-        if let Some(old) = self.entries.insert((object, tx), amount) {
-            self.reserved -= u128::from(old);
-        } else {
-            *self.tx_counts.entry(tx).or_insert(0) += 1;
-        }
-        self.reserved += u128::from(amount);
+        self.entries.contains_key(&(object, tx))
     }
 
     /// Drop a reservation, returning its amount if it existed.
     pub fn remove(&mut self, object: ObjectKey, tx: TxId) -> Option<Amount> {
         let amount = self.entries.remove(&(object, tx))?;
         self.reserved -= u128::from(amount);
-        match self.tx_counts.get_mut(&tx) {
-            Some(count) if *count > 1 => *count -= 1,
-            _ => {
-                self.tx_counts.remove(&tx);
-            }
-        }
         Some(amount)
     }
 
@@ -89,13 +68,17 @@ impl EscrowShard {
         self.reserved
     }
 
-    /// Total amount reserved against one account in this shard.
+    /// Total amount reserved against one account in this shard: a scan of
+    /// the shard (only tests and diagnostics ask).
     fn reserved_for(&self, object: ObjectKey) -> Amount {
-        self.entries
-            .range((object, TxId::default())..)
-            .take_while(|((key, _), _)| *key == object)
-            .map(|(_, amount)| *amount)
-            .sum()
+        let mut total = 0;
+        // orthrus: allow(nondet-iter): a sum over the matching reservations is commutative — visit order cannot reach the result.
+        for (&(key, _), amount) in &self.entries {
+            if key == object {
+                total += amount;
+            }
+        }
+        total
     }
 }
 
@@ -170,9 +153,12 @@ impl EscrowLog {
         if !leg.is_owned_decrement() {
             return false;
         }
-        if self.contains(leg.key, tx) {
-            return true;
-        }
+        let shard = self.route(leg.key);
+        let shard = Arc::make_mut(&mut self.shards[shard]);
+        let slot = match shard.entries.entry((leg.key, tx)) {
+            Entry::Occupied(_) => return true,
+            Entry::Vacant(slot) => slot,
+        };
         let amount = match leg.op {
             Operation::Debit(a) => a,
             _ => return false,
@@ -184,8 +170,8 @@ impl EscrowLog {
         if store.debit(leg.key, amount).is_err() {
             return false;
         }
-        let shard = self.route(leg.key);
-        Arc::make_mut(&mut self.shards[shard]).insert(leg.key, tx, amount);
+        slot.insert(amount);
+        shard.reserved += u128::from(amount);
         true
     }
 
@@ -205,9 +191,7 @@ impl EscrowLog {
     pub fn commit(&mut self, tx: &Transaction) {
         for leg in tx.ops.iter().filter(|leg| leg.is_owned_decrement()) {
             let shard = self.route(leg.key);
-            if self.shards[shard].contains(leg.key, tx.id) {
-                Arc::make_mut(&mut self.shards[shard]).remove(leg.key, tx.id);
-            }
+            Arc::make_mut(&mut self.shards[shard]).remove(leg.key, tx.id);
         }
     }
 
@@ -215,9 +199,6 @@ impl EscrowLog {
     pub fn abort(&mut self, store: &mut ObjectStore, tx: &Transaction) {
         for leg in tx.ops.iter().filter(|leg| leg.is_owned_decrement()) {
             let shard = self.route(leg.key);
-            if !self.shards[shard].contains(leg.key, tx.id) {
-                continue;
-            }
             if let Some(amount) = Arc::make_mut(&mut self.shards[shard]).remove(leg.key, tx.id) {
                 // Refunding cannot fail: the account existed when the escrow
                 // was taken and credits never fail on owned objects.
@@ -327,16 +308,6 @@ mod tests {
         let first_leg = tx.ops.iter().find(|l| l.is_owned_decrement()).unwrap();
         elog.escrow(&mut store, first_leg, tx.id);
         assert!(!elog.all_escrowed(&tx));
-    }
-
-    #[test]
-    fn shard_insert_overwrite_replaces_reserved_total() {
-        let mut shard = EscrowShard::default();
-        shard.insert(key(1), txid(0), 5);
-        shard.insert(key(1), txid(0), 10);
-        assert_eq!(shard.total_reserved(), 10);
-        assert_eq!(shard.remove(key(1), txid(0)), Some(10));
-        assert_eq!(shard.total_reserved(), 0);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::escrow::EscrowLog;
 use crate::store::ObjectStore;
 use orthrus_types::FxHashMap;
 use orthrus_types::{InstanceId, ObjectKey, Operation, SharedBlock, Transaction, TxId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Final outcome of a transaction at this replica.
@@ -51,7 +50,7 @@ pub struct Executor {
     /// Number of glog occurrences of a transaction seen so far (a
     /// transaction assigned to k instances appears k times in the glog and is
     /// executed only at its last occurrence).
-    glog_occurrences: Arc<HashMap<TxId, usize>>,
+    glog_occurrences: Arc<FxHashMap<TxId, usize>>,
     committed_count: u64,
     aborted_count: u64,
 }
@@ -110,15 +109,17 @@ impl Executor {
     /// under the state `S` they reference, which is what makes escrow at the
     /// backups deterministic (§V-B "Broadcast transactions").
     pub fn speculative_valid(&self, tx: &Transaction) -> bool {
-        // Aggregate per-payer so a transaction debiting the same account
-        // twice is checked against the sum.
-        let mut needed: HashMap<ObjectKey, u128> = HashMap::new();
-        for leg in tx.ops.iter().filter(|l| l.is_owned_decrement()) {
-            *needed.entry(leg.key).or_default() += u128::from(leg.op.amount());
-        }
-        needed
-            .into_iter()
-            .all(|(key, amount)| u128::from(self.store.balance(key)) >= amount)
+        // Aggregate per payer so a transaction debiting the same account
+        // twice is checked against the sum (legs are few: summing them per
+        // leg beats allocating a map per call).
+        let debits = || tx.ops.iter().filter(|l| l.is_owned_decrement());
+        debits().all(|leg| {
+            let needed: u128 = debits()
+                .filter(|other| other.key == leg.key)
+                .map(|other| u128::from(other.op.amount()))
+                .sum();
+            u128::from(self.store.balance(leg.key)) >= needed
+        })
     }
 
     fn record(&mut self, tx: TxId, outcome: TxOutcome) -> TxOutcome {
@@ -175,13 +176,11 @@ impl Executor {
         }
         // Escrow every owned-decrement leg that belongs to this instance
         // (Algorithm 1 lines 22–23).
-        let legs: Vec<_> = tx
+        for leg in tx
             .ops
             .iter()
             .filter(|leg| leg.is_owned_decrement() && assign(leg.key) == instance)
-            .copied()
-            .collect();
-        for leg in &legs {
+        {
             if !self.elog.escrow(&mut self.store, leg, tx.id) {
                 // Lines 24–26: abort the whole transaction, refunding every
                 // escrow already taken (possibly in other instances).
@@ -257,18 +256,26 @@ impl Executor {
         }
         // Count occurrences: a contract transaction appears once per distinct
         // instance among its payers (Algorithm 1 lines 34, 40–41).
-        let mut instances: Vec<InstanceId> = tx.payers().map(assign).collect();
-        instances.sort_unstable();
-        instances.dedup();
-        let expected = instances.len().max(1);
-        let seen = Arc::make_mut(&mut self.glog_occurrences)
-            .entry(tx.id)
-            .or_insert(0);
-        *seen += 1;
-        if *seen < expected {
-            return None;
+        let expected = tx
+            .payers()
+            .enumerate()
+            .filter(|&(i, payer)| {
+                let instance = assign(payer);
+                !tx.payers()
+                    .take(i)
+                    .any(|earlier| assign(earlier) == instance)
+            })
+            .count();
+        // A transaction in one instance has one occurrence: nothing to count.
+        if expected > 1 {
+            let occurrences = Arc::make_mut(&mut self.glog_occurrences);
+            let seen = occurrences.entry(tx.id).or_insert(0);
+            *seen += 1;
+            if *seen < expected {
+                return None;
+            }
+            occurrences.remove(&tx.id);
         }
-        Arc::make_mut(&mut self.glog_occurrences).remove(&tx.id);
 
         // Last occurrence: execute (lines 35–39).
         if self.elog.all_escrowed(tx) {
@@ -292,13 +299,7 @@ impl Executor {
         if let Some(existing) = self.outcomes.get(&tx.id) {
             return *existing;
         }
-        let legs: Vec<_> = tx
-            .ops
-            .iter()
-            .filter(|leg| leg.is_owned_decrement())
-            .copied()
-            .collect();
-        for leg in &legs {
+        for leg in tx.ops.iter().filter(|leg| leg.is_owned_decrement()) {
             if !self.elog.escrow(&mut self.store, leg, tx.id) {
                 self.elog.abort(&mut self.store, tx);
                 return self.record(tx.id, TxOutcome::Aborted);

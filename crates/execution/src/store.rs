@@ -27,8 +27,8 @@
 //! produce the same digest ([`ObjectStore::rescan_digest`] pins the
 //! equivalence in tests).
 
-use orthrus_types::{Amount, Digest, ObjectKey, OrthrusError, Result, Value};
-use std::collections::BTreeMap;
+use orthrus_types::{Amount, Digest, FxHashMap, ObjectKey, OrthrusError, Result, Value};
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 /// The state of one object.
@@ -58,12 +58,13 @@ impl ObjectState {
     }
 }
 
-/// One shard of the object store: a key-ordered map plus running aggregates
-/// (digest accumulator, owned-balance total, mutation count) maintained on
-/// every write.
+/// One shard of the object store: a hash map plus running aggregates (digest
+/// accumulator, owned-balance total, mutation count) maintained on every
+/// write. Nothing reads the map in key order — every aggregate is a
+/// commutative fold — so each write costs one hash probe.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct StoreShard {
-    objects: BTreeMap<ObjectKey, ObjectState>,
+    objects: FxHashMap<ObjectKey, ObjectState>,
     /// Wrapping sum of the entry digests of everything in `objects`.
     acc: u64,
     /// Sum of the owned balances in this shard.
@@ -106,80 +107,76 @@ impl StoreShard {
         }
     }
 
-    /// Insert or replace an entry, keeping the aggregates in sync.
-    fn put(&mut self, key: ObjectKey, state: ObjectState) {
-        if let Some(old) = self.objects.insert(key, state) {
+    /// Move the aggregates from entry `old` to entry `new` of `key` (either
+    /// may be absent).
+    fn reaccount(&mut self, key: ObjectKey, old: Option<ObjectState>, new: Option<ObjectState>) {
+        if let Some(old) = old {
             self.acc = self.acc.wrapping_sub(ObjectState::entry_digest(key, &old));
             if let ObjectState::Owned { balance } = old {
                 self.owned_total -= u128::from(balance);
             }
         }
-        self.acc = self
-            .acc
-            .wrapping_add(ObjectState::entry_digest(key, &state));
-        if let ObjectState::Owned { balance } = state {
-            self.owned_total += u128::from(balance);
+        if let Some(new) = new {
+            self.acc = self.acc.wrapping_add(ObjectState::entry_digest(key, &new));
+            if let ObjectState::Owned { balance } = new {
+                self.owned_total += u128::from(balance);
+            }
         }
+    }
+
+    /// Insert or replace an entry, keeping the aggregates in sync.
+    fn put(&mut self, key: ObjectKey, state: ObjectState) {
+        let old = self.objects.insert(key, state);
+        self.reaccount(key, old, Some(state));
     }
 
     /// Remove an entry, keeping the aggregates in sync.
     fn remove(&mut self, key: ObjectKey) -> Option<ObjectState> {
         let old = self.objects.remove(&key)?;
-        self.acc = self.acc.wrapping_sub(ObjectState::entry_digest(key, &old));
-        if let ObjectState::Owned { balance } = old {
-            self.owned_total -= u128::from(balance);
-        }
+        self.reaccount(key, Some(old), None);
         Some(old)
     }
 
-    /// Credit an owned account in this shard, creating it if needed. The
-    /// caller is responsible for having routed the key here and for the
-    /// cross-shard type check (see [`ObjectStore::credit`]); within a shard
-    /// only owned entries exist for account keys.
-    pub fn credit(&mut self, key: ObjectKey, amount: Amount) {
-        let balance = self.balance(key).saturating_add(amount);
-        self.put(key, ObjectState::Owned { balance });
-        self.ops += 1;
-    }
-
-    /// Debit an owned account in this shard. Fails (leaving the shard
-    /// unchanged) on insufficient balance or a missing account.
-    pub fn debit(&mut self, key: ObjectKey, amount: Amount) -> Result<()> {
-        match self.objects.get(&key) {
-            Some(ObjectState::Owned { balance }) => {
-                let have = *balance;
-                if have < amount {
-                    return Err(OrthrusError::InsufficientBalance {
-                        object: key,
-                        have,
-                        need: amount,
-                    });
-                }
-                self.put(
-                    key,
-                    ObjectState::Owned {
-                        balance: have - amount,
-                    },
-                );
-                self.ops += 1;
-                Ok(())
+    /// Replace `key`'s entry by `write(current entry)` in one probe and count
+    /// the write as an op. An `Err` from `write` leaves the shard unchanged.
+    fn write(
+        &mut self,
+        key: ObjectKey,
+        write: impl FnOnce(Option<ObjectState>) -> Result<ObjectState>,
+    ) -> Result<()> {
+        let (old, new) = match self.objects.entry(key) {
+            Entry::Occupied(mut slot) => {
+                let old = *slot.get();
+                let new = write(Some(old))?;
+                slot.insert(new);
+                (Some(old), new)
             }
-            Some(ObjectState::Shared { .. }) => Err(OrthrusError::TypeMismatch {
-                object: key,
-                reason: "debit applied to a shared object".into(),
-            }),
-            None => Err(OrthrusError::UnknownObject(key)),
-        }
-    }
-
-    fn write_shared(&mut self, key: ObjectKey, value: Value) {
-        self.put(key, ObjectState::Shared { value });
+            Entry::Vacant(slot) => {
+                let new = write(None)?;
+                slot.insert(new);
+                (None, new)
+            }
+        };
+        self.reaccount(key, old, Some(new));
         self.ops += 1;
+        Ok(())
     }
 
-    /// Iterate over the shard's objects in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&ObjectKey, &ObjectState)> {
-        self.objects.iter()
+    /// Wrapping sum of the entry digests, recomputed by visiting every entry.
+    fn rescan_acc(&self) -> u64 {
+        let mut acc = 0u64;
+        // orthrus: allow(nondet-iter): a wrapping sum of entry digests is commutative — visit order cannot reach the result.
+        for (key, state) in &self.objects {
+            acc = acc.wrapping_add(ObjectState::entry_digest(*key, state));
+        }
+        acc
+    }
+}
+
+fn type_mismatch(object: ObjectKey, reason: &str) -> OrthrusError {
+    OrthrusError::TypeMismatch {
+        object,
+        reason: reason.into(),
     }
 }
 
@@ -243,6 +240,7 @@ impl ObjectStore {
         for shard in old {
             let shard = Arc::try_unwrap(shard).unwrap_or_else(|arc| (*arc).clone());
             ops += shard.ops;
+            // orthrus: allow(nondet-iter): every entry is re-put under its own key and the aggregates are commutative sums, so re-insertion order reaches no observable value.
             for (key, state) in shard.objects {
                 Arc::make_mut(&mut self.accounts[key.shard(shards) as usize]).put(key, state);
             }
@@ -304,14 +302,19 @@ impl ObjectStore {
     /// needed.
     pub fn credit(&mut self, key: ObjectKey, amount: Amount) -> Result<()> {
         let shard = self.route(key);
-        if !self.accounts[shard].contains(key) && self.shared.contains(key) {
-            return Err(OrthrusError::TypeMismatch {
-                object: key,
-                reason: "credit applied to a shared object".into(),
-            });
-        }
-        Arc::make_mut(&mut self.accounts[shard]).credit(key, amount);
-        Ok(())
+        let shared = &self.shared;
+        Arc::make_mut(&mut self.accounts[shard]).write(key, |old| {
+            let balance = match old {
+                Some(ObjectState::Owned { balance }) => balance,
+                None if shared.contains(key) => {
+                    return Err(type_mismatch(key, "credit applied to a shared object"))
+                }
+                _ => 0,
+            };
+            Ok(ObjectState::Owned {
+                balance: balance.saturating_add(amount),
+            })
+        })
     }
 
     /// Debit `amount` tokens from the owned account `key`. Fails (leaving the
@@ -319,38 +322,54 @@ impl ObjectStore {
     /// an account.
     pub fn debit(&mut self, key: ObjectKey, amount: Amount) -> Result<()> {
         let shard = self.route(key);
-        if !self.accounts[shard].contains(key) && self.shared.contains(key) {
-            return Err(OrthrusError::TypeMismatch {
+        let shared = &self.shared;
+        Arc::make_mut(&mut self.accounts[shard]).write(key, |old| match old {
+            Some(ObjectState::Owned { balance }) if balance >= amount => Ok(ObjectState::Owned {
+                balance: balance - amount,
+            }),
+            Some(ObjectState::Owned { balance }) => Err(OrthrusError::InsufficientBalance {
                 object: key,
-                reason: "debit applied to a shared object".into(),
-            });
-        }
-        Arc::make_mut(&mut self.accounts[shard]).debit(key, amount)
+                have: balance,
+                need: amount,
+            }),
+            None if !shared.contains(key) => Err(OrthrusError::UnknownObject(key)),
+            _ => Err(type_mismatch(key, "debit applied to a shared object")),
+        })
     }
 
     /// Assign `value` to the shared object `key`, creating it if needed.
     pub fn set_shared(&mut self, key: ObjectKey, value: Value) -> Result<()> {
-        if !self.shared.contains(key) && self.accounts[self.route(key)].contains(key) {
-            return Err(OrthrusError::TypeMismatch {
-                object: key,
-                reason: "contract write applied to an owned account".into(),
-            });
-        }
-        Arc::make_mut(&mut self.shared).write_shared(key, value);
-        Ok(())
+        self.write_shared(key, "contract write applied to an owned account", |_| value)
     }
 
     /// Add `delta` to the shared object `key`, creating it if needed.
     pub fn add_shared(&mut self, key: ObjectKey, delta: Value) -> Result<()> {
-        if !self.shared.contains(key) && self.accounts[self.route(key)].contains(key) {
-            return Err(OrthrusError::TypeMismatch {
-                object: key,
-                reason: "contract update applied to an owned account".into(),
-            });
-        }
-        let value = self.shared.shared_value(key).saturating_add(delta);
-        Arc::make_mut(&mut self.shared).write_shared(key, value);
-        Ok(())
+        self.write_shared(
+            key,
+            "contract update applied to an owned account",
+            |value| value.saturating_add(delta),
+        )
+    }
+
+    /// Set the shared object `key` to `next(current value)`, refusing with
+    /// `reason` if `key` is an owned account.
+    fn write_shared(
+        &mut self,
+        key: ObjectKey,
+        reason: &str,
+        next: impl FnOnce(Value) -> Value,
+    ) -> Result<()> {
+        let owner = &self.accounts[self.route(key)];
+        Arc::make_mut(&mut self.shared).write(key, |old| {
+            let current = match old {
+                Some(ObjectState::Shared { value }) => value,
+                None if owner.contains(key) => return Err(type_mismatch(key, reason)),
+                _ => 0,
+            };
+            Ok(ObjectState::Shared {
+                value: next(current),
+            })
+        })
     }
 
     /// Sum of all account balances (used by conservation-of-supply checks;
@@ -381,22 +400,13 @@ impl ObjectStore {
     /// object. Used by tests and benches to pin the incremental accumulator
     /// against a full rescan.
     pub fn rescan_digest(&self) -> Digest {
-        let mut acc = 0u64;
-        let mut len = 0u64;
-        for (key, state) in self.iter() {
-            acc = acc.wrapping_add(ObjectState::entry_digest(*key, state));
-            len += 1;
-        }
-        Digest::of(&(acc, len))
-    }
-
-    /// Iterate over all objects, account shards first (in shard order, keys
-    /// ordered within a shard), then the shared-object shard.
-    pub fn iter(&self) -> impl Iterator<Item = (&ObjectKey, &ObjectState)> {
-        self.accounts
+        let acc = self
+            .accounts
             .iter()
-            .flat_map(|s| s.iter())
-            .chain(self.shared.iter())
+            .fold(self.shared.rescan_acc(), |acc, s| {
+                acc.wrapping_add(s.rescan_acc())
+            });
+        Digest::of(&(acc, self.len() as u64))
     }
 
     /// Per-shard object counts: one entry per account shard, then the

@@ -62,14 +62,41 @@ impl LatencyStage {
     }
 }
 
-/// Per-transaction timing record.
+/// A first-write-wins timestamp in one word: `u64::MAX` µs (≈ 585 000 years
+/// of simulated time) stands for "not reached yet".
+#[derive(Debug, Clone, Copy)]
+struct Stamp(u64);
+
+impl Default for Stamp {
+    fn default() -> Self {
+        Stamp(u64::MAX)
+    }
+}
+
+impl Stamp {
+    fn is_set(self) -> bool {
+        self.0 != u64::MAX
+    }
+
+    fn get(self) -> Option<SimTime> {
+        self.is_set().then_some(SimTime(self.0))
+    }
+
+    /// Record `now` unless a time is already recorded.
+    fn set_once(&mut self, now: SimTime) {
+        if !self.is_set() {
+            self.0 = now.as_micros();
+        }
+    }
+}
+
+/// Per-transaction timing record: seven one-word stamps, one cache line.
 #[derive(Debug, Clone, Default)]
 struct TxRecord {
-    submitted: Option<SimTime>,
+    submitted: Stamp,
     /// First time each stage completed (indexed by [`LatencyStage::index`]).
-    stages: [Option<SimTime>; 5],
-    confirmed: Option<SimTime>,
-    aborted: bool,
+    stages: [Stamp; 5],
+    confirmed: Stamp,
 }
 
 /// One point of a throughput or latency time series.
@@ -145,39 +172,20 @@ impl StatsCollector {
 
     /// Record that a client submitted a transaction.
     pub fn tx_submitted(&mut self, id: TxId, now: SimTime) {
-        let entry = self.txs.entry(id).or_default();
-        if entry.submitted.is_none() {
-            entry.submitted = Some(now);
-        }
+        self.txs.entry(id).or_default().submitted.set_once(now);
     }
 
     /// Record the first completion time of a pipeline stage for `id`.
     pub fn stage_reached(&mut self, id: TxId, stage: LatencyStage, now: SimTime) {
-        let entry = self.txs.entry(id).or_default();
-        let slot = &mut entry.stages[stage.index()];
-        if slot.is_none() {
-            *slot = Some(now);
-        }
+        self.txs.entry(id).or_default().stages[stage.index()].set_once(now);
     }
 
     /// Record that the client collected `f + 1` replies for `id`.
     pub fn tx_confirmed(&mut self, id: TxId, now: SimTime) {
         let entry = self.txs.entry(id).or_default();
-        if entry.confirmed.is_none() {
-            entry.confirmed = Some(now);
-            entry.stages[LatencyStage::Reply.index()].get_or_insert(now);
-        }
-    }
-
-    /// Record that `id` was aborted (escrow failure / insufficient funds).
-    pub fn tx_aborted(&mut self, id: TxId, now: SimTime) {
-        let entry = self.txs.entry(id).or_default();
-        entry.aborted = true;
-        // An abort is still a confirmation from the client's point of view
-        // (the paper: "a transaction is confirmed once it is executed, either
-        // successfully or unsuccessfully").
-        if entry.confirmed.is_none() {
-            entry.confirmed = Some(now);
+        if !entry.confirmed.is_set() {
+            entry.confirmed.set_once(now);
+            entry.stages[LatencyStage::Reply.index()].set_once(now);
         }
     }
 
@@ -212,26 +220,20 @@ impl StatsCollector {
     /// Number of transactions submitted.
     pub fn submitted_count(&self) -> usize {
         // orthrus: allow(nondet-iter): count of a filter — order-free fold.
-        self.txs.values().filter(|r| r.submitted.is_some()).count()
+        self.txs.values().filter(|r| r.submitted.is_set()).count()
     }
 
     /// Number of transactions confirmed (successfully or not).
     pub fn confirmed_count(&self) -> usize {
         // orthrus: allow(nondet-iter): count of a filter — order-free fold.
-        self.txs.values().filter(|r| r.confirmed.is_some()).count()
-    }
-
-    /// Number of aborted transactions.
-    pub fn aborted_count(&self) -> usize {
-        // orthrus: allow(nondet-iter): count of a filter — order-free fold.
-        self.txs.values().filter(|r| r.aborted).count()
+        self.txs.values().filter(|r| r.confirmed.is_set()).count()
     }
 
     /// End-to-end latencies of all confirmed transactions.
     pub fn latencies(&self) -> Vec<Duration> {
         self.txs
             .values()
-            .filter_map(|r| match (r.submitted, r.confirmed) {
+            .filter_map(|r| match (r.submitted.get(), r.confirmed.get()) {
                 (Some(s), Some(c)) => Some(c - s),
                 _ => None,
             })
@@ -266,11 +268,11 @@ impl StatsCollector {
         let first_submit = self
             .txs
             .values()
-            .filter_map(|r| r.submitted)
+            .filter_map(|r| r.submitted.get())
             .min()
             .unwrap_or(SimTime::ZERO);
         // orthrus: allow(nondet-iter): max over all values — order-free fold.
-        let last_confirm = self.txs.values().filter_map(|r| r.confirmed).max();
+        let last_confirm = self.txs.values().filter_map(|r| r.confirmed.get()).max();
         let Some(last) = last_confirm else {
             return 0.0;
         };
@@ -289,7 +291,8 @@ impl StatsCollector {
             return Vec::new();
         }
         // orthrus: allow(nondet-iter): the collected times feed per-bucket counts — a commutative histogram, insensitive to visit order.
-        let confirmations: Vec<SimTime> = self.txs.values().filter_map(|r| r.confirmed).collect();
+        let confirmed = self.txs.values().filter_map(|r| r.confirmed.get());
+        let confirmations: Vec<SimTime> = confirmed.collect();
         let Some(&max_t) = confirmations.iter().max() else {
             return Vec::new();
         };
@@ -319,7 +322,7 @@ impl StatsCollector {
         let samples: Vec<(SimTime, Duration)> = self
             .txs
             .values()
-            .filter_map(|r| match (r.submitted, r.confirmed) {
+            .filter_map(|r| match (r.submitted.get(), r.confirmed.get()) {
                 (Some(s), Some(c)) => Some((c, c - s)),
                 _ => None,
             })
@@ -355,7 +358,8 @@ impl StatsCollector {
         let mut count = 0u64;
         // orthrus: allow(nondet-iter): per-stage sums and a count — commutative accumulation.
         for rec in self.txs.values() {
-            let (Some(submitted), Some(confirmed)) = (rec.submitted, rec.confirmed) else {
+            let (Some(submitted), Some(confirmed)) = (rec.submitted.get(), rec.confirmed.get())
+            else {
                 continue;
             };
             count += 1;
@@ -364,7 +368,7 @@ impl StatsCollector {
                 let idx = stage.index();
                 let end = match stage {
                     LatencyStage::Reply => confirmed,
-                    _ => rec.stages[idx].unwrap_or(prev),
+                    _ => rec.stages[idx].get().unwrap_or(prev),
                 };
                 let end = end.max(prev);
                 sums[idx] += (end - prev).as_micros();
@@ -454,13 +458,32 @@ mod tests {
     }
 
     #[test]
-    fn aborted_transactions_count_as_confirmed() {
+    fn a_record_fits_one_cache_line() {
+        assert!(std::mem::size_of::<TxRecord>() <= 64);
+    }
+
+    #[test]
+    fn first_stamp_wins() {
         let mut s = StatsCollector::new();
         s.tx_submitted(tx(0), at(0));
-        s.tx_aborted(tx(0), at(30));
-        assert_eq!(s.confirmed_count(), 1);
-        assert_eq!(s.aborted_count(), 1);
-        assert_eq!(s.average_latency(), Duration::from_millis(30));
+        s.stage_reached(tx(0), LatencyStage::Send, at(10));
+        s.stage_reached(tx(0), LatencyStage::Send, at(15));
+        s.stage_reached(tx(0), LatencyStage::Reply, at(50));
+        // Confirmation stamps `Reply` only if nothing did before; a second
+        // confirmation changes neither stamp.
+        s.tx_confirmed(tx(0), at(60));
+        s.tx_confirmed(tx(0), at(90));
+        s.tx_submitted(tx(1), at(0));
+        s.tx_confirmed(tx(1), at(40));
+        s.stage_reached(tx(1), LatencyStage::Reply, at(45));
+        let (first, second) = (&s.txs[&tx(0)], &s.txs[&tx(1)]);
+        assert_eq!(first.stages[0].get(), Some(at(10)));
+        assert_eq!(first.stages[4].get(), Some(at(50)));
+        assert_eq!(first.confirmed.get(), Some(at(60)));
+        assert_eq!(second.stages[4].get(), Some(at(40)));
+        assert_eq!(second.stages[1].get(), None);
+        assert_eq!(s.confirmed_count(), 2);
+        assert_eq!(s.average_latency(), Duration::from_millis(50));
     }
 
     #[test]
