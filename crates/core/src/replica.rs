@@ -200,6 +200,8 @@ pub struct ReplicaNode {
     selfish: bool,
     /// Total number of blocks this replica delivered across instances.
     delivered_blocks: u64,
+    /// Every other replica, in id order: the recipients of each broadcast.
+    peers: Vec<NodeId>,
     /// Per-instance stable-checkpoint frontier (drives log truncation).
     stable: SystemState,
     /// Latest stable-checkpoint certificate per instance.
@@ -277,6 +279,10 @@ impl ReplicaNode {
             replied: FxHashSet::default(),
             selfish: false,
             delivered_blocks: 0,
+            peers: (0..config.num_replicas)
+                .filter(|&r| r != me.value())
+                .map(NodeId::replica)
+                .collect(),
             stable: SystemState::new(total_instances as usize),
             stable_certs: vec![None; total_instances as usize],
             anchor: None,
@@ -380,13 +386,6 @@ impl ReplicaNode {
         self.protocol == ProtocolKind::Dqbft && instance == self.ordering_instance()
     }
 
-    fn all_replicas(&self) -> Vec<NodeId> {
-        (0..self.config.num_replicas)
-            .filter(|r| ReplicaId::new(*r) != self.me)
-            .map(NodeId::replica)
-            .collect()
-    }
-
     /// Snapshot of the delivered state `S` across all data instances, used as
     /// the `b.S` reference in new proposals.
     fn delivered_state(&self) -> SystemState {
@@ -416,19 +415,9 @@ impl ReplicaNode {
     ) {
         for action in actions {
             match action {
-                SbAction::Send { to, msg } => {
-                    ctx.send(
-                        NodeId::Replica(to),
-                        NetMessage::Consensus {
-                            instance,
-                            inner: msg,
-                        },
-                    );
-                }
                 SbAction::Broadcast { msg } => {
-                    let targets = self.all_replicas();
                     ctx.multicast(
-                        targets,
+                        self.peers.iter().copied(),
                         NetMessage::Consensus {
                             instance,
                             inner: msg,
@@ -1065,8 +1054,9 @@ impl ReplicaNode {
             // crash window were dropped). Re-relays received from here on
             // survive the install (bucket merge), so once is enough.
             let others: Vec<NodeId> = self
-                .all_replicas()
-                .into_iter()
+                .peers
+                .iter()
+                .copied()
                 .filter(|node| !targets.contains(node))
                 .collect();
             ctx.multicast(
@@ -1209,12 +1199,11 @@ mod tests {
     }
 
     #[test]
-    fn all_replicas_excludes_self() {
+    fn peers_exclude_self() {
         let config = ProtocolConfig::for_replicas(4);
         let node = ReplicaNode::new(ReplicaId::new(2), ProtocolKind::Iss, config, genesis());
-        let peers = node.all_replicas();
-        assert_eq!(peers.len(), 3);
-        assert!(!peers.contains(&NodeId::replica(2)));
+        let peers = [0, 1, 3].map(NodeId::replica);
+        assert_eq!(node.peers, peers);
     }
 
     #[test]

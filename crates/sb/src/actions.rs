@@ -1,7 +1,7 @@
 //! Output actions of a sequenced-broadcast instance.
 //!
 //! The PBFT state machine is IO-free: every handler returns a list of
-//! [`SbAction`]s describing what the hosting replica should do — send
+//! [`SbAction`]s describing what the hosting replica should do — broadcast
 //! messages, deliver blocks, or take note of control events. Keeping IO out
 //! of the state machine makes it directly unit-testable and lets the same
 //! code run under the discrete-event simulation or any other transport.
@@ -12,13 +12,6 @@ use orthrus_types::{ReplicaId, SharedBlock, StableCheckpoint, View};
 /// An instruction from an SB instance to its hosting replica.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SbAction {
-    /// Send `msg` to a single replica.
-    Send {
-        /// Destination replica.
-        to: ReplicaId,
-        /// Message to send.
-        msg: SbMessage,
-    },
     /// Send `msg` to every *other* replica (the instance has already applied
     /// the message's effect on itself where relevant).
     Broadcast {
@@ -61,9 +54,9 @@ impl SbAction {
         }
     }
 
-    /// Is this an outgoing-network action (send or broadcast)?
+    /// Is this an outgoing-network action (a broadcast)?
     pub fn is_network(&self) -> bool {
-        matches!(self, SbAction::Send { .. } | SbAction::Broadcast { .. })
+        matches!(self, SbAction::Broadcast { .. })
     }
 }
 
@@ -76,11 +69,6 @@ pub(crate) struct ActionSink {
 impl ActionSink {
     pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    #[allow(dead_code)] // kept for targeted messages (e.g. state transfer)
-    pub(crate) fn send(&mut self, to: ReplicaId, msg: SbMessage) {
-        self.actions.push(SbAction::Send { to, msg });
     }
 
     pub(crate) fn broadcast(&mut self, msg: SbMessage) {

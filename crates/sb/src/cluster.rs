@@ -12,11 +12,12 @@ use crate::messages::SbMessage;
 use crate::pbft::{PbftConfig, PbftInstance};
 use orthrus_types::{InstanceId, ReplicaId, SharedBlock, SimTime, StableCheckpoint};
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// A queued message: sender, explicit recipients, payload.
 struct Envelope {
     from: ReplicaId,
-    to: Vec<ReplicaId>,
+    to: Arc<[ReplicaId]>,
     msg: SbMessage,
 }
 
@@ -27,7 +28,8 @@ pub struct LocalCluster {
     checkpoints: Vec<Vec<StableCheckpoint>>,
     queue: VecDeque<Envelope>,
     silenced: BTreeSet<ReplicaId>,
-    num_replicas: u32,
+    /// Every replica, in id order: the recipients of each broadcast.
+    everyone: Arc<[ReplicaId]>,
 }
 
 impl LocalCluster {
@@ -50,7 +52,7 @@ impl LocalCluster {
             checkpoints: (0..n).map(|_| Vec::new()).collect(),
             queue: VecDeque::new(),
             silenced: BTreeSet::new(),
-            num_replicas: n,
+            everyone: (0..n).map(ReplicaId::new).collect(),
         }
     }
 
@@ -91,7 +93,11 @@ impl LocalCluster {
     /// Inject a message from `from` to an explicit set of recipients (used to
     /// simulate Byzantine equivocation).
     pub fn inject(&mut self, from: ReplicaId, to: Vec<ReplicaId>, msg: SbMessage) {
-        self.queue.push_back(Envelope { from, to, msg });
+        self.queue.push_back(Envelope {
+            from,
+            to: to.into(),
+            msg,
+        });
     }
 
     /// Route messages until the cluster is quiescent.
@@ -112,7 +118,7 @@ impl LocalCluster {
             if drop(&env.msg) || self.silenced.contains(&env.from) {
                 continue;
             }
-            for to in env.to {
+            for &to in env.to.iter() {
                 if to == env.from || self.silenced.contains(&to) {
                     continue;
                 }
@@ -126,21 +132,12 @@ impl LocalCluster {
         }
     }
 
-    fn all_replicas(&self) -> Vec<ReplicaId> {
-        (0..self.num_replicas).map(ReplicaId::new).collect()
-    }
-
     fn enqueue_actions(&mut self, from: ReplicaId, actions: Vec<SbAction>) {
         for action in actions {
             match action {
-                SbAction::Send { to, msg } => self.queue.push_back(Envelope {
-                    from,
-                    to: vec![to],
-                    msg,
-                }),
                 SbAction::Broadcast { msg } => self.queue.push_back(Envelope {
                     from,
-                    to: self.all_replicas(),
+                    to: Arc::clone(&self.everyone),
                     msg,
                 }),
                 SbAction::Deliver { block } => {

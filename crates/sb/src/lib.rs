@@ -31,6 +31,7 @@ pub mod cluster;
 pub mod failure_detector;
 pub mod messages;
 pub mod pbft;
+mod slots;
 
 pub use actions::SbAction;
 pub use cluster::LocalCluster;

@@ -22,6 +22,7 @@
 
 use crate::actions::{ActionSink, SbAction};
 use crate::messages::{PreparedProof, SbMessage};
+use crate::slots::SlotList;
 use orthrus_types::{
     CheckpointProof, Digest, InstanceId, ReplicaId, SeqNum, SharedBlock, SimTime, StableCheckpoint,
     View,
@@ -63,31 +64,43 @@ impl PbftConfig {
 
 /// The replicas that voted in one phase of one slot, as a bitset over
 /// replica ids: a quorum tally only ever inserts, counts and clears.
-/// [`PbftInstance::handle_message`] admits ids below `n` only, so the set
-/// never grows past `n` bits.
+/// Ids below 128 (every deployment the paper evaluates) live in one inline
+/// word, so a tally allocates nothing; higher ids spill into `high`, one bit
+/// per id from 128 up. [`PbftInstance::handle_message`] admits ids below `n`
+/// only, so the set never grows past `n` bits.
 #[derive(Debug, Default, Clone)]
 struct VoteSet {
-    words: Vec<u64>,
+    low: u128,
+    high: Vec<u64>,
 }
 
 impl VoteSet {
     /// Record `voter`'s vote; false if it had already voted.
     fn insert(&mut self, voter: ReplicaId) -> bool {
-        let (word, bit) = (voter.as_usize() / 64, 1u64 << (voter.value() % 64));
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
+        let id = voter.as_usize();
+        if id < 128 {
+            let bit = 1u128 << id;
+            let fresh = self.low & bit == 0;
+            self.low |= bit;
+            return fresh;
         }
-        let fresh = self.words[word] & bit == 0;
-        self.words[word] |= bit;
+        let (word, bit) = ((id - 128) / 64, 1u64 << (id % 64));
+        if word >= self.high.len() {
+            self.high.resize(word + 1, 0);
+        }
+        let fresh = self.high[word] & bit == 0;
+        self.high[word] |= bit;
         fresh
     }
 
     fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+        let high: u32 = self.high.iter().map(|w| w.count_ones()).sum();
+        (self.low.count_ones() + high) as usize
     }
 
     fn clear(&mut self) {
-        self.words.clear();
+        self.low = 0;
+        self.high.clear();
     }
 }
 
@@ -108,6 +121,18 @@ impl Slot {
     fn accepts_digest(&self, digest: Digest) -> bool {
         self.digest.is_none_or(|d| d == digest)
     }
+
+    /// Move to the commit phase once the proposal holds a prepare quorum:
+    /// record our own commit vote and return the digest to broadcast it for.
+    /// Returns `Some` at most once per slot.
+    fn enter_commit(&mut self, quorum: usize, me: ReplicaId) -> Option<Digest> {
+        if self.proposal.is_none() || self.sent_commit || self.prepares.len() < quorum {
+            return None;
+        }
+        self.sent_commit = true;
+        self.commits.insert(me);
+        self.digest
+    }
 }
 
 /// A PBFT sequenced-broadcast instance.
@@ -121,12 +146,13 @@ pub struct PbftInstance {
     cfg: PbftConfig,
     view: View,
     in_view_change: bool,
-    slots: BTreeMap<SeqNum, Slot>,
+    slots: SlotList<Slot>,
     next_delivery: SeqNum,
     next_propose: SeqNum,
     delivered_digest: Digest,
     delivered_count: u64,
-    checkpoint_votes: BTreeMap<SeqNum, BTreeMap<ReplicaId, Digest>>,
+    /// Checkpoint votes per sequence number, each tally sorted by voter.
+    checkpoint_votes: BTreeMap<SeqNum, Vec<(ReplicaId, Digest)>>,
     stable_checkpoint: Option<StableCheckpoint>,
     view_change_votes: BTreeMap<View, BTreeMap<ReplicaId, Vec<PreparedProof>>>,
     last_progress: SimTime,
@@ -139,7 +165,7 @@ impl PbftInstance {
             cfg,
             view: View::new(0),
             in_view_change: false,
-            slots: BTreeMap::new(),
+            slots: SlotList::default(),
             next_delivery: SeqNum::new(0),
             next_propose: SeqNum::new(0),
             delivered_digest: Digest::EMPTY,
@@ -255,16 +281,16 @@ impl PbftInstance {
         }
         let sn = block.header.sn;
         let digest = block.digest();
+        let (quorum, me) = (self.cfg.quorum(), self.cfg.me);
         self.next_propose = sn.next();
-        {
-            let slot = self.slots.entry(sn).or_default();
-            slot.proposal = Some(Arc::clone(&block));
-            slot.digest = Some(digest);
-            // The pre-prepare counts as the leader's attestation.
-            slot.prepares.insert(self.cfg.me);
-        }
+        let slot = self.slots.get_or_default(sn);
+        slot.proposal = Some(Arc::clone(&block));
+        slot.digest = Some(digest);
+        // The pre-prepare counts as the leader's attestation.
+        slot.prepares.insert(me);
+        let commit = slot.enter_commit(quorum, me);
         sink.broadcast(SbMessage::PrePrepare { block });
-        self.check_prepared(sn, &mut sink);
+        self.broadcast_commit(sn, commit, &mut sink);
         self.try_deliver(now, &mut sink);
         sink.into_vec()
     }
@@ -358,41 +384,34 @@ impl PbftInstance {
             return; // already delivered
         }
         let digest = block.digest();
-        let me = self.cfg.me;
-        let leader = self.current_leader();
-        let view = self.view;
-        let instance = self.cfg.instance;
-        let mut broadcast_prepare = false;
-        {
-            let slot = self.slots.entry(sn).or_default();
-            if let Some(existing) = slot.digest {
-                if existing != digest {
-                    // Equivocation or conflict with an already-voted digest:
-                    // ignore the later proposal.
-                    return;
-                }
-            }
-            if slot.proposal.is_none() {
-                slot.proposal = Some(block);
-                slot.digest = Some(digest);
-            }
-            // Leader's pre-prepare and our own prepare both attest.
-            slot.prepares.insert(leader);
-            if slot.prepares.insert(me) {
-                broadcast_prepare = true;
-            }
+        let (quorum, me, leader) = (self.cfg.quorum(), self.cfg.me, self.current_leader());
+        let slot = self.slots.get_or_default(sn);
+        if !slot.accepts_digest(digest) {
+            // Equivocation or conflict with an already-voted digest: ignore
+            // the later proposal.
+            return;
         }
-        if broadcast_prepare && me != leader {
+        if slot.proposal.is_none() {
+            slot.proposal = Some(block);
+            slot.digest = Some(digest);
+        }
+        // Leader's pre-prepare and our own prepare both attest.
+        slot.prepares.insert(leader);
+        let broadcast_prepare = slot.prepares.insert(me) && me != leader;
+        let commit = slot.enter_commit(quorum, me);
+        if broadcast_prepare {
             sink.broadcast(SbMessage::Prepare {
-                instance,
-                view,
+                instance: self.cfg.instance,
+                view: self.view,
                 sn,
                 digest,
                 voter: me,
             });
         }
-        self.check_prepared(sn, sink);
-        self.try_deliver(now, sink);
+        self.broadcast_commit(sn, commit, sink);
+        if sn == self.next_delivery {
+            self.try_deliver(now, sink);
+        }
     }
 
     fn on_prepare(
@@ -407,18 +426,20 @@ impl PbftInstance {
         if view != self.view || self.in_view_change || sn < self.next_delivery {
             return;
         }
-        {
-            let slot = self.slots.entry(sn).or_default();
-            if !slot.accepts_digest(digest) {
-                return;
-            }
-            if slot.digest.is_none() {
-                slot.digest = Some(digest);
-            }
-            slot.prepares.insert(voter);
+        let (quorum, me) = (self.cfg.quorum(), self.cfg.me);
+        let slot = self.slots.get_or_default(sn);
+        if !slot.accepts_digest(digest) {
+            return;
         }
-        self.check_prepared(sn, sink);
-        self.try_deliver(now, sink);
+        if slot.digest.is_none() {
+            slot.digest = Some(digest);
+        }
+        slot.prepares.insert(voter);
+        let commit = slot.enter_commit(quorum, me);
+        self.broadcast_commit(sn, commit, sink);
+        if sn == self.next_delivery {
+            self.try_deliver(now, sink);
+        }
     }
 
     fn on_commit(
@@ -433,68 +454,56 @@ impl PbftInstance {
         if view != self.view || self.in_view_change || sn < self.next_delivery {
             return;
         }
-        {
-            let slot = self.slots.entry(sn).or_default();
-            if !slot.accepts_digest(digest) {
-                return;
-            }
-            slot.commits.insert(voter);
+        let (quorum, me) = (self.cfg.quorum(), self.cfg.me);
+        let slot = self.slots.get_or_default(sn);
+        if !slot.accepts_digest(digest) {
+            return;
         }
-        self.check_prepared(sn, sink);
-        self.try_deliver(now, sink);
+        slot.commits.insert(voter);
+        let commit = slot.enter_commit(quorum, me);
+        self.broadcast_commit(sn, commit, sink);
+        if sn == self.next_delivery {
+            self.try_deliver(now, sink);
+        }
     }
 
-    /// If the slot has a proposal and a prepare quorum, move to the commit
-    /// phase (once).
-    fn check_prepared(&mut self, sn: SeqNum, sink: &mut ActionSink) {
-        let quorum = self.cfg.quorum();
-        let me = self.cfg.me;
-        let view = self.view;
-        let instance = self.cfg.instance;
-        let Some(slot) = self.slots.get_mut(&sn) else {
-            return;
-        };
-        if slot.proposal.is_none() || slot.sent_commit {
-            return;
-        }
-        if slot.prepares.len() >= quorum {
-            slot.sent_commit = true;
-            slot.commits.insert(me);
-            let digest = slot.digest.expect("proposal implies digest");
+    /// Broadcast our commit vote for `sn` if its slot just entered the
+    /// commit phase ([`Slot::enter_commit`] returned its digest).
+    fn broadcast_commit(&self, sn: SeqNum, digest: Option<Digest>, sink: &mut ActionSink) {
+        if let Some(digest) = digest {
             sink.broadcast(SbMessage::Commit {
-                instance,
-                view,
+                instance: self.cfg.instance,
+                view: self.view,
                 sn,
                 digest,
-                voter: me,
+                voter: self.cfg.me,
             });
         }
     }
 
     /// Deliver committed slots in sequence-number order.
+    ///
+    /// Between calls the slot at `next_delivery` is never ready: every path
+    /// that can make it ready (a proposal, a vote for it, a new view) ends
+    /// here, and checkpoint garbage collection only removes slots. A vote for
+    /// any other sequence number therefore cannot make anything deliverable,
+    /// so the vote handlers call this only for `sn == next_delivery`.
     fn try_deliver(&mut self, now: SimTime, sink: &mut ActionSink) {
         let quorum = self.cfg.quorum();
         loop {
             let sn = self.next_delivery;
-            let ready = match self.slots.get(&sn) {
-                Some(slot) => {
-                    slot.proposal.is_some()
-                        && slot.sent_commit
-                        && slot.commits.len() >= quorum
-                        && !slot.delivered
+            let block = match self.slots.get_mut(sn) {
+                Some(slot)
+                    if slot.sent_commit && !slot.delivered && slot.commits.len() >= quorum =>
+                {
+                    let Some(block) = slot.proposal.clone() else {
+                        break;
+                    };
+                    slot.delivered = true;
+                    block
                 }
-                None => false,
+                _ => break,
             };
-            if !ready {
-                break;
-            }
-            let slot = self.slots.get_mut(&sn).expect("checked above");
-            slot.delivered = true;
-            let block = slot
-                .proposal
-                .as_ref()
-                .map(Arc::clone)
-                .expect("checked above");
             self.delivered_digest = self.delivered_digest.combine(block.digest());
             self.delivered_count += 1;
             self.next_delivery = sn.next();
@@ -551,13 +560,16 @@ impl PbftInstance {
             }
         }
         let votes = self.checkpoint_votes.entry(sn).or_default();
-        votes.insert(voter, digest);
-        let matching = votes.values().filter(|d| **d == digest).count();
+        match votes.binary_search_by_key(&voter, |&(r, _)| r) {
+            Ok(at) => votes[at].1 = digest,
+            Err(at) => votes.insert(at, (voter, digest)),
+        }
+        let matching = votes.iter().filter(|(_, d)| *d == digest).count();
         if matching >= self.cfg.quorum() {
             let voters: Vec<ReplicaId> = votes
                 .iter()
-                .filter(|(_, d)| **d == digest)
-                .map(|(r, _)| *r)
+                .filter(|(_, d)| *d == digest)
+                .map(|&(r, _)| r)
                 .collect();
             // The quorum of matching votes *is* the certificate: surface it
             // instead of counting and dropping it, so the ordering and
@@ -573,7 +585,7 @@ impl PbftInstance {
             // Garbage-collect below the low-water mark: delivered slots
             // covered by the checkpoint and stale checkpoint tallies.
             self.slots
-                .retain(|slot_sn, slot| *slot_sn > sn || !slot.delivered);
+                .retain(|slot_sn, slot| slot_sn > sn || !slot.delivered);
             self.checkpoint_votes.retain(|vote_sn, _| *vote_sn > sn);
             sink.stable_checkpoint(checkpoint);
         }
@@ -587,10 +599,10 @@ impl PbftInstance {
         self.slots
             .iter()
             .filter(|(sn, slot)| {
-                **sn >= self.next_delivery && slot.sent_commit && slot.proposal.is_some()
+                *sn >= self.next_delivery && slot.sent_commit && slot.proposal.is_some()
             })
             .map(|(sn, slot)| PreparedProof {
-                sn: *sn,
+                sn,
                 block: slot
                     .proposal
                     .as_ref()
@@ -747,10 +759,11 @@ impl PbftInstance {
         // Drop voting state of undelivered, uncommitted slots: they will be
         // re-proposed (either from the carried reproposals or from the new
         // leader's bucket).
+        let (next_delivery, quorum) = (self.next_delivery, self.cfg.quorum());
         self.slots.retain(|sn, slot| {
-            *sn < self.next_delivery
+            sn < next_delivery
                 || slot.delivered
-                || (slot.sent_commit && slot.commits.len() >= self.cfg.quorum())
+                || (slot.sent_commit && slot.commits.len() >= quorum)
         });
 
         let mut highest = self.next_delivery;
@@ -763,7 +776,7 @@ impl PbftInstance {
                 highest = sn.next();
             }
             let digest = block.digest();
-            let slot = self.slots.entry(sn).or_default();
+            let slot = self.slots.get_or_default(sn);
             if slot.delivered {
                 continue;
             }
@@ -794,9 +807,17 @@ impl PbftInstance {
         }
         sink.view_changed(new_view, leader);
         // A prepare quorum may already exist for re-proposed slots.
-        let sns: Vec<SeqNum> = self.slots.keys().copied().collect();
-        for sn in sns {
-            self.check_prepared(sn, sink);
+        let instance = self.cfg.instance;
+        for (sn, slot) in self.slots.iter_mut() {
+            if let Some(digest) = slot.enter_commit(quorum, me) {
+                sink.broadcast(SbMessage::Commit {
+                    instance,
+                    view: new_view,
+                    sn,
+                    digest,
+                    voter: me,
+                });
+            }
         }
         self.try_deliver(now, sink);
     }
@@ -863,7 +884,8 @@ mod tests {
     fn vote_set_inserts_counts_and_clears_across_words() {
         let mut votes = VoteSet::default();
         assert_eq!(votes.len(), 0);
-        for (i, id) in [0, 63, 64, 127, 200].into_iter().enumerate() {
+        // 127 is the last inline id; 128 and 129 are the first to spill.
+        for (i, id) in [0, 63, 64, 127, 128, 129, 200].into_iter().enumerate() {
             assert!(votes.insert(ReplicaId::new(id)), "first vote of {id}");
             assert!(!votes.insert(ReplicaId::new(id)), "duplicate vote of {id}");
             assert_eq!(votes.len(), i + 1);
@@ -871,11 +893,14 @@ mod tests {
         // Earlier words survive growth, and a low id after a high one lands.
         assert!(!votes.insert(ReplicaId::new(0)));
         assert!(votes.insert(ReplicaId::new(1)));
-        assert_eq!(votes.len(), 6);
+        assert_eq!(votes.len(), 8);
+        // Clearing after a spill empties both halves.
         votes.clear();
         assert_eq!(votes.len(), 0);
-        assert!(votes.insert(ReplicaId::new(200)));
-        assert_eq!(votes.len(), 1);
+        for id in [127, 128, 129, 200] {
+            assert!(votes.insert(ReplicaId::new(id)), "vote of {id} after clear");
+        }
+        assert_eq!(votes.len(), 4);
     }
 
     #[test]
@@ -972,7 +997,7 @@ mod tests {
             assert_eq!(inst.delivered_count(), 4);
             assert_eq!(inst.stable_checkpoint(), Some(SeqNum::new(3)));
             // Delivered slots up to the checkpoint were garbage collected.
-            assert!(inst.slots.keys().all(|sn| sn.value() > 3));
+            assert!(inst.slots.iter().all(|(sn, _)| sn.value() > 3));
             assert!(inst.retained_slots() <= 1);
         }
     }

@@ -37,7 +37,7 @@ use crate::network::NetworkConfig;
 use crate::node::{NodeId, Payload};
 use crate::stats::StatsCollector;
 use orthrus_types::rng::StdRng;
-use orthrus_types::{Duration, FxHashMap, FxHashSet, SimTime};
+use orthrus_types::{Duration, FxHashSet, SimTime};
 use std::hash::{Hash, Hasher};
 
 /// Internal events moved through the queue.
@@ -94,7 +94,7 @@ pub struct SimulationReport {
     pub peak_queue_len: u64,
 }
 
-/// An actor and its private simulation state: one map lookup per invocation
+/// An actor and its private simulation state: one index per invocation
 /// reaches all of it.
 struct NodeState<M> {
     actor: Box<dyn Actor<M>>,
@@ -107,9 +107,61 @@ struct NodeState<M> {
     timer_seq: u64,
 }
 
+/// The registered nodes: one dense table per node kind, indexed by the id's
+/// value, so a dispatch reaches its node with one bounds-checked index
+/// instead of a hash probe. Ids are meant to be numbered densely from 0 per
+/// kind (the runner registers replicas `0..n` and client actors `0..c`); an
+/// unregistered id resolves to `None`.
+struct Nodes<M> {
+    replicas: Vec<Option<NodeState<M>>>,
+    clients: Vec<Option<NodeState<M>>>,
+}
+
+impl<M> Nodes<M> {
+    fn new() -> Self {
+        Self {
+            replicas: Vec::new(),
+            clients: Vec::new(),
+        }
+    }
+
+    fn table_mut(&mut self, id: NodeId) -> (&mut Vec<Option<NodeState<M>>>, usize) {
+        match id {
+            NodeId::Replica(r) => (&mut self.replicas, r.as_usize()),
+            NodeId::Client(c) => (&mut self.clients, c.as_usize()),
+        }
+    }
+
+    /// Register (or replace) the state of `id`.
+    fn insert(&mut self, id: NodeId, state: NodeState<M>) {
+        let (table, index) = self.table_mut(id);
+        if table.len() <= index {
+            table.resize_with(index + 1, || None);
+        }
+        table[index] = Some(state);
+    }
+
+    fn get(&self, id: NodeId) -> Option<&NodeState<M>> {
+        let (table, index) = match id {
+            NodeId::Replica(r) => (&self.replicas, r.as_usize()),
+            NodeId::Client(c) => (&self.clients, c.as_usize()),
+        };
+        table.get(index)?.as_ref()
+    }
+
+    fn get_mut(&mut self, id: NodeId) -> Option<&mut NodeState<M>> {
+        let (table, index) = self.table_mut(id);
+        table.get_mut(index)?.as_mut()
+    }
+
+    fn len(&self) -> usize {
+        self.replicas.iter().chain(&self.clients).flatten().count()
+    }
+}
+
 /// The simulation: actors plus the virtual world they live in.
 pub struct Simulation<M> {
-    nodes: FxHashMap<NodeId, NodeState<M>>,
+    nodes: Nodes<M>,
     queue: EventQueue<EngineEvent<M>>,
     network: NetworkConfig,
     faults: FaultPlan,
@@ -120,6 +172,16 @@ pub struct Simulation<M> {
     /// Armed timers that were cancelled. Entries leave when the timer's event
     /// pops (even if the node crashed meanwhile), so long runs do not leak.
     cancelled_timers: FxHashSet<(NodeId, u64)>,
+    /// What the running handler buffered through its [`Context`]. Each
+    /// `invoke` drains all three, so they are empty between invocations and
+    /// only their capacity carries over.
+    outbox: Vec<Outbound<M>>,
+    timer_requests: Vec<(Duration, u64, TimerId)>,
+    cancel_requests: Vec<u64>,
+    /// Emptied plans of finished [`EngineEvent::DeliverBatch`]es, reused by
+    /// the next multicasts; never longer than the peak number of batches
+    /// that were in flight at once.
+    plan_pool: Vec<Vec<(SimTime, NodeId)>>,
     now: SimTime,
     seed: u64,
     events_processed: u64,
@@ -150,13 +212,17 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
     /// Create a simulation over the given network and fault plan.
     pub fn with_faults(network: NetworkConfig, faults: FaultPlan, seed: u64) -> Self {
         Self {
-            nodes: FxHashMap::default(),
+            nodes: Nodes::new(),
             queue: EventQueue::new(),
             network,
             faults,
             stats: StatsCollector::new(),
             armed_timers: FxHashSet::default(),
             cancelled_timers: FxHashSet::default(),
+            outbox: Vec::new(),
+            timer_requests: Vec::new(),
+            cancel_requests: Vec::new(),
+            plan_pool: Vec::new(),
             now: SimTime::ZERO,
             seed,
             events_processed: 0,
@@ -186,7 +252,8 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
     /// Register an actor. Its `on_start` handler runs at the current virtual
     /// time once the simulation is (next) run. If the fault plan gives the
     /// node a crash-recover window, its restart (`on_recover`) is scheduled
-    /// at the window's `recover_at`.
+    /// at the window's `recover_at`. Nodes live in per-kind tables indexed by
+    /// id, so number each kind densely from 0.
     pub fn add_actor(&mut self, id: NodeId, actor: Box<dyn Actor<M>>) {
         let mut hasher = orthrus_types::crypto::FnvHasher::default();
         id.hash(&mut hasher);
@@ -242,7 +309,7 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
 
     /// Look at an actor's final state, down-cast to its concrete type.
     pub fn actor_as<T: 'static>(&self, id: NodeId) -> Option<&T> {
-        let state = self.nodes.get(&id)?;
+        let state = self.nodes.get(id)?;
         state.actor.as_any().downcast_ref()
     }
 
@@ -329,7 +396,13 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
 
     /// Deliver the due prefix of a coalesced multicast, then re-schedule the
     /// remainder as the same single queue entry.
-    fn dispatch_batch(&mut self, from: NodeId, msg: M, plan: Vec<(SimTime, NodeId)>, start: usize) {
+    fn dispatch_batch(
+        &mut self,
+        from: NodeId,
+        msg: M,
+        mut plan: Vec<(SimTime, NodeId)>,
+        start: usize,
+    ) {
         let mut due_end = start;
         while due_end < plan.len() && plan[due_end].0 <= self.now {
             due_end += 1;
@@ -348,6 +421,8 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
         if due_end == plan.len() {
             let (_, to) = plan[due_end - 1];
             self.invoke(to, Invocation::Message { from, msg });
+            plan.clear();
+            self.plan_pool.push(plan);
         } else {
             self.queue.schedule(
                 plan[due_end].0,
@@ -368,22 +443,19 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
         if self.node_crashed(node, self.now) {
             return;
         }
-        let Some(state) = self.nodes.get_mut(&node) else {
+        let Some(state) = self.nodes.get_mut(node) else {
             return;
         };
 
-        let mut outbox: Vec<Outbound<M>> = Vec::new();
-        let mut timer_requests: Vec<(Duration, u64, TimerId)> = Vec::new();
-        let mut cancel_requests: Vec<u64> = Vec::new();
         {
             let mut ctx = Context {
                 now: self.now,
                 self_id: node,
                 rng: &mut state.rng,
                 stats: &mut self.stats,
-                outbox: &mut outbox,
-                timer_requests: &mut timer_requests,
-                cancel_requests: &mut cancel_requests,
+                outbox: &mut self.outbox,
+                timer_requests: &mut self.timer_requests,
+                cancel_requests: &mut self.cancel_requests,
                 next_timer_id: &mut state.timer_seq,
             };
             match invocation {
@@ -395,7 +467,7 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
         }
 
         // Apply buffered timer requests.
-        for (delay, tag, id) in timer_requests {
+        for (delay, tag, id) in self.timer_requests.drain(..) {
             self.armed_timers.insert((node, id.0));
             self.queue
                 .schedule(self.now + delay, EngineEvent::Timer { node, id, tag });
@@ -403,7 +475,7 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
         // Apply buffered cancellations. Only a still-armed timer leaves a
         // tombstone; cancelling an already-fired handle is a true no-op, so
         // neither set can grow without bound.
-        for id in cancel_requests {
+        for id in self.cancel_requests.drain(..) {
             if self.armed_timers.remove(&(node, id)) {
                 self.cancelled_timers.insert((node, id));
             }
@@ -411,12 +483,12 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
         // Run buffered sends through the network model in send order: each
         // charges the wire counters, takes its NIC slot(s), draws its link
         // jitter from the sender's stream and goes straight into the queue.
-        if outbox.is_empty() {
+        if self.outbox.is_empty() {
             return;
         }
         let (network, faults, now) = (&self.network, &self.faults, self.now);
         let slow_from = slowdown_of(faults, node);
-        for item in outbox {
+        for item in self.outbox.drain(..) {
             let (msg, copies) = match &item {
                 Outbound::One(_, msg) => (msg, 1),
                 Outbound::Many(recipients, msg) => (msg, recipients.len() as u64),
@@ -442,11 +514,9 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
                 // An `n`-way multicast is charged exactly as `n` unicasts but
                 // occupies one queue entry.
                 Outbound::Many(recipients, msg) => {
-                    let mut plan: Vec<(SimTime, NodeId)> =
-                        recipients.into_iter().map(|to| (arrival(to), to)).collect();
-                    // Stable sort: equal arrivals keep recipient order, matching
-                    // the seq tie-break the per-recipient path would have produced.
-                    plan.sort_by_key(|&(at, _)| at);
+                    let mut plan = self.plan_pool.pop().unwrap_or_default();
+                    plan.extend(recipients.into_iter().map(|to| (arrival(to), to)));
+                    sort_by_arrival(&mut plan);
                     self.queue.schedule(
                         plan[0].0,
                         EngineEvent::DeliverBatch {
@@ -470,6 +540,18 @@ fn slowdown_of(faults: &FaultPlan, node: NodeId) -> f64 {
     }
 }
 
+/// `delay` stretched by a straggler's slowdown `factor`. Every node that is
+/// not a straggler has factor exactly 1.0, where the float round trip is
+/// skipped: `(x as f64 * 1.0).round() as u64 == x` for every `x < 2^53` µs,
+/// so the result is bit-identical to `mul_f64`.
+fn slowed(delay: Duration, factor: f64) -> Duration {
+    if factor == 1.0 {
+        delay
+    } else {
+        delay.mul_f64(factor)
+    }
+}
+
 /// When the sender's NIC can start serializing the next message of `bytes`,
 /// and how long one copy takes on the wire.
 fn nic_slot(
@@ -479,9 +561,9 @@ fn nic_slot(
     bytes: u64,
     slow_from: f64,
 ) -> (SimTime, Duration) {
-    let processing = network.processing_per_message.mul_f64(slow_from);
+    let processing = slowed(network.processing_per_message, slow_from);
     let ready = now + processing;
-    let serialization = network.serialization_delay(bytes).mul_f64(slow_from);
+    let serialization = slowed(network.serialization_delay(bytes), slow_from);
     let start = if nic_free > ready { nic_free } else { ready };
     (start, serialization)
 }
@@ -499,11 +581,25 @@ fn copy_arrival(
     slow_from: f64,
     rng: &mut StdRng,
 ) -> SimTime {
-    let propagation = network.sample_latency(from, to, rng).mul_f64(slow_from);
-    let recv_processing = network
-        .processing_per_message
-        .mul_f64(slowdown_of(faults, to));
+    let propagation = slowed(network.sample_latency(from, to, rng), slow_from);
+    let recv_processing = slowed(network.processing_per_message, slowdown_of(faults, to));
     done + propagation + recv_processing
+}
+
+/// Stable insertion sort of a multicast plan by arrival time: equal arrivals
+/// keep recipient order, matching the `seq` tie-break the per-recipient path
+/// would have produced. A plan is one fan-out (`n - 1` entries), short
+/// enough that this beats the allocating merge sort behind `sort_by_key`.
+fn sort_by_arrival(plan: &mut [(SimTime, NodeId)]) {
+    for i in 1..plan.len() {
+        let entry = plan[i];
+        let mut j = i;
+        while j > 0 && plan[j - 1].0 > entry.0 {
+            plan[j] = plan[j - 1];
+            j -= 1;
+        }
+        plan[j] = entry;
+    }
 }
 
 #[cfg(test)]
