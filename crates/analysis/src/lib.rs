@@ -150,6 +150,15 @@ mod tests {
     }
 
     #[test]
+    fn nondet_iter_sees_through_arc_wrapped_maps() {
+        let src = "use orthrus_types::FxHashMap;\n\
+                   struct S { m: Arc<FxHashMap<u32, u32>> }\n\
+                   impl S { fn f(&self) -> u32 { self.m.values().sum() } }\n";
+        let report = run("crates/execution/src/x.rs", src);
+        assert_eq!(codes(&report), vec!["ORT001"]);
+    }
+
+    #[test]
     fn nondet_iter_respects_suppression_with_reason() {
         let src = "use std::collections::HashMap;\n\
                    fn f(m: HashMap<u32, u64>) -> u64 {\n\

@@ -324,8 +324,9 @@ fn word_positions(text: &str, word: &str) -> Vec<usize> {
 }
 
 /// Pass 1 of nondet-iter: names bound to hash-container types in non-test
-/// code. Matches field/param declarations (`name: [&]['a][mut] [path::]Type`)
-/// and let-constructions (`let [mut] name = [path::]Type::`).
+/// code. Matches field/param declarations
+/// (`name: [&]['a][mut] [Arc<][path::]Type`) and let-constructions
+/// (`let [mut] name = [path::]Type::`).
 fn hash_bound_names(lines: &[Line]) -> Vec<String> {
     let mut names: Vec<String> = Vec::new();
     for line in lines {
@@ -346,6 +347,10 @@ fn hash_bound_names(lines: &[Line]) -> Vec<String> {
                     let before = rest;
                     rest = rest.trim_end_matches('&').trim_end();
                     if let Some(s) = rest.strip_suffix("mut") {
+                        rest = s.trim_end();
+                    }
+                    // A copy-on-write wrapper iterates like the map inside.
+                    if let Some(s) = rest.strip_suffix("Arc<") {
                         rest = s.trim_end();
                     }
                     if let Some(apos) = rest.rfind('\'') {

@@ -8,8 +8,8 @@
 //! * **Multi-payer share** — how much the cross-instance escrow costs as more
 //!   payments span two instances.
 //! * **Hot accounts** — a skewed workload (`zipf_exponent ≥ 1.2`) that
-//!   concentrates load on one bucket / state shard; the per-shard op counts
-//!   recorded in each `MeasuredPoint` quantify the imbalance.
+//!   concentrates load on one bucket / SB instance; the per-instance write
+//!   counts recorded in each `MeasuredPoint` quantify the skew.
 //!
 //! All four grids live in the spec registry (`scenarios/ablation_*.orth`);
 //! this bench lowers, runs and prints them.
@@ -41,9 +41,9 @@ fn main() {
         let points = harness::measure_sweep(&jobs);
         for point in &points {
             if figure == "ablation_hot_account" {
-                let imbalance = harness::shard_imbalance(&point.shard_ops);
+                let imbalance = harness::instance_imbalance(&point.shard_ops);
                 println!(
-                    "    hottest shard carries {imbalance:.2}x the mean load (ops {:?})",
+                    "    busiest instance carries {imbalance:.2}x the mean load (ops {:?})",
                     point.shard_ops
                 );
             }

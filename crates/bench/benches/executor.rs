@@ -1,34 +1,29 @@
-//! Executor snapshot: quantifies the sharded execution state and records
-//! the result to `BENCH_executor.json` at the repository root.
+//! Executor snapshot: quantifies the execution state and records the result
+//! to `BENCH_executor.json` at the repository root.
 //!
-//! Three measurements:
+//! Two measurements:
 //!
 //! 1. **Plog execution** — a payment fast-path workload with a realistic
 //!    population of outstanding contract escrows (contracts waiting for
 //!    global ordering, as in the paper's 46%-payment trace), executed by
-//!    (a) a faithful re-implementation of the pre-sharding executor (single
+//!    (a) a faithful re-implementation of the original executor (one
 //!    `BTreeMap` store, escrow commit via a full-log `retain` scan) and (b)
-//!    the executor's schedule walk — the one the replica runs — over a
-//!    single-shard store and over m ∈ {4, 8, 16}-shard stores. All variants
-//!    must agree on committed counts and final balances; the sharded digests
-//!    must also agree across shard counts.
+//!    the executor's schedule walk — the one the replica runs — over the
+//!    hash-map store. Both must agree on committed counts and final supply.
 //! 2. **Digest micro** — incremental `digest()` vs `rescan_digest()` on a
 //!    ≥ 100k-object store (the cost the scenario runner pays every time it
 //!    compares replica states).
-//! 3. **Hot-account ablation** — the same plog workload with Zipf-1.4 payer
-//!    skew: per-shard op counts quantify the imbalance a hot account causes.
 //!
 //! Run with `cargo bench --bench executor` (reduced scale) or
 //! `ORTHRUS_FULL_SCALE=1 cargo bench --bench executor` (paper scale).
 
-use orthrus_bench::harness::{self, BenchScale};
+use orthrus_bench::harness::BenchScale;
 use orthrus_execution::{Executor, ObjectStore, TxOutcome};
 use orthrus_types::rng::{Rng, StdRng};
 use orthrus_types::{
     Amount, Block, BlockParams, ClientId, Epoch, InstanceId, ObjectKey, ObjectOp, Rank, SeqNum,
     SharedBlock, SystemState, Transaction, TxId, View,
 };
-use orthrus_workload::Zipf;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,8 +33,7 @@ use std::time::Instant;
 // ----------------------------------------------------------------------
 
 struct PlogWorkload {
-    /// Payment schedule bucketed per instance for a given m, rebuilt per
-    /// shard count (bucketing depends on m).
+    /// The payment stream, in submission order.
     payments: Vec<Arc<Transaction>>,
     /// Contract transactions whose escrows sit outstanding while the
     /// payments execute.
@@ -47,20 +41,11 @@ struct PlogWorkload {
     accounts: u64,
 }
 
-fn build_workload(
-    accounts: u64,
-    outstanding: usize,
-    payments: usize,
-    zipf: Option<f64>,
-) -> PlogWorkload {
+fn build_workload(accounts: u64, outstanding: usize, payments: usize) -> PlogWorkload {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let sampler = zipf.map(|e| Zipf::new(accounts as usize, e));
     let mut out = Vec::with_capacity(payments);
     for i in 0..payments {
-        let payer: u64 = match &sampler {
-            Some(z) => z.sample(&mut rng) as u64,
-            None => rng.gen_range(0..accounts),
-        };
+        let payer: u64 = rng.gen_range(0..accounts);
         let mut payee: u64 = rng.gen_range(0..accounts);
         if payee == payer {
             payee = (payee + 1) % accounts;
@@ -93,72 +78,56 @@ fn build_workload(
     }
 }
 
-/// Bucket the payments by payer shard and pack them into per-instance blocks
-/// of `batch` transactions, interleaved in the order `drain_ready` yields.
-fn build_schedule(workload: &PlogWorkload, m: u32, batch: usize) -> Vec<(InstanceId, SharedBlock)> {
-    let mut buckets: Vec<std::collections::VecDeque<Arc<Transaction>>> =
-        (0..m).map(|_| std::collections::VecDeque::new()).collect();
-    for tx in &workload.payments {
-        let payer = tx.payers().next().expect("payments have a payer");
-        buckets[payer.shard(m) as usize].push_back(Arc::clone(tx));
-    }
-    let mut schedule = Vec::new();
-    let mut next_sn = vec![0u64; m as usize];
-    loop {
-        let mut progressed = false;
-        for i in 0..m as usize {
-            if buckets[i].is_empty() {
-                continue;
-            }
-            let txs: Vec<Arc<Transaction>> =
-                (0..batch).map_while(|_| buckets[i].pop_front()).collect();
+/// Pack the payments into blocks of `batch` transactions of one instance,
+/// in order.
+fn build_schedule(workload: &PlogWorkload, batch: usize) -> Vec<(InstanceId, SharedBlock)> {
+    workload
+        .payments
+        .chunks(batch)
+        .enumerate()
+        .map(|(sn, txs)| {
             let params = BlockParams {
-                instance: InstanceId::new(i as u32),
-                sn: SeqNum::new(next_sn[i]),
+                instance: InstanceId::new(0),
+                sn: SeqNum::new(sn as u64),
                 epoch: Epoch::new(0),
                 view: View::new(0),
-                proposer: orthrus_types::ReplicaId::new(i as u32),
-                rank: Rank::new(next_sn[i]),
-                state: SystemState::new(m as usize),
+                proposer: orthrus_types::ReplicaId::new(0),
+                rank: Rank::new(sn as u64),
+                state: SystemState::new(1),
             };
-            next_sn[i] += 1;
-            schedule.push((
-                InstanceId::new(i as u32),
-                Arc::new(Block::from_shared(params, txs)),
-            ));
-            progressed = true;
-        }
-        if !progressed {
-            break;
-        }
-    }
-    schedule
+            let block = Block::from_shared(params, txs.to_vec());
+            (InstanceId::new(0), Arc::new(block))
+        })
+        .collect()
 }
 
-fn new_executor(workload: &PlogWorkload, m: u32) -> Executor {
-    let mut store = ObjectStore::with_shards(m);
+/// Every key routes to the one instance of the schedule.
+fn assign(_: ObjectKey) -> InstanceId {
+    InstanceId::new(0)
+}
+
+fn new_executor(workload: &PlogWorkload) -> Executor {
+    let mut store = ObjectStore::new();
     for c in 0..workload.accounts + workload.pending_contracts.len() as u64 {
         store.create_account(ObjectKey::account_of(ClientId::new(c)), 1_000_000);
     }
     store.create_shared(ObjectKey::new(1 << 48), 0);
     let mut exec = Executor::with_store(store);
     // Seed the outstanding contract escrows through the ordinary plog path.
-    let assign = move |key: ObjectKey| InstanceId::new(key.shard(m));
     for tx in &workload.pending_contracts {
-        let instance = assign(tx.payers().next().unwrap());
-        let outcome = exec.process_plog_tx(tx, instance, &assign);
+        let outcome = exec.process_plog_tx(tx, InstanceId::new(0), &assign);
         assert_eq!(outcome, None, "contract escrow must stay outstanding");
     }
     exec
 }
 
 // ----------------------------------------------------------------------
-// Baseline: the pre-sharding executor (PR 2 state of the code)
+// Baseline: the original executor
 // ----------------------------------------------------------------------
 
 /// Minimal, faithful replica of the old payment fast path: one `BTreeMap`
 /// store and an escrow log whose commit/abort walk the *entire* log with
-/// `retain`, as `EscrowLog::commit` did before sharding.
+/// `retain`, as `EscrowLog::commit` originally did.
 struct BaselineExecutor {
     balances: BTreeMap<ObjectKey, Amount>,
     elog: BTreeMap<(ObjectKey, TxId), Amount>,
@@ -262,38 +231,27 @@ fn run_baseline(workload: &PlogWorkload) -> (PlogRun, u128) {
     )
 }
 
-struct ShardedOutcome {
+struct WalkOutcome {
     run: PlogRun,
-    digest: orthrus_types::Digest,
     total_supply: u128,
-    shard_ops: Vec<u64>,
 }
 
-/// Run the payment schedule for an `m`-shard layout through the executor's
-/// schedule walk (`Executor::process_plog_schedule`, the walk the replica
-/// runs).
-fn run_sharded(workload: &PlogWorkload, m: u32, batch: usize) -> ShardedOutcome {
-    let schedule = build_schedule(workload, m, batch);
-    let mut exec = new_executor(workload, m);
-    let assign = move |key: ObjectKey| InstanceId::new(key.shard(m));
+/// Run the payment schedule through the executor's schedule walk
+/// (`Executor::process_plog_schedule`, the walk the replica runs).
+fn run_walk(workload: &PlogWorkload, batch: usize) -> WalkOutcome {
+    let schedule = build_schedule(workload, batch);
+    let mut exec = new_executor(workload);
     let wall = Instant::now();
     exec.process_plog_schedule(&schedule, &assign);
     let secs = wall.elapsed().as_secs_f64();
-    let label = if m == 1 {
-        "reference_walk_m1".to_string()
-    } else {
-        format!("sharded_m{m}")
-    };
-    ShardedOutcome {
+    WalkOutcome {
         run: PlogRun {
-            label,
+            label: "reference_walk_m1".into(),
             wall_ms: secs * 1e3,
             tx_per_sec: workload.payments.len() as f64 / secs,
             committed: exec.committed_count(),
         },
-        digest: exec.state_digest(),
         total_supply: exec.total_supply(),
-        shard_ops: exec.store().shard_op_counts(),
     }
 }
 
@@ -304,12 +262,12 @@ struct DigestMicro {
 }
 
 fn digest_micro(objects: u64) -> DigestMicro {
-    let mut store = ObjectStore::with_shards(16);
+    let mut store = ObjectStore::new();
     for k in 0..objects {
         store.create_account(ObjectKey::new(k), k);
     }
     assert_eq!(store.digest(), store.rescan_digest());
-    // Steady state: a write dirties the accumulators, then the runner
+    // Steady state: a write dirties the accumulator, then the runner
     // compares states.
     let incremental_reps = 2_000u32;
     let wall = Instant::now();
@@ -354,48 +312,29 @@ fn main() {
     println!("== executor snapshot ({scale:?} scale) ==");
 
     // ------------------------------------------------------------------
-    // 1. Plog execution: baseline vs the schedule walk at m = 1, 4, 8, 16.
+    // 1. Plog execution: baseline vs the schedule walk.
     // ------------------------------------------------------------------
     println!(
         "\n-- plog execution: {payments} payments over {accounts} accounts, \
          {outstanding} outstanding contract escrows --"
     );
-    let workload = build_workload(accounts, outstanding, payments, None);
+    let workload = build_workload(accounts, outstanding, payments);
     let (baseline, baseline_supply) = run_baseline(&workload);
-    let reference = run_sharded(&workload, 1, batch);
-    let sharded: Vec<ShardedOutcome> = [4u32, 8, 16]
-        .into_iter()
-        .map(|m| run_sharded(&workload, m, batch))
-        .collect();
-
-    for run in std::iter::once(&baseline)
-        .chain(std::iter::once(&reference.run))
-        .chain(sharded.iter().map(|s| &s.run))
-    {
+    let walk = run_walk(&workload, batch);
+    for run in [&baseline, &walk.run] {
         println!(
             "{:<28} {:>9.1} ms  {:>11.0} tx/s  ({} committed)",
             run.label, run.wall_ms, run.tx_per_sec, run.committed
         );
     }
-    // Cross-check: every variant agrees on what was computed.
-    for s in &sharded {
-        assert_eq!(
-            s.run.committed, baseline.committed,
-            "commit counts diverged"
-        );
-        assert_eq!(
-            s.digest, reference.digest,
-            "digests diverged across shard counts"
-        );
-        assert_eq!(s.total_supply, reference.total_supply);
-    }
-    assert_eq!(reference.run.committed, baseline.committed);
+    // Cross-check: both executors agree on what was computed.
     assert_eq!(
-        reference.total_supply, baseline_supply,
-        "balance books diverged"
+        walk.run.committed, baseline.committed,
+        "commit counts diverged"
     );
-    let speedup_m8 = sharded[1].run.tx_per_sec / baseline.tx_per_sec;
-    println!("sharded m=8 vs baseline: {speedup_m8:.2}x");
+    assert_eq!(walk.total_supply, baseline_supply, "balance books diverged");
+    let speedup = walk.run.tx_per_sec / baseline.tx_per_sec;
+    println!("schedule walk vs baseline: {speedup:.2}x");
 
     // ------------------------------------------------------------------
     // 2. Digest micro.
@@ -413,38 +352,9 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // 3. Hot-account ablation.
-    // ------------------------------------------------------------------
-    println!("\n-- hot-account ablation: zipf 1.4 payer skew, m = 8 --");
-    let hot_workload = build_workload(accounts, outstanding, payments, Some(1.4));
-    let hot = run_sharded(&hot_workload, 8, batch);
-    let uniform = &sharded[1];
-    let hot_imbalance = harness::shard_imbalance(&hot.shard_ops);
-    let uniform_imbalance = harness::shard_imbalance(&uniform.shard_ops);
-    println!(
-        "uniform: {:>10.0} tx/s, hottest shard {uniform_imbalance:.2}x mean",
-        uniform.run.tx_per_sec
-    );
-    println!(
-        "zipf1.4: {:>10.0} tx/s, hottest shard {hot_imbalance:.2}x mean (ops {:?})",
-        hot.run.tx_per_sec, hot.shard_ops
-    );
-
-    // ------------------------------------------------------------------
     // JSON snapshot
     // ------------------------------------------------------------------
-    let mut runs_json = String::new();
-    for (i, run) in std::iter::once(&baseline)
-        .chain(std::iter::once(&reference.run))
-        .chain(sharded.iter().map(|s| &s.run))
-        .enumerate()
-    {
-        if i > 0 {
-            runs_json.push_str(",\n");
-        }
-        runs_json.push_str(&plog_run_json(run));
-    }
-    let hot_ops: Vec<String> = hot.shard_ops.iter().map(u64::to_string).collect();
+    let runs_json = [&baseline, &walk.run].map(plog_run_json).join(",\n");
     let json = format!(
         concat!(
             "{{\n",
@@ -455,7 +365,7 @@ fn main() {
             "    \"accounts\": {},\n",
             "    \"outstanding_escrows\": {},\n",
             "    \"runs\": [\n{}\n    ],\n",
-            "    \"speedup_m8_vs_baseline\": {:.2},\n",
+            "    \"speedup_vs_baseline\": {:.2},\n",
             "    \"identical_outcomes\": true\n",
             "  }},\n",
             "  \"digest_micro\": {{\n",
@@ -463,14 +373,6 @@ fn main() {
             "    \"incremental_ns_per_call\": {:.1},\n",
             "    \"rescan_ns_per_call\": {:.1},\n",
             "    \"speedup\": {:.1}\n",
-            "  }},\n",
-            "  \"hot_account\": {{\n",
-            "    \"zipf_exponent\": 1.4,\n",
-            "    \"tx_per_sec\": {:.0},\n",
-            "    \"uniform_tx_per_sec\": {:.0},\n",
-            "    \"hot_shard_imbalance\": {:.2},\n",
-            "    \"uniform_shard_imbalance\": {:.2},\n",
-            "    \"shard_ops\": [{}]\n",
             "  }}\n",
             "}}\n"
         ),
@@ -483,16 +385,11 @@ fn main() {
         accounts,
         outstanding,
         runs_json,
-        speedup_m8,
+        speedup,
         micro.objects,
         micro.incremental_ns,
         micro.rescan_ns,
         digest_speedup,
-        hot.run.tx_per_sec,
-        uniform.run.tx_per_sec,
-        hot_imbalance,
-        uniform_imbalance,
-        hot_ops.join(","),
     );
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")

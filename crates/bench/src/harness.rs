@@ -122,12 +122,10 @@ pub struct MeasuredPoint {
     /// timed on a busy pool include contention — compare trajectories only
     /// across runs with the same `ORTHRUS_SWEEP_THREADS` setting.
     pub wall_clock_ms: f64,
-    /// Objects per executor state shard at the end of the run (replica 0;
-    /// account shards first, shared-object shard last).
-    pub shard_objects: Vec<u64>,
-    /// Successful store mutations per executor state shard (same layout as
-    /// `shard_objects`). Under a skewed hot-account workload the spread of
-    /// these counters *is* the shard imbalance.
+    /// Successful store mutations per SB instance at the end of the run
+    /// (replica 0; one entry per instance, shared-object writes last). Under
+    /// a skewed hot-account workload the spread of these counters *is* the
+    /// instance load skew.
     pub shard_ops: Vec<u64>,
     /// Log entries (plog blocks + glog payloads + PBFT slots) replica 0
     /// still retained at the end of the run. Checkpoint truncation holds it
@@ -144,12 +142,13 @@ pub struct MeasuredPoint {
     pub glog_wait_max_us: u64,
 }
 
-/// Imbalance of the per-shard op counters (`MeasuredPoint::shard_ops`
-/// layout: account shards first, shared-object shard last): the hottest
-/// account shard's load as a multiple of the mean across account shards.
+/// Load skew across SB instances from the per-instance write counters
+/// (`MeasuredPoint::shard_ops` layout: one entry per instance, shared-object
+/// writes last): the busiest instance's owned-write load as a multiple of
+/// the mean across instances.
 /// Returns 0.0 when no account ops were recorded. 1.0 means perfectly even;
 /// a hot-account workload (zipf ≥ 1.2) pushes this well above 1.
-pub fn shard_imbalance(shard_ops: &[u64]) -> f64 {
+pub fn instance_imbalance(shard_ops: &[u64]) -> f64 {
     let account_ops = &shard_ops[..shard_ops.len().saturating_sub(1)];
     let total: u64 = account_ops.iter().sum();
     if total == 0 {
@@ -216,7 +215,6 @@ impl MeasuredPoint {
             events_processed: outcome.report.events_processed,
             peak_queue_len: outcome.report.peak_queue_len,
             wall_clock_ms,
-            shard_objects: outcome.shard_objects.clone(),
             shard_ops: outcome.shard_ops.clone(),
             retained_plog_entries: outcome.retained_plog_entries,
             peak_retained_bytes: outcome.peak_retained_bytes,
@@ -235,7 +233,7 @@ impl MeasuredPoint {
                 "\"confirmed\":{},\"submitted\":{},",
                 "\"bytes_sent\":{},\"events_processed\":{},",
                 "\"peak_queue_len\":{},\"wall_clock_ms\":{:.3},",
-                "\"shard_objects\":{},\"shard_ops\":{},",
+                "\"shard_ops\":{},",
                 "\"retained_plog_entries\":{},\"peak_retained_bytes\":{},",
                 "\"glog_wait_mean_us\":{:.3},\"glog_wait_max_us\":{}}}"
             ),
@@ -250,7 +248,6 @@ impl MeasuredPoint {
             self.events_processed,
             self.peak_queue_len,
             self.wall_clock_ms,
-            json_u64_array(&self.shard_objects),
             json_u64_array(&self.shard_ops),
             self.retained_plog_entries,
             self.peak_retained_bytes,
@@ -539,7 +536,6 @@ mod tests {
             events_processed: 789,
             peak_queue_len: 321,
             wall_clock_ms: 12.5,
-            shard_objects: vec![10, 12, 3],
             shard_ops: vec![100, 90, 4],
             retained_plog_entries: 17,
             peak_retained_bytes: 4_096,
@@ -562,7 +558,6 @@ mod tests {
             "\"events_processed\"",
             "\"peak_queue_len\"",
             "\"wall_clock_ms\"",
-            "\"shard_objects\":[10,12,3]",
             "\"shard_ops\":[100,90,4]",
             "\"retained_plog_entries\":17",
             "\"peak_retained_bytes\":4096",

@@ -32,9 +32,9 @@ impl Partitioner {
     /// The bucket/instance responsible for an owned object: a hash of the
     /// key modulo `m`, as suggested by the paper. Hashing (rather than the
     /// raw key) spreads adjacent account addresses across instances. The
-    /// routing function itself lives on [`ObjectKey::shard`] so the sharded
-    /// object store and escrow log agree with the partition module about
-    /// which instance owns which account.
+    /// routing function itself lives on [`ObjectKey::shard`] so the object
+    /// store's per-instance write counters agree with the partition module
+    /// about which instance owns which account.
     pub fn assign(&self, key: ObjectKey) -> InstanceId {
         InstanceId::new(key.shard(self.num_instances))
     }

@@ -83,9 +83,9 @@ impl Policy {
 
 /// The lightweight snapshot a replica refreshes at every stable checkpoint:
 /// the quorum certificates in force plus the executor's incremental state
-/// digest at the moment of stabilisation. The cheap part (per-shard
-/// incremental digests, O(m)) is taken eagerly; the expensive part (cloning
-/// the store's shards) is deferred to state-transfer time
+/// digest at the moment of stabilisation. The cheap part (the store's
+/// incremental digest, O(1)) is taken eagerly; the expensive part (cloning
+/// the executor state) is deferred to state-transfer time
 /// ("clone-on-snapshot"), when a recovering peer actually asks for it.
 #[derive(Debug, Clone)]
 pub struct CheckpointAnchor {
@@ -128,10 +128,10 @@ pub(crate) struct CatchUp {
 pub struct StateTransfer {
     /// The latest stable-checkpoint certificate per instance at the sender.
     pub checkpoint: Vec<StableCheckpoint>,
-    /// The sender's sharded execution state: the object-store shards (the
-    /// paper's state payload) plus the escrow log and per-transaction
-    /// outcome bookkeeping that make installation exact.
-    pub shards: Executor,
+    /// The sender's execution state: the object store (the paper's state
+    /// payload) plus the escrow log and per-transaction outcome bookkeeping
+    /// that make installation exact.
+    pub executor: Executor,
     /// Consensus/ordering catch-up state (private to the crate).
     pub(crate) catch_up: CatchUp,
     /// Monotone progress mark of the sender (delivered blocks + global-log
@@ -158,7 +158,7 @@ impl std::fmt::Debug for StateTransfer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StateTransfer")
             .field("checkpoints", &self.checkpoint.len())
-            .field("objects", &self.shards.store().len())
+            .field("objects", &self.executor.store().len())
             .field("mark", &self.mark)
             .field("wire_bytes", &self.wire_bytes)
             .finish_non_exhaustive()
@@ -235,10 +235,10 @@ pub struct ReplicaNode {
 
 impl ReplicaNode {
     /// Build a replica for `protocol` with the given genesis state. The
-    /// genesis store is resharded to one account shard per SB instance, so
-    /// the executor's state layout mirrors the partition module's bucket
-    /// layout (digests are shard-count independent, so this never changes
-    /// what the replica computes).
+    /// genesis store's write counters are sized to one slot per SB instance
+    /// (plus shared writes), so they measure the load each instance's
+    /// accounts put on execution; this never changes what the replica
+    /// computes.
     pub fn new(
         me: ReplicaId,
         protocol: ProtocolKind,
@@ -856,23 +856,23 @@ impl ReplicaNode {
     }
 
     /// Package this replica's state for a recovering peer: the stable
-    /// checkpoint certificates, a clone-on-snapshot of the sharded execution
-    /// state, and the consensus/ordering catch-up. Everything above the
-    /// checkpoint low-water marks is still retained locally (that is exactly
-    /// what the retention policy keeps), so the transfer lets the peer
-    /// resume mid-run, not just at the checkpoint.
+    /// checkpoint certificates, a clone-on-snapshot of the execution state,
+    /// and the consensus/ordering catch-up. Everything above the checkpoint
+    /// low-water marks is still retained locally (that is exactly what the
+    /// retention policy keeps), so the transfer lets the peer resume mid-run,
+    /// not just at the checkpoint.
     fn build_state_transfer(&self) -> StateTransfer {
         let checkpoint: Vec<StableCheckpoint> =
             self.stable_certs.iter().flatten().cloned().collect();
-        let shards = self.executor.clone();
+        let executor = self.executor.clone();
         let wire_bytes = 1_024
-            + shards.store().len() as u64 * 48
+            + executor.store().len() as u64 * 48
             + checkpoint.len() as u64 * 128
             + self.plogs.retained_bytes()
             + self.glog.retained_bytes();
         StateTransfer {
             checkpoint,
-            shards,
+            executor,
             catch_up: CatchUp {
                 instances: self.instances.clone(),
                 plogs: self.plogs.clone(),
@@ -950,7 +950,7 @@ impl ReplicaNode {
         for instance in &mut self.instances {
             instance.rebind(self.me);
         }
-        self.executor = state.shards.clone();
+        self.executor = state.executor.clone();
         self.plogs = state.catch_up.plogs.clone();
         self.glog = state.catch_up.glog.clone();
         self.executed_state = state.catch_up.executed_state.clone();
@@ -1228,7 +1228,7 @@ mod tests {
         assert_eq!(transfer.progress_mark(), 0);
         assert!(transfer.checkpoint.is_empty());
         assert_eq!(
-            transfer.shards.state_digest(),
+            transfer.executor.state_digest(),
             node.executor().state_digest()
         );
         assert_eq!(transfer.catch_up.instances.len(), 4);

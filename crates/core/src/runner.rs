@@ -355,12 +355,9 @@ pub struct ScenarioOutcome {
     /// Final execution-state digest of every replica (honest replicas that
     /// processed the same prefix must agree; used by safety checks).
     pub state_digests: Vec<(ReplicaId, Digest)>,
-    /// Objects per executor state shard at the end of the run (replica 0;
-    /// one entry per account shard, shared-object shard last). Quantifies
-    /// shard imbalance under skewed workloads.
-    pub shard_objects: Vec<u64>,
-    /// Successful store mutations per executor state shard (replica 0; same
-    /// layout as `shard_objects`).
+    /// Successful store mutations per SB instance at the end of the run
+    /// (replica 0; one entry per instance, shared-object writes last).
+    /// Quantifies instance load skew under skewed workloads.
     pub shard_ops: Vec<u64>,
     /// Log entries (plog blocks + glog payloads + PBFT slots) replica 0
     /// still retains at the end of the run: checkpoint truncation holds it
@@ -407,9 +404,6 @@ pub fn build_simulation(scenario: &Scenario) -> Result<(Simulation<NetMessage>, 
     let workload = Workload::generate(scenario.effective_workload());
     let mut genesis = ObjectStore::new();
     workload.install_genesis(&mut genesis);
-    // Reshard once, here: every replica's own `reshard` is then a no-op and
-    // the clones below share the shards until a replica's first write.
-    genesis.reshard(scenario.config.num_instances);
 
     let network = NetworkConfig::for_kind(scenario.network);
     let mut sim: Simulation<NetMessage> =
@@ -542,12 +536,9 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioOutcome> {
                 .map(|node| (id, node.executor().state_digest()))
         })
         .collect();
-    let (shard_objects, shard_ops) = sim
+    let shard_ops = sim
         .actor_as::<ReplicaNode>(NodeId::replica(0))
-        .map(|node| {
-            let store = node.executor().store();
-            (store.shard_object_counts(), store.shard_op_counts())
-        })
+        .map(|node| node.executor().store().shard_op_counts())
         .unwrap_or_default();
     let (retained_plog_entries, peak_retained_entries, peak_retained_bytes) = sim
         .actor_as::<ReplicaNode>(NodeId::replica(0))
@@ -582,7 +573,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioOutcome> {
         view_changes: stats.view_changes,
         blocks_delivered: stats.blocks_delivered,
         state_digests,
-        shard_objects,
         shard_ops,
         retained_plog_entries,
         peak_retained_entries,

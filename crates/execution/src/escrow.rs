@@ -15,133 +15,76 @@
 //! Committing drops the reservation (the funds are gone for good); aborting
 //! refunds it.
 //!
-//! # Sharding
+//! # Commit and abort cost
 //!
-//! Reservations are split across shards with the same routing function as
-//! the object store ([`ObjectKey::shard`]): the reservation for a payer leg
-//! lives next to the account it locks. Commit and abort walk the
-//! transaction's payer legs and remove exactly those reservations, one hash
-//! probe per leg — O(legs) instead of the former O(outstanding-entries)
-//! retain scan, which matters when thousands of contract escrows sit waiting
-//! for global ordering while the payment fast path keeps committing.
+//! Commit and abort walk the transaction's payer legs and remove exactly
+//! those reservations, one hash probe per leg — O(legs) instead of the
+//! former O(outstanding-entries) retain scan, which matters when thousands
+//! of contract escrows sit waiting for global ordering while the payment
+//! fast path keeps committing.
 
 use crate::store::ObjectStore;
 use orthrus_types::{Amount, FxHashMap, ObjectKey, ObjectOp, Operation, Transaction, TxId};
 use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
-/// One shard of the escrow log: the outstanding reservations whose account
-/// keys route to this shard, keyed by `(object, tx)`, plus a running total.
-/// Every probe on the execution path names both halves of the key, so each
-/// is one hash lookup.
+/// The escrow log (`elog`): outstanding reservations keyed by
+/// `(object, tx)`, plus their running total. Every probe on the execution
+/// path names both halves of the key, so each is one hash lookup.
+///
+/// Like the object store, the map sits behind an [`Arc`] with copy-on-write
+/// mutation, so a snapshot clone is a reference bump.
 #[derive(Debug, Clone, Default)]
-struct EscrowShard {
-    entries: FxHashMap<(ObjectKey, TxId), Amount>,
+pub struct EscrowLog {
+    entries: Arc<FxHashMap<(ObjectKey, TxId), Amount>>,
     reserved: u128,
 }
 
-impl EscrowShard {
-    /// Number of outstanding reservations in this shard.
+impl EscrowLog {
+    /// An empty escrow log.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of outstanding reservations.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Is the shard empty?
+    /// Is the log empty?
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
-    /// Is `(object, tx)` reserved in this shard?
+    /// Is `(object, tx)` currently escrowed?
     pub fn contains(&self, object: ObjectKey, tx: TxId) -> bool {
         self.entries.contains_key(&(object, tx))
     }
 
-    /// Drop a reservation, returning its amount if it existed.
-    pub fn remove(&mut self, object: ObjectKey, tx: TxId) -> Option<Amount> {
-        let amount = self.entries.remove(&(object, tx))?;
-        self.reserved -= u128::from(amount);
-        Some(amount)
-    }
-
-    /// Total amount reserved in this shard.
+    /// Total amount currently reserved across all transactions (used by
+    /// supply-conservation checks). O(1): reads the running total.
     pub fn total_reserved(&self) -> u128 {
         self.reserved
     }
 
-    /// Total amount reserved against one account in this shard: a scan of
-    /// the shard (only tests and diagnostics ask).
-    fn reserved_for(&self, object: ObjectKey) -> Amount {
+    /// Total amount currently reserved against a specific account: a scan
+    /// of the log (only tests and diagnostics ask).
+    pub fn reserved_for(&self, object: ObjectKey) -> Amount {
         let mut total = 0;
         // orthrus: allow(nondet-iter): a sum over the matching reservations is commutative — visit order cannot reach the result.
-        for (&(key, _), amount) in &self.entries {
+        for (&(key, _), amount) in self.entries.iter() {
             if key == object {
                 total += amount;
             }
         }
         total
     }
-}
 
-/// The escrow log (`elog`): outstanding reservations, sharded by account.
-///
-/// Like the object store, shards sit behind [`Arc`]s with copy-on-write
-/// mutation so snapshot clones cost O(shards).
-#[derive(Debug, Clone)]
-pub struct EscrowLog {
-    shards: Vec<Arc<EscrowShard>>,
-}
-
-impl Default for EscrowLog {
-    fn default() -> Self {
-        Self::with_shards(1)
-    }
-}
-
-impl EscrowLog {
-    /// An empty escrow log with a single shard.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty escrow log with `shards` shards (matched to the object
-    /// store's account-shard count by the executor).
-    pub fn with_shards(shards: u32) -> Self {
-        Self {
-            shards: (0..shards.max(1))
-                .map(|_| Arc::new(EscrowShard::default()))
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn route(&self, key: ObjectKey) -> usize {
-        key.shard(self.shards.len() as u32) as usize
-    }
-
-    /// Number of outstanding reservations.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
-    }
-
-    /// Is the log empty?
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-
-    /// Is `(object, tx)` currently escrowed?
-    pub fn contains(&self, object: ObjectKey, tx: TxId) -> bool {
-        self.shards[self.route(object)].contains(object, tx)
-    }
-
-    /// Total amount currently reserved across all transactions (used by
-    /// supply-conservation checks). O(shards): folds the running totals.
-    pub fn total_reserved(&self) -> u128 {
-        self.shards.iter().map(|s| s.total_reserved()).sum()
-    }
-
-    /// Total amount currently reserved against a specific account.
-    pub fn reserved_for(&self, object: ObjectKey) -> Amount {
-        self.shards[self.route(object)].reserved_for(object)
+    /// Drop a reservation, returning its amount if it existed.
+    fn remove(&mut self, object: ObjectKey, tx: TxId) -> Option<Amount> {
+        let amount = Arc::make_mut(&mut self.entries).remove(&(object, tx))?;
+        self.reserved -= u128::from(amount);
+        Some(amount)
     }
 
     /// Attempt to escrow the owned-decrement leg `leg` of transaction `tx`
@@ -153,9 +96,7 @@ impl EscrowLog {
         if !leg.is_owned_decrement() {
             return false;
         }
-        let shard = self.route(leg.key);
-        let shard = Arc::make_mut(&mut self.shards[shard]);
-        let slot = match shard.entries.entry((leg.key, tx)) {
+        let slot = match Arc::make_mut(&mut self.entries).entry((leg.key, tx)) {
             Entry::Occupied(_) => return true,
             Entry::Vacant(slot) => slot,
         };
@@ -171,7 +112,7 @@ impl EscrowLog {
             return false;
         }
         slot.insert(amount);
-        shard.reserved += u128::from(amount);
+        self.reserved += u128::from(amount);
         true
     }
 
@@ -190,16 +131,14 @@ impl EscrowLog {
     /// legs removes exactly the reservations the old full-log retain did.
     pub fn commit(&mut self, tx: &Transaction) {
         for leg in tx.ops.iter().filter(|leg| leg.is_owned_decrement()) {
-            let shard = self.route(leg.key);
-            Arc::make_mut(&mut self.shards[shard]).remove(leg.key, tx.id);
+            self.remove(leg.key, tx.id);
         }
     }
 
     /// Algorithm 2, `abortEscrow`: refund and drop every reservation of `tx`.
     pub fn abort(&mut self, store: &mut ObjectStore, tx: &Transaction) {
         for leg in tx.ops.iter().filter(|leg| leg.is_owned_decrement()) {
-            let shard = self.route(leg.key);
-            if let Some(amount) = Arc::make_mut(&mut self.shards[shard]).remove(leg.key, tx.id) {
+            if let Some(amount) = self.remove(leg.key, tx.id) {
                 // Refunding cannot fail: the account existed when the escrow
                 // was taken and credits never fail on owned objects.
                 let _ = store.credit(leg.key, amount);
@@ -308,37 +247,6 @@ mod tests {
         let first_leg = tx.ops.iter().find(|l| l.is_owned_decrement()).unwrap();
         elog.escrow(&mut store, first_leg, tx.id);
         assert!(!elog.all_escrowed(&tx));
-    }
-
-    #[test]
-    fn sharded_log_matches_single_shard_accounting() {
-        let mut single = EscrowLog::with_shards(1);
-        let mut sharded = EscrowLog::with_shards(8);
-        let mut store_a = ObjectStore::new();
-        let mut store_b = ObjectStore::with_shards(8);
-        for k in 1..=16u64 {
-            store_a.create_account(key(k), 1_000);
-            store_b.create_account(key(k), 1_000);
-        }
-        for i in 0..40u64 {
-            let payer = ClientId::new(1 + (i % 16));
-            let tx = Transaction::payment(txid(i), payer, ClientId::new(99), 5 + i);
-            let leg = ObjectOp::debit(ObjectKey::account_of(payer), 5 + i);
-            assert_eq!(
-                single.escrow(&mut store_a, &leg, tx.id),
-                sharded.escrow(&mut store_b, &leg, tx.id)
-            );
-            if i % 3 == 0 {
-                single.commit(&tx);
-                sharded.commit(&tx);
-            } else if i % 3 == 1 {
-                single.abort(&mut store_a, &tx);
-                sharded.abort(&mut store_b, &tx);
-            }
-            assert_eq!(single.len(), sharded.len());
-            assert_eq!(single.total_reserved(), sharded.total_reserved());
-            assert_eq!(store_a.digest(), store_b.digest());
-        }
     }
 
     /// Conservation of supply: spendable balances plus escrow reservations

@@ -35,13 +35,12 @@ pub enum TxOutcome {
 
 /// The execution engine of one replica.
 ///
-/// `Clone` exists for checkpoint snapshots and crash-recovery state
-/// transfer, and is O(shards): the store and escrow shards plus the outcome
-/// maps all sit behind [`Arc`]s with copy-on-write mutation, so a snapshot
-/// is a consistent copy of exactly what this replica has executed, taken by
-/// bumping reference counts — the live executor only duplicates a shard or
-/// map when it next writes to one while a snapshot still holds the other
-/// reference.
+/// `Clone` exists for crash-recovery state transfer and copies no map: the
+/// store map, the escrow map and the outcome maps all sit behind [`Arc`]s with
+/// copy-on-write mutation, so a snapshot is a consistent copy of exactly
+/// what this replica has executed, taken by bumping reference counts — the
+/// live executor only duplicates a map when it next writes to it while a
+/// snapshot still holds the other reference.
 #[derive(Debug, Default, Clone)]
 pub struct Executor {
     store: ObjectStore,
@@ -61,14 +60,10 @@ impl Executor {
         Self::default()
     }
 
-    /// Create an executor over a pre-populated store (genesis balances). The
-    /// escrow log adopts the store's shard layout so reservation `i` always
-    /// sits next to account shard `i`.
+    /// Create an executor over a pre-populated store (genesis balances).
     pub fn with_store(store: ObjectStore) -> Self {
-        let elog = EscrowLog::with_shards(store.num_account_shards());
         Self {
             store,
-            elog,
             ..Self::default()
         }
     }

@@ -4,9 +4,9 @@
 //! one of `(object, tx)` reservations, with the semantics spelled out
 //! directly. Every return value is compared, and after every call so are
 //! balances, shared values, digests (incremental, rescanned and the model's),
-//! totals, per-account reservations, reservation membership and sizes.
-//! Copy-on-write snapshots taken mid-sequence must still match the model as
-//! it was when they were taken.
+//! totals, per-account reservations, reservation membership, sizes and the
+//! per-instance write counters. Copy-on-write snapshots taken mid-sequence
+//! must still match the model as it was when they were taken.
 
 use orthrus_execution::{EscrowLog, ObjectState, ObjectStore};
 use orthrus_types::rng::{Rng, StdRng};
@@ -34,15 +34,30 @@ fn mismatch(object: ObjectKey, reason: &str) -> OrthrusError {
     }
 }
 
-/// The reference semantics: one ordered map per structure, no shards, no
-/// running aggregates.
-#[derive(Debug, Clone, Default)]
+/// The reference semantics: one ordered map per structure and no running
+/// aggregates, plus the write counters of `m` instances — a successful owned
+/// write counts at `key.shard(m)`, a shared write in the last slot.
+#[derive(Debug, Clone)]
 struct Model {
     objects: BTreeMap<ObjectKey, ObjectState>,
     escrows: BTreeMap<(ObjectKey, TxId), Amount>,
+    ops: Vec<u64>,
 }
 
 impl Model {
+    fn new(m: u32) -> Self {
+        Self {
+            objects: BTreeMap::new(),
+            escrows: BTreeMap::new(),
+            ops: vec![0; m as usize + 1],
+        }
+    }
+
+    fn count_owned_write(&mut self, key: ObjectKey) {
+        let m = self.ops.len() as u32 - 1;
+        self.ops[key.shard(m) as usize] += 1;
+    }
+
     fn balance(&self, key: ObjectKey) -> Amount {
         match self.objects.get(&key) {
             Some(ObjectState::Owned { balance }) => *balance,
@@ -63,6 +78,7 @@ impl Model {
         }
         let balance = self.balance(key).saturating_add(amount);
         self.objects.insert(key, ObjectState::Owned { balance });
+        self.count_owned_write(key);
         Ok(())
     }
 
@@ -82,6 +98,7 @@ impl Model {
             Some(&ObjectState::Owned { balance }) => {
                 let balance = balance - amount;
                 self.objects.insert(key, ObjectState::Owned { balance });
+                self.count_owned_write(key);
                 Ok(())
             }
         }
@@ -92,6 +109,7 @@ impl Model {
             return Err(mismatch(key, reason));
         }
         self.objects.insert(key, ObjectState::Shared { value });
+        *self.ops.last_mut().unwrap() += 1;
         Ok(())
     }
 
@@ -164,6 +182,7 @@ fn check(store: &ObjectStore, elog: &EscrowLog, model: &Model, at: &str) {
         model.total_balance(),
         "total at {at}"
     );
+    assert_eq!(store.shard_op_counts(), model.ops, "write counters at {at}");
     assert_eq!(elog.len(), model.escrows.len(), "elog len at {at}");
     assert_eq!(
         elog.is_empty(),
@@ -232,9 +251,11 @@ fn random_tx(rng: &mut StdRng) -> Transaction {
 fn random_store_and_escrow_calls_match_the_ordered_map_model() {
     for seed in 0..50u64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut store = ObjectStore::with_shards([1, 2, 5][rng.gen_range(0..3usize)]);
-        let mut elog = EscrowLog::with_shards([1, 3, 4][rng.gen_range(0..3usize)]);
-        let mut model = Model::default();
+        let m = [1, 2, 5][rng.gen_range(0..3usize)];
+        let mut store = ObjectStore::new();
+        store.reshard(m);
+        let mut elog = EscrowLog::new();
+        let mut model = Model::new(m);
         let mut snapshot: Option<(ObjectStore, EscrowLog, Model)> = None;
         for step in 0..400 {
             let at = format!("seed {seed} step {step}");

@@ -156,8 +156,8 @@ impl PartialLogs {
     /// recording its delivery in `executed`, until a full sweep makes no
     /// progress. The returned *schedule* — `(instance, block)` pairs in pop
     /// order — is exactly the order the replica's old serial walk consumed
-    /// blocks in, so executing it (serially or via the executor's shard
-    /// pool) preserves the confirmation trace bit for bit.
+    /// blocks in, so executing it through `Executor::process_plog_schedule`
+    /// preserves the confirmation trace bit for bit.
     ///
     /// Readiness depends only on delivery coverage, never on execution
     /// outcomes, which is why the schedule can be computed up front and

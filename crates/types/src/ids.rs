@@ -162,12 +162,13 @@ impl ObjectKey {
         Self(client.0)
     }
 
-    /// The shard (equivalently: SB instance / bucket, §V-A) responsible for
-    /// this key when state is split `shards` ways: a hash of the key modulo
+    /// The SB instance / bucket (§V-A) responsible for this key when
+    /// transactions are partitioned `shards` ways: a hash of the key modulo
     /// `shards`. This is the single canonical routing function shared by the
-    /// partition module (`Partitioner::assign`), the sharded `ObjectStore`
-    /// and the sharded escrow log, so "the accounts instance `i` serialises"
-    /// and "the objects shard `i` owns" are the same set by construction.
+    /// partition module (`Partitioner::assign`) and the object store's
+    /// per-instance write counters, so "the accounts instance `i`
+    /// serialises" and "the writes counted against instance `i`" are the
+    /// same set by construction. State itself is never split.
     #[inline]
     pub fn shard(self, shards: u32) -> u32 {
         let h = crate::crypto::Digest::of(&self).0;

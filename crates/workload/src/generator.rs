@@ -76,9 +76,8 @@ impl WorkloadConfig {
 
     /// A hot-account workload: account popularity follows a steep Zipf law
     /// (`zipf_exponent = 1.4 ≥ 1.2`), concentrating most debits on a handful
-    /// of accounts and therefore most execution load on the one state shard
-    /// and SB instance those accounts route to. Used by the shard-imbalance
-    /// sweeps and the executor bench's hot-account ablation.
+    /// of accounts and therefore most execution load on the one SB instance
+    /// those accounts route to. Used by the hot-account load-skew test.
     pub fn hot_accounts() -> Self {
         Self {
             zipf_exponent: 1.4,

@@ -1,19 +1,16 @@
-//! Tests for the sharded execution state.
+//! Tests for the execution state.
 //!
-//! The executor's state is split into per-instance shards (accounts routed
-//! by `ObjectKey::shard`, shared objects in a dedicated shard) with
-//! incremental per-shard digests. None of that may change *what* gets
+//! The executor keeps one object map with an incremental digest, one escrow
+//! map, and per-instance write counters. None of that may change *what* gets
 //! computed:
 //!
-//! * sharded and unsharded stores holding the same objects have the same
-//!   digest (the accumulator is shard-layout independent);
 //! * the incremental digest always equals a full rescan;
 //! * replaying a partial-log schedule through the executor is idempotent;
 //! * executor snapshots (`Executor::clone`, the payload of checkpoint and
 //!   crash-recovery state transfer) are copy-on-write: post-snapshot writes
 //!   by the live executor never leak into an in-flight snapshot;
 //! * at the scenario level, Orthrus runs conserve token supply and the
-//!   per-shard load counters expose a hot-account workload's skew.
+//!   per-instance write counters expose a hot-account workload's skew.
 
 use orthrus::prelude::*;
 use orthrus_types::rng::{Rng, StdRng};
@@ -24,65 +21,46 @@ use orthrus_types::{
 use std::sync::Arc;
 
 // ----------------------------------------------------------------------
-// Store level: incremental digest vs full rescan, shard-layout independence
+// Store level: incremental digest vs full rescan
 // ----------------------------------------------------------------------
 
-/// Apply an identical random credit/debit/shared-write workload to stores
-/// with different shard layouts; digests must agree with each other and with
-/// a full rescan after every step.
+/// Apply a random credit/debit/shared-write workload; the incremental digest
+/// must equal a full rescan after every step.
 #[test]
 fn incremental_digest_matches_rescan_under_random_workloads() {
     for seed in 0u64..20 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut stores = vec![
-            ObjectStore::with_shards(1),
-            ObjectStore::with_shards(4),
-            ObjectStore::with_shards(16),
-        ];
-        for store in &mut stores {
-            for k in 0..64u64 {
-                store.create_account(ObjectKey::new(k), 1_000);
-            }
-            for k in 0..8u64 {
-                store.create_shared(ObjectKey::new((1 << 48) + k), 0);
-            }
+        let mut store = ObjectStore::new();
+        for k in 0..64u64 {
+            store.create_account(ObjectKey::new(k), 1_000);
+        }
+        for k in 0..8u64 {
+            store.create_shared(ObjectKey::new((1 << 48) + k), 0);
         }
         for step in 0..200 {
             let action: u64 = rng.gen_range(0..4);
             let key: u64 = rng.gen_range(0..70); // some keys do not exist
             let amount: u64 = rng.gen_range(1..50);
-            for store in &mut stores {
-                match action {
-                    0 => {
-                        let _ = store.credit(ObjectKey::new(key), amount);
-                    }
-                    1 => {
-                        let _ = store.debit(ObjectKey::new(key), amount);
-                    }
-                    2 => {
-                        let _ =
-                            store.set_shared(ObjectKey::new((1 << 48) + (key % 8)), amount as i64);
-                    }
-                    _ => {
-                        let _ = store
-                            .add_shared(ObjectKey::new((1 << 48) + (key % 8)), amount as i64 - 25);
-                    }
+            match action {
+                0 => {
+                    let _ = store.credit(ObjectKey::new(key), amount);
+                }
+                1 => {
+                    let _ = store.debit(ObjectKey::new(key), amount);
+                }
+                2 => {
+                    let _ = store.set_shared(ObjectKey::new((1 << 48) + (key % 8)), amount as i64);
+                }
+                _ => {
+                    let _ =
+                        store.add_shared(ObjectKey::new((1 << 48) + (key % 8)), amount as i64 - 25);
                 }
             }
-            let reference = stores[0].digest();
-            for store in &stores {
-                assert_eq!(
-                    store.digest(),
-                    reference,
-                    "seed {seed} step {step}: digest depends on shard layout"
-                );
-                assert_eq!(
-                    store.digest(),
-                    store.rescan_digest(),
-                    "seed {seed} step {step}: incremental digest drifted from rescan"
-                );
-            }
-            assert_eq!(stores[0].total_balance(), stores[2].total_balance());
+            assert_eq!(
+                store.digest(),
+                store.rescan_digest(),
+                "seed {seed} step {step}: incremental digest drifted from rescan"
+            );
         }
     }
 }
@@ -173,8 +151,8 @@ fn random_schedule(seed: u64, m: u32, accounts: u64, txs: usize) -> Vec<(Instanc
     schedule
 }
 
-fn executor_for(m: u32, accounts: u64) -> Executor {
-    let mut store = ObjectStore::with_shards(m);
+fn executor_for(accounts: u64) -> Executor {
+    let mut store = ObjectStore::new();
     for c in 0..accounts {
         store.create_account(account(c), 100);
     }
@@ -192,7 +170,7 @@ fn reprocessing_a_schedule_is_idempotent() {
     let m = 4;
     let schedule = random_schedule(77, m, 32, 100);
     let assign = move |key: ObjectKey| InstanceId::new(key.shard(m));
-    let mut exec = executor_for(m, 32);
+    let mut exec = executor_for(32);
     exec.process_plog_schedule(&schedule, &assign);
     let digest = exec.state_digest();
     let committed = exec.committed_count();
@@ -216,7 +194,7 @@ fn reprocessing_a_schedule_is_idempotent() {
     }
 }
 
-/// Executor snapshots are copy-on-write (`Arc` per shard and outcome map):
+/// Executor snapshots are copy-on-write (`Arc` per map):
 /// the clone a checkpoint or crash-recovery state transfer holds must stay
 /// frozen while the live executor keeps executing — a post-snapshot write
 /// leaking into an in-flight transfer would hand the recovering replica a
@@ -226,7 +204,7 @@ fn snapshot_clone_is_isolated_from_post_snapshot_writes() {
     let m = 4;
     let schedule = random_schedule(3, m, 32, 120);
     let assign = move |key: ObjectKey| InstanceId::new(key.shard(m));
-    let mut exec = executor_for(m, 32);
+    let mut exec = executor_for(32);
     exec.process_plog_schedule(&schedule, &assign);
 
     // The in-flight transfer payload.
@@ -238,7 +216,7 @@ fn snapshot_clone_is_isolated_from_post_snapshot_writes() {
     let escrows = snapshot.escrow_log().len();
 
     // The live executor moves on: fresh accounts, credits, debits and a
-    // payment confirmation touching several shards.
+    // payment confirmation touching several accounts.
     exec.store_mut().create_account(account(900), 1_000);
     for c in 0..8u64 {
         let _ = exec.store_mut().credit(account(c), 17);
@@ -266,7 +244,7 @@ fn snapshot_clone_is_isolated_from_post_snapshot_writes() {
 }
 
 // ----------------------------------------------------------------------
-// Scenario level: supply conservation and shard load
+// Scenario level: supply conservation and instance load
 // ----------------------------------------------------------------------
 
 /// The scenario every test below varies.
@@ -298,7 +276,7 @@ fn run(scenario: &Scenario) -> ScenarioOutcome {
 /// Any partial escrow left behind by a non-atomic commit/abort would break
 /// the equality.
 #[test]
-fn parallel_execution_conserves_supply_across_seeds() {
+fn fast_path_conserves_supply_across_seeds() {
     for seed in [21u64, 22, 23] {
         let scenario = base_scenario(ProtocolKind::Orthrus, seed);
         let (sim, _) = orthrus_core::build_simulation(&scenario).expect("valid scenario");
@@ -335,8 +313,8 @@ fn parallel_execution_conserves_supply_across_seeds() {
     }
 }
 
-/// Per-shard load counters surface the skew of a hot-account workload: with
-/// `zipf_exponent ≥ 1.2` the busiest account shard carries a clear multiple
+/// Per-instance write counters surface the skew of a hot-account workload:
+/// with `zipf_exponent ≥ 1.2` the busiest instance carries a clear multiple
 /// of the average load.
 #[test]
 fn hot_account_workload_shows_shard_imbalance() {
@@ -349,7 +327,7 @@ fn hot_account_workload_shows_shard_imbalance() {
     let outcome = run(&scenario);
     assert_eq!(outcome.confirmed, outcome.submitted);
 
-    // Account shards only (the shared shard is last).
+    // Owned writes only (shared-object writes are last).
     let ops = &outcome.shard_ops[..outcome.shard_ops.len() - 1];
     let total: u64 = ops.iter().sum();
     let max = *ops.iter().max().unwrap();
@@ -357,6 +335,6 @@ fn hot_account_workload_shows_shard_imbalance() {
     let mean = total as f64 / ops.len() as f64;
     assert!(
         max as f64 >= 1.5 * mean,
-        "expected a hot shard under zipf ≥ 1.2: ops {ops:?}"
+        "expected a hot instance under zipf ≥ 1.2: ops {ops:?}"
     );
 }
