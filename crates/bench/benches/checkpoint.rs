@@ -20,8 +20,8 @@
 //! or `ORTHRUS_FULL_SCALE=1 cargo bench --bench checkpoint` (the paper's
 //! 128 replicas).
 
-use orthrus_bench::harness::BenchScale;
 use orthrus_core::{build_simulation, run_scenario, ReplicaNode, Scenario};
+use orthrus_lab::SpecScale;
 use orthrus_sim::NodeId;
 use orthrus_types::{Digest, Duration, NetworkKind, ProtocolKind, ReplicaId, SimTime};
 use orthrus_workload::WorkloadConfig;
@@ -38,10 +38,10 @@ struct RetentionRun {
     delivered_blocks: u64,
 }
 
-fn retention_scenario(scale: BenchScale) -> Scenario {
+fn retention_scenario(scale: SpecScale) -> Scenario {
     let (replicas, transactions) = match scale {
-        BenchScale::Reduced => (16, 6_000),
-        BenchScale::Full => (128, 60_000),
+        SpecScale::Reduced => (16, 6_000),
+        SpecScale::Full => (128, 60_000),
     };
     let workload = WorkloadConfig {
         num_accounts: 2_000,
@@ -131,10 +131,10 @@ struct RecoveryRun {
     submitted: usize,
 }
 
-fn measure_recovery(scale: BenchScale) -> RecoveryRun {
+fn measure_recovery(scale: SpecScale) -> RecoveryRun {
     let replicas = match scale {
-        BenchScale::Reduced => 16,
-        BenchScale::Full => 128,
+        SpecScale::Reduced => 16,
+        SpecScale::Full => 128,
     };
     let crash_at = SimTime::from_millis(500);
     let recover_at = SimTime::from_millis(3_000);
@@ -174,7 +174,7 @@ fn measure_recovery(scale: BenchScale) -> RecoveryRun {
 }
 
 fn main() {
-    let scale = BenchScale::from_env();
+    let scale = SpecScale::from_env();
     println!("== checkpoint bench ({scale:?} scale) ==");
 
     let scenario = retention_scenario(scale);

@@ -9,16 +9,16 @@
 //!    once with per-recipient unicasts (the PR-1 baseline) and once with
 //!    coalesced multicast. At the full scale (`ORTHRUS_FULL_SCALE=1`) this is
 //!    a 128-replica, ≥1e6-delivery scenario.
-//! 2. **Scenario sweep** — a multi-point paper-style sweep run serially and
-//!    on the scoped thread pool, with a cross-thread-count determinism check.
+//! 2. **Scenario sweep** — the Orthrus and ISS points of the reduced
+//!    `fig4ab_lan_no_straggler` grid, run serially and on the scoped thread
+//!    pool, with a cross-thread-count determinism check.
 //!
 //! Run with `cargo bench --bench engine` (reduced scale) or
 //! `ORTHRUS_FULL_SCALE=1 cargo bench --bench engine` (paper scale).
 
-use orthrus_bench::harness::{self, BenchScale};
-use orthrus_core::{run_scenario, run_scenarios_with_threads};
+use orthrus_core::run_scenarios_with_threads;
+use orthrus_lab::{registry, SpecScale};
 use orthrus_sim::{Actor, Context, NetworkConfig, NodeId, Payload, Simulation, SimulationReport};
-use orthrus_types::{NetworkKind, ProtocolKind};
 use std::any::Any;
 use std::sync::Arc;
 use std::time::Instant;
@@ -157,80 +157,39 @@ fn storm_json(name: &str, r: &StormResult) -> String {
 // 2. Parallel scenario sweep
 // ----------------------------------------------------------------------
 
-/// Fixed machine width the work-span model is evaluated at, so the modeled
-/// speedup is comparable across benchmark hosts.
-const MODEL_WIDTH: u64 = 8;
-
 struct SweepResult {
     scenarios: usize,
     threads: usize,
     serial_wall_ms: f64,
     parallel_wall_ms: f64,
-    /// Longest single scenario in the serial pass — the span of the sweep's
-    /// work-span model (no schedule can beat it).
-    span_ms: f64,
-    /// Greedy list-schedule makespan of the measured per-scenario times at
-    /// the fixed [`MODEL_WIDTH`], host-independent like the executor model
-    /// (the walls depend on how many cores the host has).
-    modeled_makespan_ms: f64,
-    modeled_speedup: f64,
     identical: bool,
 }
 
-fn sweep_bench(scale: BenchScale) -> SweepResult {
-    let replica_points: &[u32] = match scale {
-        BenchScale::Reduced => &[4, 8],
-        BenchScale::Full => &[4, 8, 16, 32],
-    };
+fn sweep_bench(scale: SpecScale) -> SweepResult {
     // The sweep measures the *pool*, not the per-scenario workload, so the
     // points stay at the reduced workload size even at full scale — full-size
     // points would take tens of minutes each without changing the scaling
-    // shape (scenarios are independent and deterministic either way).
-    let scenarios: Vec<_> = replica_points
-        .iter()
-        .flat_map(|&n| {
-            [ProtocolKind::Orthrus, ProtocolKind::Iss]
-                .into_iter()
-                .map(move |p| (p, n))
+    // shape (scenarios are independent and deterministic either way). Full
+    // scale only adds the 16-replica points.
+    let scenarios: Vec<_> = registry::spec("fig4ab_lan_no_straggler")
+        .and_then(|spec| spec.lower(SpecScale::Reduced))
+        .expect("registry spec lowers")
+        .into_iter()
+        .filter(|p| {
+            (p.label == "Orthrus" || p.label == "ISS") && (scale == SpecScale::Full || p.x <= 8.0)
         })
-        .map(|(p, n)| {
-            harness::paper_scenario(p, NetworkKind::Lan, n, 0.46, false, BenchScale::Reduced)
-        })
+        .map(|p| p.scenario)
         .collect();
     let threads = orthrus_core::sweep_threads().max(2);
 
-    // Serial pass, timed per scenario: the per-point times are the task
-    // durations the work-span model schedules below.
     let wall = Instant::now();
-    let mut serial = Vec::with_capacity(scenarios.len());
-    let mut point_ms = Vec::with_capacity(scenarios.len());
-    for scenario in &scenarios {
-        let one = Instant::now();
-        serial.push(run_scenario(scenario).expect("bench scenarios must validate"));
-        point_ms.push(one.elapsed().as_secs_f64() * 1e3);
-    }
+    let serial = run_scenarios_with_threads(&scenarios, 1).expect("bench scenarios must validate");
     let serial_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
 
     let wall = Instant::now();
     let parallel =
         run_scenarios_with_threads(&scenarios, threads).expect("bench scenarios must validate");
     let parallel_wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-
-    // Work-span makespan at the fixed model width: greedy earliest-free
-    // assignment in input order, the same discipline the sweep pool uses.
-    let work_ms: f64 = point_ms.iter().sum();
-    let span_ms = point_ms.iter().copied().fold(0.0, f64::max);
-    let mut workers = [0.0f64; MODEL_WIDTH as usize];
-    for &t in &point_ms {
-        let earliest = workers
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        workers[earliest] += t;
-    }
-    let modeled_makespan_ms = workers.iter().copied().fold(0.0, f64::max);
 
     let identical = serial.len() == parallel.len()
         && serial.iter().zip(&parallel).all(|(a, b)| {
@@ -244,25 +203,22 @@ fn sweep_bench(scale: BenchScale) -> SweepResult {
         threads,
         serial_wall_ms,
         parallel_wall_ms,
-        span_ms,
-        modeled_makespan_ms,
-        modeled_speedup: work_ms / modeled_makespan_ms.max(0.001),
         identical,
     }
 }
 
 fn main() {
-    let scale = BenchScale::from_env();
+    let scale = SpecScale::from_env();
     let replicas = match scale {
-        BenchScale::Reduced => 24u32,
-        BenchScale::Full => 128u32,
+        SpecScale::Reduced => 24u32,
+        SpecScale::Full => 128u32,
     };
     // Rounds needed so the storm delivers at least 1e6 messages at full
     // scale: each round is n * (n - 1) deliveries.
     let per_round = u64::from(replicas) * u64::from(replicas - 1);
     let target_deliveries: u64 = match scale {
-        BenchScale::Reduced => 100_000,
-        BenchScale::Full => 2_000_000,
+        SpecScale::Reduced => 100_000,
+        SpecScale::Full => 2_000_000,
     };
     let rounds = target_deliveries.div_ceil(per_round) as u32;
 
@@ -305,11 +261,6 @@ fn main() {
         sweep.parallel_wall_ms,
         sweep.identical
     );
-    println!(
-        "work-span model @ width {MODEL_WIDTH}: span {:.0} ms, makespan {:.0} ms, \
-         speedup {:.2}",
-        sweep.span_ms, sweep.modeled_makespan_ms, sweep.modeled_speedup
-    );
 
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -334,15 +285,11 @@ fn main() {
             "    \"serial_wall_ms\": {:.1},\n",
             "    \"parallel_wall_ms\": {:.1},\n",
             "    \"speedup\": {:.2},\n",
-            "    \"model_width\": {},\n",
-            "    \"span_ms\": {:.1},\n",
-            "    \"modeled_makespan_ms\": {:.1},\n",
-            "    \"modeled_speedup\": {:.2},\n",
             "    \"identical_across_thread_counts\": {}\n",
             "  }}\n",
             "}}\n"
         ),
-        if scale == BenchScale::Full {
+        if scale == SpecScale::Full {
             "full"
         } else {
             "reduced"
@@ -359,10 +306,6 @@ fn main() {
         sweep.serial_wall_ms,
         sweep.parallel_wall_ms,
         sweep.serial_wall_ms / sweep.parallel_wall_ms.max(0.001),
-        MODEL_WIDTH,
-        sweep.span_ms,
-        sweep.modeled_makespan_ms,
-        sweep.modeled_speedup,
         sweep.identical,
     );
     // Cargo runs benches with the package directory as cwd; the snapshot

@@ -17,8 +17,8 @@
 //! Run with `cargo bench --bench executor` (reduced scale) or
 //! `ORTHRUS_FULL_SCALE=1 cargo bench --bench executor` (paper scale).
 
-use orthrus_bench::harness::BenchScale;
 use orthrus_execution::{Executor, ObjectStore, TxOutcome};
+use orthrus_lab::SpecScale;
 use orthrus_types::rng::{Rng, StdRng};
 use orthrus_types::{
     Amount, Block, BlockParams, ClientId, Epoch, InstanceId, ObjectKey, ObjectOp, Rank, SeqNum,
@@ -304,10 +304,10 @@ fn plog_run_json(r: &PlogRun) -> String {
 }
 
 fn main() {
-    let scale = BenchScale::from_env();
+    let scale = SpecScale::from_env();
     let (accounts, outstanding, payments, batch) = match scale {
-        BenchScale::Reduced => (20_000u64, 2_000usize, 24_000usize, 256usize),
-        BenchScale::Full => (100_000u64, 8_000, 120_000, 4_096),
+        SpecScale::Reduced => (20_000u64, 2_000usize, 24_000usize, 256usize),
+        SpecScale::Full => (100_000u64, 8_000, 120_000, 4_096),
     };
     println!("== executor snapshot ({scale:?} scale) ==");
 
@@ -340,8 +340,8 @@ fn main() {
     // 2. Digest micro.
     // ------------------------------------------------------------------
     let objects = match scale {
-        BenchScale::Reduced => 100_000u64,
-        BenchScale::Full => 500_000,
+        SpecScale::Reduced => 100_000u64,
+        SpecScale::Full => 500_000,
     };
     println!("\n-- digest micro: {objects} objects --");
     let micro = digest_micro(objects);
@@ -376,7 +376,7 @@ fn main() {
             "  }}\n",
             "}}\n"
         ),
-        if scale == BenchScale::Full {
+        if scale == SpecScale::Full {
             "full"
         } else {
             "reduced"

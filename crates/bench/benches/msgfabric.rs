@@ -8,15 +8,16 @@
 //!    `Vec<Transaction>` payload behaviour) and once by cloning the
 //!    `Arc<Block>` handle (the new fabric). A counting global allocator
 //!    reports allocations and bytes for each variant.
-//! 2. **Macro snapshot** — a reduced fig4_lan-style run (Orthrus, LAN, 4
-//!    replicas, 2 000 transactions) recording throughput, latency, bytes on
-//!    the wire and events processed, so later PRs can track the trajectory.
+//! 2. **Macro snapshot** — point 0 of the reduced `fig4ab_lan_no_straggler`
+//!    grid (Orthrus, LAN, 4 replicas, 2 000 transactions) recording
+//!    throughput, latency, bytes on the wire and events processed, so the
+//!    trajectory can be tracked across changes.
 //!
 //! Run with `cargo bench --bench msgfabric`.
 
 use orthrus_bench::fabric::{self, arc_fanout, deep_clone_fanout, BATCH, RECIPIENTS};
-use orthrus_bench::harness::{self, BenchScale, MeasuredPoint};
-use orthrus_types::{NetworkKind, ProtocolKind};
+use orthrus_bench::harness;
+use orthrus_lab::{registry, SpecScale};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -46,6 +47,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
 }
+
+/// The registry grid whose first point is the macro snapshot.
+const SNAPSHOT_SPEC: &str = "fig4ab_lan_no_straggler";
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -81,22 +85,15 @@ fn main() {
     let (deep, arc) = (&timings.deep, &timings.arc);
     let (cached, uncached) = (&timings.cached, &timings.uncached);
 
-    // Macro snapshot: reduced fig4_lan-style scenario.
+    // Macro snapshot: the first point of the reduced fig4a/b grid.
     println!();
-    println!("running fig4_lan-style macro snapshot (Orthrus, LAN, reduced scale) ...");
-    let scenario = harness::paper_scenario(
-        ProtocolKind::Orthrus,
-        NetworkKind::Lan,
-        4,
-        0.46,
-        false,
-        BenchScale::Reduced,
-    );
-    let wall = std::time::Instant::now();
-    let outcome = orthrus_core::run_scenario(&scenario).expect("bench scenario must validate");
-    let wall_s = wall.elapsed().as_secs_f64();
-    let point = MeasuredPoint::from_outcome("Orthrus", 4.0, &outcome, wall_s * 1e3);
-    harness::print_header("fig4_lan snapshot", "replicas");
+    println!("running {SNAPSHOT_SPEC} point 0 (reduced scale) ...");
+    let lowered = registry::spec(SNAPSHOT_SPEC)
+        .and_then(|spec| spec.lower(SpecScale::Reduced))
+        .expect("registry spec lowers");
+    let first = &lowered[0];
+    let point = harness::measure(&first.label, first.x, &first.scenario);
+    harness::print_header(&format!("{SNAPSHOT_SPEC} point 0"), "replicas");
     harness::print_row(&point);
 
     let json = format!(
@@ -116,7 +113,8 @@ fn main() {
             "    \"uncached_median_ns\": {:.1}\n",
             "  }},\n",
             "  \"fig4_lan_snapshot\": {{\n",
-            "    \"scenario\": \"orthrus_lan_4replicas_reduced\",\n",
+            "    \"scenario\": \"{}\",\n",
+            "    \"point_index\": 0,\n",
             "    \"point\": {},\n",
             "    \"wall_clock_s\": {:.3}\n",
             "  }}\n",
@@ -142,8 +140,9 @@ fn main() {
         },
         cached.median_ns,
         uncached.median_ns,
+        SNAPSHOT_SPEC,
         point.to_json(),
-        wall_s,
+        point.wall_clock_ms / 1e3,
     );
     // Cargo runs benches with the package directory as cwd; the snapshot
     // belongs at the workspace root next to ROADMAP.md.

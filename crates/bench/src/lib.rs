@@ -1,20 +1,13 @@
 //! # orthrus-bench
 //!
-//! The benchmark harness that regenerates every figure of the paper's
-//! evaluation (§VII) plus micro-benchmarks and ablations.
+//! The workspace's wall-clock code: the [`harness`] that times, prints and
+//! serializes sweep points for `orthrus run`, plus the snapshot benches in
+//! `benches/` (`micro`, `msgfabric`, `engine`, `executor`, `checkpoint`),
+//! which write the `BENCH_*.json` files at the repository root.
 //!
-//! Each figure has a dedicated `cargo bench` target (see `benches/`). All of
-//! them go through the [`harness`] module here, which:
-//!
-//! * builds the scenarios (protocols × replica counts × fault plans) with the
-//!   paper's parameters (batch size 4096, 500-byte payloads, 46% payments,
-//!   10× straggler, 10 s view-change timeout);
-//! * scales the experiment down by default so `cargo bench` finishes in
-//!   minutes — set `ORTHRUS_FULL_SCALE=1` to run the full 8–128 replica
-//!   sweep with the full 200k-transaction workload;
-//! * prints the same series the paper plots and writes CSV files to
-//!   `target/figures/` so results can be plotted and compared against the
-//!   paper (see `EXPERIMENTS.md`).
+//! The paper's figures (§VII, Figs. 3–8) and the ablations are named specs
+//! in the `orthrus_lab` registry; reproduce one with `orthrus run <name>`
+//! (`--json PATH` for the per-point JSON, `--full` for the paper's scale).
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,9 +17,3 @@ pub mod harness;
 pub mod timing;
 
 pub use timing::{bench, BenchResult};
-
-pub use harness::{
-    figure_csv_path, figure_json_path, measure, measure_sweep, measure_sweep_with_threads,
-    print_header, print_row, replica_counts, series_json, write_csv, write_json, BenchScale,
-    MeasuredPoint, SweepJob,
-};

@@ -17,9 +17,9 @@
 //!   files covering Figures 3–8 and the ablation studies.
 //!
 //! The `orthrus` CLI (`orthrus list | show | run <name|file>`) is a thin
-//! shell over these three modules; the figure benches pull their grids from
-//! the same registry, so a new experiment is a ten-line spec file instead of
-//! a new bench binary.
+//! shell over these three modules and the one way to reproduce a figure:
+//! `orthrus run <name>` lowers a registry spec and runs its grid, so a new
+//! experiment is a ten-line spec file instead of a new binary.
 //!
 //! ## Example
 //!

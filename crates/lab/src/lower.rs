@@ -40,7 +40,8 @@ pub enum SpecScale {
 
 impl SpecScale {
     /// Pick the scale from the `ORTHRUS_FULL_SCALE` environment variable
-    /// (same convention as the bench harness).
+    /// (`1` or `true` selects [`SpecScale::Full`]; the `orthrus` CLI and the
+    /// snapshot benches share this convention).
     pub fn from_env() -> Self {
         match std::env::var("ORTHRUS_FULL_SCALE") {
             Ok(value) if value == "1" || value.eq_ignore_ascii_case("true") => SpecScale::Full,

@@ -1,5 +1,6 @@
 //! The `orthrus` CLI: run the paper's experiment grids (and your own) from
-//! declarative `.orth` spec files.
+//! declarative `.orth` spec files. `orthrus run <name>` is the one way to
+//! reproduce a figure of the paper's evaluation (Figs. 3–8) or an ablation.
 //!
 //! ```text
 //! orthrus list
@@ -10,8 +11,8 @@
 //!
 //! orthrus run <name|file.orth> [--threads N] [--json PATH] [--full]
 //!     Lower the spec and run every point on the sweep pool, printing the
-//!     figure table and (optionally) writing the same JSON document the
-//!     bench harness emits.
+//!     figure table and (optionally) writing one JSON document with every
+//!     point's counters, Fig. 6 stage breakdown and Fig. 7 time series.
 //!
 //! orthrus lint [files...]
 //!     Parse, round-trip and lower every registry spec (and any extra
@@ -32,7 +33,7 @@
 //! overrides; `--threads` (or `ORTHRUS_SWEEP_THREADS`) sets the width of the
 //! sweep pool (how many points run at once). Results do not depend on it.
 
-use orthrus_bench::harness::{self, MeasuredPoint, SweepJob};
+use orthrus_bench::harness::{self, MeasuredPoint};
 use orthrus_core::sweep_threads;
 use orthrus_lab::{parse, registry, serialize, Spec, SpecScale};
 use std::process::ExitCode;
@@ -203,14 +204,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
     let threads = threads.unwrap_or_else(sweep_threads);
-    let jobs: Vec<SweepJob> = points.into_iter().map(SweepJob::from).collect();
     let label = x_label(&spec);
     let title = spec.title().unwrap_or_else(|| spec.name());
     harness::print_header(
         &format!("{title} ({scale:?} scale, {threads} thread(s))"),
         &label,
     );
-    let measured: Vec<MeasuredPoint> = harness::measure_sweep_with_threads(&jobs, threads);
+    let measured: Vec<MeasuredPoint> = harness::measure_sweep_with_threads(&points, threads);
     for point in &measured {
         harness::print_row(point);
     }

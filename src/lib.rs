@@ -71,8 +71,8 @@
 //!
 //! ## The `orthrus` CLI
 //!
-//! The `orthrus` binary drives the registry from the command line and emits
-//! the same JSON shape as the bench harness:
+//! The `orthrus` binary drives the registry from the command line; every
+//! figure of the paper's evaluation is `orthrus run <name>`:
 //!
 //! ```bash
 //! orthrus list                               # every named spec

@@ -1,5 +1,5 @@
 //! Workspace-level integration tests of the paper's qualitative claims at a
-//! reduced scale (the full-scale sweeps live in the benchmark harness).
+//! reduced scale (the full-scale sweeps are `orthrus run <name> --full`).
 
 use orthrus::prelude::*;
 

@@ -443,11 +443,16 @@ fn fig3_and_fig4_registry_grids_equal_the_pre_redesign_literals() {
     }
 }
 
-/// Figures 5–8 and the four ablations: same equality, mirroring each
-/// pre-redesign bench loop.
+/// Figures 5–8 and the four ablations (both scales): same equality,
+/// mirroring each pre-redesign bench loop.
 #[test]
 fn fig5_to_fig8_and_ablation_grids_equal_the_pre_redesign_literals() {
-    let scale = FrozenScale::Reduced;
+    for scale in [FrozenScale::Reduced, FrozenScale::Full] {
+        fixed_size_grids_match(scale);
+    }
+}
+
+fn fixed_size_grids_match(scale: FrozenScale) {
     let replicas = scale.fixed_replicas();
 
     // fig5 (both variants): payment-share sweep.
