@@ -87,6 +87,7 @@ impl MeasuredPoint {
                 "\"shard_ops\":{},",
                 "\"retained_plog_entries\":{},\"peak_retained_bytes\":{},",
                 "\"glog_wait_mean_us\":{:.3},\"glog_wait_max_us\":{},",
+                "\"deliveries_per_tx\":{:.4},",
                 "\"breakdown\":{{\"send_s\":{:.6},\"preprocess_s\":{:.6},",
                 "\"partial_ordering_s\":{:.6},\"global_ordering_s\":{:.6},",
                 "\"reply_s\":{:.6},\"global_ordering_share\":{:.6}}},",
@@ -108,6 +109,7 @@ impl MeasuredPoint {
             o.peak_retained_bytes,
             o.glog_wait_mean_us,
             o.glog_wait_max_us,
+            o.deliveries_per_tx,
             b.send.as_secs_f64(),
             b.preprocess.as_secs_f64(),
             b.partial_ordering.as_secs_f64(),
@@ -249,6 +251,8 @@ mod tests {
             glog_wait_mean_us: 42.5,
             glog_wait_max_us: 120,
             glog_wait_count: 3,
+            deliveries_per_tx: 1.0625,
+            tx_table_misses: 0,
             report: SimulationReport {
                 end_time: SimTime::from_secs(2),
                 events_processed: 789,
@@ -284,6 +288,7 @@ mod tests {
             "\"peak_retained_bytes\":4096",
             "\"glog_wait_mean_us\":42.500",
             "\"glog_wait_max_us\":120",
+            "\"deliveries_per_tx\":1.0625",
             "\"breakdown\":{\"send_s\":0.010000,\"preprocess_s\":0.020000,",
             "\"partial_ordering_s\":0.100000,\"global_ordering_s\":0.050000,",
             "\"reply_s\":0.020000,\"global_ordering_share\":0.250000}",

@@ -10,7 +10,7 @@
 
 use crate::messages::NetMessage;
 use orthrus_sim::{Actor, Context, NodeId};
-use orthrus_types::{Duration, FxHashMap, FxHashSet, ProtocolConfig, ReplicaId, SharedTx, TxId};
+use orthrus_types::{Duration, ProtocolConfig, SharedTx, TxId, TxMap, TxSet, TxTable, VoteSet};
 use std::any::Any;
 use std::sync::Arc;
 
@@ -25,21 +25,27 @@ pub struct ClientNode {
     /// replicas clones a pointer per target, not a payload.
     schedule: Vec<(Duration, SharedTx)>,
     next: usize,
-    replies: FxHashMap<TxId, FxHashSet<ReplicaId>>,
-    confirmed: FxHashSet<TxId>,
+    /// Replicas that replied, per transaction not yet confirmed.
+    replies: TxMap<VoteSet>,
+    confirmed: TxSet,
 }
 
 impl ClientNode {
     /// Build a client with a submission schedule (offset, transaction). The
-    /// schedule is sorted by offset internally.
-    pub fn new(config: ProtocolConfig, mut schedule: Vec<(Duration, SharedTx)>) -> Self {
+    /// schedule is sorted by offset internally. `table` is the run's
+    /// transaction table, which slot-indexes the reply tally.
+    pub fn new(
+        config: ProtocolConfig,
+        mut schedule: Vec<(Duration, SharedTx)>,
+        table: Arc<TxTable>,
+    ) -> Self {
         schedule.sort_by_key(|(offset, _)| *offset);
         Self {
             config,
             schedule,
             next: 0,
-            replies: FxHashMap::default(),
-            confirmed: FxHashSet::default(),
+            replies: TxMap::new(Arc::clone(&table)),
+            confirmed: TxSet::new(table),
         }
     }
 
@@ -101,14 +107,14 @@ impl Actor<NetMessage> for ClientNode {
 
     fn on_message(&mut self, _from: NodeId, msg: NetMessage, ctx: &mut Context<'_, NetMessage>) {
         if let NetMessage::ClientReply { tx, replica, .. } = msg {
-            if self.confirmed.contains(&tx) {
+            if self.confirmed.contains(tx) {
                 return;
             }
-            let entry = self.replies.entry(tx).or_default();
+            let entry = self.replies.get_or_insert_with(tx, VoteSet::default);
             entry.insert(replica);
             if entry.len() >= self.config.client_quorum() as usize {
                 self.confirmed.insert(tx);
-                self.replies.remove(&tx);
+                self.replies.remove(tx);
                 let now = ctx.now();
                 ctx.stats().tx_confirmed(tx, now);
             }
@@ -129,7 +135,7 @@ impl Actor<NetMessage> for ClientNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orthrus_types::ClientId;
+    use orthrus_types::{ClientId, FxHashSet};
 
     fn tx(seq: u64) -> SharedTx {
         orthrus_types::Transaction::payment(
@@ -150,6 +156,7 @@ mod tests {
                 (Duration::from_millis(20), tx(1)),
                 (Duration::from_millis(10), tx(0)),
             ],
+            Arc::default(),
         );
         assert_eq!(client.schedule[0].0, Duration::from_millis(10));
         assert_eq!(client.submitted_count(), 0);
@@ -159,7 +166,7 @@ mod tests {
     #[test]
     fn targets_are_distinct_and_quorum_sized() {
         let config = ProtocolConfig::for_replicas(16);
-        let client = ClientNode::new(config.clone(), vec![]);
+        let client = ClientNode::new(config.clone(), vec![], Arc::default());
         let targets = client.targets_for(&TxId::new(ClientId::new(3), 9));
         assert_eq!(targets.len(), config.client_quorum() as usize);
         let mut unique = targets.clone();
@@ -171,7 +178,7 @@ mod tests {
     #[test]
     fn different_transactions_use_different_entry_points() {
         let config = ProtocolConfig::for_replicas(16);
-        let client = ClientNode::new(config, vec![]);
+        let client = ClientNode::new(config, vec![], Arc::default());
         let mut firsts = FxHashSet::default();
         for i in 0..50 {
             let targets = client.targets_for(&TxId::new(ClientId::new(i), 0));

@@ -7,8 +7,9 @@
 //! instance — which is what prevents double spending without global
 //! ordering.
 
-use orthrus_types::{FxHashSet, InstanceId, ObjectKey, SharedTx, Transaction, TxId};
+use orthrus_types::{InstanceId, ObjectKey, SharedTx, Transaction, TxId, TxSet, TxTable};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The deterministic object → instance assignment function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,14 +68,24 @@ impl Partitioner {
 #[derive(Debug, Clone, Default)]
 pub struct Bucket {
     queue: VecDeque<SharedTx>,
-    known: FxHashSet<TxId>,
-    delivered: FxHashSet<TxId>,
+    known: TxSet,
+    delivered: TxSet,
 }
 
 impl Bucket {
-    /// An empty bucket.
+    /// An empty bucket with no transaction table: its id sets are hashed.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty bucket whose id sets are slot-indexed by the run's
+    /// transaction table.
+    pub fn with_table(table: Arc<TxTable>) -> Self {
+        Self {
+            queue: VecDeque::new(),
+            known: TxSet::new(Arc::clone(&table)),
+            delivered: TxSet::new(table),
+        }
     }
 
     /// Number of queued transactions (delivered ones behind an undelivered
@@ -93,7 +104,7 @@ impl Bucket {
     /// request arrived in — a multi-payer transaction queued in several
     /// buckets still exists once in memory.
     pub fn push(&mut self, tx: SharedTx) -> bool {
-        if self.known.contains(&tx.id) || self.delivered.contains(&tx.id) {
+        if self.known.contains(tx.id) || self.delivered.contains(tx.id) {
             return false;
         }
         self.known.insert(tx.id);
@@ -115,11 +126,11 @@ impl Bucket {
             let Some(tx) = self.queue.pop_front() else {
                 break;
             };
-            if self.delivered.contains(&tx.id) {
+            if self.delivered.contains(tx.id) {
                 continue;
             }
             if valid(&tx) {
-                self.known.remove(&tx.id);
+                self.known.remove(tx.id);
                 pulled.push(tx);
             } else {
                 skipped.push_back(tx);
@@ -138,9 +149,9 @@ impl Bucket {
     /// when the front reaches it (here or in [`Bucket::pull`]).
     pub fn mark_delivered(&mut self, id: TxId) {
         self.delivered.insert(id);
-        if self.known.remove(&id) {
+        if self.known.remove(id) {
             while let Some(front) = self.queue.front() {
-                if !self.delivered.contains(&front.id) {
+                if !self.delivered.contains(front.id) {
                     break;
                 }
                 self.queue.pop_front();
@@ -158,7 +169,7 @@ impl Bucket {
 mod tests {
     use super::*;
     use orthrus_types::rng::{Rng, StdRng};
-    use orthrus_types::{ClientId, ObjectOp};
+    use orthrus_types::{ClientId, FxHashSet, ObjectOp};
 
     fn tx(client: u64, seq: u64) -> SharedTx {
         Transaction::payment(
@@ -345,13 +356,21 @@ mod tests {
     }
 
     /// Model test: random `push` / `pull(max, predicate)` / `mark_delivered`
-    /// over a small id space return exactly what the scanning bucket returns.
+    /// over a small id space return exactly what the scanning bucket returns,
+    /// with hashed id sets and with a transaction table covering half the
+    /// ids (the other half overflow).
     #[test]
     fn random_op_sequences_match_the_scanning_bucket() {
         const IDS: u64 = 12;
+        let table = Arc::new(TxTable::new(&[1; IDS as usize / 2]));
         for seed in 0..50u64 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let (mut bucket, mut model) = (Bucket::new(), ScanBucket::default());
+            let mut bucket = if seed % 2 == 0 {
+                Bucket::new()
+            } else {
+                Bucket::with_table(Arc::clone(&table))
+            };
+            let mut model = ScanBucket::default();
             for step in 0..400 {
                 let id = rng.gen_range(0..IDS);
                 match rng.gen_range(0..4u32) {

@@ -18,9 +18,9 @@ use orthrus_ordering::{
 use orthrus_sb::{PbftConfig, PbftInstance, ProgressTracker, SbAction};
 use orthrus_sim::{Actor, Context, LatencyStage, NodeId};
 use orthrus_types::{
-    Block, BlockId, BlockParams, Digest, Duration, Epoch, FxHashMap, FxHashSet, InstanceId,
-    ProtocolConfig, ProtocolKind, ReplicaId, SharedBlock, SharedTx, SimTime, StableCheckpoint,
-    SystemState, TxId,
+    Block, BlockId, BlockParams, Digest, Duration, Epoch, FxHashMap, InstanceId, ProtocolConfig,
+    ProtocolKind, ReplicaId, SharedBlock, SharedTx, SimTime, StableCheckpoint, SystemState, TxId,
+    TxSet, TxTable,
 };
 use std::any::Any;
 use std::sync::Arc;
@@ -111,7 +111,7 @@ pub(crate) struct CatchUp {
     pub(crate) policy: Policy,
     pub(crate) rank: RankTracker,
     pub(crate) buckets: Vec<Bucket>,
-    pub(crate) replied: FxHashSet<TxId>,
+    pub(crate) replied: TxSet,
     pub(crate) pending_order_decisions: Vec<orthrus_types::BlockId>,
     pub(crate) delivered_blocks: u64,
 }
@@ -194,12 +194,15 @@ pub struct ReplicaNode {
     /// (only used by the ordering instance's leader).
     pending_order_decisions: Vec<orthrus_types::BlockId>,
     /// Transactions already answered to their client.
-    replied: FxHashSet<TxId>,
+    replied: TxSet,
     /// Undetectable-fault behaviour: keep leading our own instance but ignore
     /// every other instance (paper §VII-E).
     selfish: bool,
     /// Total number of blocks this replica delivered across instances.
     delivered_blocks: u64,
+    /// Transaction occurrences in the data blocks this replica delivered
+    /// (a transaction counts once per block it appears in).
+    delivered_tx_occurrences: u64,
     /// Every other replica, in id order: the recipients of each broadcast.
     peers: Vec<NodeId>,
     /// Per-instance stable-checkpoint frontier (drives log truncation).
@@ -238,12 +241,14 @@ impl ReplicaNode {
     /// genesis store's write counters are sized to one slot per SB instance
     /// (plus shared writes), so they measure the load each instance's
     /// accounts put on execution; this never changes what the replica
-    /// computes.
+    /// computes. `table` is the run's transaction table, which slot-indexes
+    /// the buckets', the executor's and the reply bookkeeping.
     pub fn new(
         me: ReplicaId,
         protocol: ProtocolKind,
         config: ProtocolConfig,
         mut genesis: ObjectStore,
+        table: Arc<TxTable>,
     ) -> Self {
         let m = config.num_instances;
         genesis.reshard(m);
@@ -266,19 +271,22 @@ impl ReplicaNode {
             me,
             protocol,
             partitioner: Partitioner::new(m),
-            buckets: (0..m).map(|_| Bucket::new()).collect(),
+            buckets: (0..m)
+                .map(|_| Bucket::with_table(Arc::clone(&table)))
+                .collect(),
             instances,
             plogs: PartialLogs::new(m),
             glog: GlobalLog::new(),
             policy: Policy::for_protocol(protocol, m),
-            executor: Executor::with_store(genesis),
+            executor: Executor::with_store_and_table(genesis, Arc::clone(&table)),
             rank: RankTracker::new(),
             progress: ProgressTracker::new(config.view_change_timeout),
             executed_state: SystemState::new(m as usize),
             pending_order_decisions: Vec::new(),
-            replied: FxHashSet::default(),
+            replied: TxSet::new(table),
             selfish: false,
             delivered_blocks: 0,
+            delivered_tx_occurrences: 0,
             peers: (0..config.num_replicas)
                 .filter(|&r| r != me.value())
                 .map(NodeId::replica)
@@ -324,6 +332,13 @@ impl ReplicaNode {
     /// Number of blocks delivered across all SB instances.
     pub fn delivered_blocks(&self) -> u64 {
         self.delivered_blocks
+    }
+
+    /// Transaction occurrences in the data blocks this replica delivered. A
+    /// transaction with payers in k instances is ordered k times; anything
+    /// beyond that is a duplicate proposal.
+    pub fn delivered_tx_occurrences(&self) -> u64 {
+        self.delivered_tx_occurrences
     }
 
     /// Number of transactions this replica has confirmed to clients.
@@ -549,6 +564,7 @@ impl ReplicaNode {
 
         // Partition-module bookkeeping: these transactions are no longer
         // pending in this instance's bucket.
+        self.delivered_tx_occurrences += block.txs.len() as u64;
         for tx in &block.txs {
             self.buckets[instance.as_usize()].mark_delivered(tx.id);
             let now = ctx.now();
@@ -772,7 +788,7 @@ impl ReplicaNode {
         if tx.validate().is_err() {
             return;
         }
-        if self.replied.contains(&tx.id) {
+        if self.replied.contains(tx.id) {
             return;
         }
         let now = ctx.now();
@@ -1154,19 +1170,26 @@ impl Actor<NetMessage> for ReplicaNode {
 mod tests {
     use super::*;
 
-    fn genesis() -> ObjectStore {
-        let mut store = ObjectStore::new();
+    /// A fresh replica `me` of a 4-replica `protocol` deployment.
+    fn replica(me: u32, protocol: ProtocolKind) -> ReplicaNode {
+        let mut genesis = ObjectStore::new();
         for k in 0..16u64 {
-            store.create_account(orthrus_types::ObjectKey::new(k), 1_000);
+            genesis.create_account(orthrus_types::ObjectKey::new(k), 1_000);
         }
-        store
+        let config = ProtocolConfig::for_replicas(4);
+        ReplicaNode::new(
+            ReplicaId::new(me),
+            protocol,
+            config,
+            genesis,
+            Arc::default(),
+        )
     }
 
     #[test]
     fn replica_construction_per_protocol() {
         for protocol in ProtocolKind::ALL {
-            let config = ProtocolConfig::for_replicas(4);
-            let node = ReplicaNode::new(ReplicaId::new(0), protocol, config.clone(), genesis());
+            let node = replica(0, protocol);
             assert_eq!(node.protocol(), protocol);
             let expected_instances = if protocol == ProtocolKind::Dqbft {
                 5
@@ -1182,8 +1205,7 @@ mod tests {
 
     #[test]
     fn ordering_instance_id_is_one_past_data_instances() {
-        let config = ProtocolConfig::for_replicas(4);
-        let node = ReplicaNode::new(ReplicaId::new(1), ProtocolKind::Dqbft, config, genesis());
+        let node = replica(1, ProtocolKind::Dqbft);
         assert_eq!(node.ordering_instance(), InstanceId::new(4));
         assert!(node.is_ordering_instance(InstanceId::new(4)));
         assert!(!node.is_ordering_instance(InstanceId::new(0)));
@@ -1191,8 +1213,7 @@ mod tests {
 
     #[test]
     fn delivered_state_tracks_instances() {
-        let config = ProtocolConfig::for_replicas(4);
-        let node = ReplicaNode::new(ReplicaId::new(0), ProtocolKind::Orthrus, config, genesis());
+        let node = replica(0, ProtocolKind::Orthrus);
         let s = node.delivered_state();
         assert_eq!(s.num_instances(), 4);
         assert_eq!(s.total_delivered_blocks(), 0);
@@ -1200,16 +1221,14 @@ mod tests {
 
     #[test]
     fn peers_exclude_self() {
-        let config = ProtocolConfig::for_replicas(4);
-        let node = ReplicaNode::new(ReplicaId::new(2), ProtocolKind::Iss, config, genesis());
+        let node = replica(2, ProtocolKind::Iss);
         let peers = [0, 1, 3].map(NodeId::replica);
         assert_eq!(node.peers, peers);
     }
 
     #[test]
     fn fresh_replica_has_empty_checkpoint_and_retention_state() {
-        let config = ProtocolConfig::for_replicas(4);
-        let node = ReplicaNode::new(ReplicaId::new(0), ProtocolKind::Orthrus, config, genesis());
+        let node = replica(0, ProtocolKind::Orthrus);
         assert!(node.checkpoint_anchor().is_none());
         assert_eq!(node.stable_frontier().total_delivered_blocks(), 0);
         assert_eq!(node.retained_log_entries(), 0);
@@ -1222,8 +1241,7 @@ mod tests {
 
     #[test]
     fn state_transfer_snapshots_the_executor_and_mark() {
-        let config = ProtocolConfig::for_replicas(4);
-        let node = ReplicaNode::new(ReplicaId::new(1), ProtocolKind::Orthrus, config, genesis());
+        let node = replica(1, ProtocolKind::Orthrus);
         let transfer = node.build_state_transfer();
         assert_eq!(transfer.progress_mark(), 0);
         assert!(transfer.checkpoint.is_empty());
@@ -1243,9 +1261,7 @@ mod tests {
 
     #[test]
     fn timer_tags_carry_the_restart_epoch() {
-        let config = ProtocolConfig::for_replicas(4);
-        let mut node =
-            ReplicaNode::new(ReplicaId::new(0), ProtocolKind::Orthrus, config, genesis());
+        let mut node = replica(0, ProtocolKind::Orthrus);
         let t0 = node.tag(TIMER_BATCH);
         assert_eq!(t0 % TIMER_EPOCH_STRIDE, TIMER_BATCH);
         assert_eq!(t0 / TIMER_EPOCH_STRIDE, 0);

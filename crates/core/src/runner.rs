@@ -26,11 +26,12 @@ use crate::replica::ReplicaNode;
 use orthrus_execution::ObjectStore;
 use orthrus_sim::stats::LatencyBreakdown;
 use orthrus_sim::{
-    FaultPlan, NetworkConfig, NodeId, QueueKind, Simulation, SimulationReport, ThroughputPoint,
+    FaultPlan, NetworkConfig, NodeId, QueueKind, Simulation, SimulationReport, StatsCollector,
+    ThroughputPoint,
 };
 use orthrus_types::{
     Digest, Duration, NetworkKind, OrthrusError, ProtocolConfig, ProtocolKind, ReplicaId, Result,
-    SharedTx, SimTime,
+    SharedTx, SimTime, TxTable,
 };
 use orthrus_workload::{Workload, WorkloadConfig};
 use std::sync::Arc;
@@ -380,6 +381,14 @@ pub struct ScenarioOutcome {
     pub glog_wait_max_us: u64,
     /// Number of glog pop events that contributed a wait sample.
     pub glog_wait_count: u64,
+    /// Transaction occurrences each replica delivered in data blocks, per
+    /// confirmed transaction (mean over replicas). A transaction with payers
+    /// in k instances is ordered k times, so the floor is 1 plus the
+    /// multi-instance share; the excess counts duplicate proposals.
+    pub deliveries_per_tx: f64,
+    /// Per-transaction bookkeeping operations whose id fell outside the run's
+    /// transaction table (0 when every id comes from the workload).
+    pub tx_table_misses: u64,
     /// Raw simulation report (events, messages, bytes).
     pub report: SimulationReport,
 }
@@ -408,6 +417,11 @@ pub fn build_simulation(scenario: &Scenario) -> Result<(Simulation<NetMessage>, 
     let network = NetworkConfig::for_kind(scenario.network);
     let mut sim: Simulation<NetMessage> =
         Simulation::with_faults(network, scenario.faults.clone(), scenario.seed);
+    // One slot per workload transaction, shared by every per-transaction
+    // table of the run: the stats, each client's reply tally, and each
+    // replica's buckets, executor and reply set.
+    let table = Arc::new(TxTable::new(&workload.txs_per_client));
+    *sim.stats_mut() = StatsCollector::with_table(Arc::clone(&table));
 
     // Replicas must agree with the runner on the logical-client → client-actor
     // mapping so they can route replies.
@@ -417,8 +431,13 @@ pub fn build_simulation(scenario: &Scenario) -> Result<(Simulation<NetMessage>, 
 
     for r in 0..config.num_replicas {
         let replica = ReplicaId::new(r);
-        let mut node =
-            ReplicaNode::new(replica, scenario.protocol, config.clone(), genesis.clone());
+        let mut node = ReplicaNode::new(
+            replica,
+            scenario.protocol,
+            config.clone(),
+            genesis.clone(),
+            Arc::clone(&table),
+        );
         if scenario.faults.is_selfish(replica) {
             node.set_selfish(true);
         }
@@ -437,7 +456,7 @@ pub fn build_simulation(scenario: &Scenario) -> Result<(Simulation<NetMessage>, 
         schedules[actor].push((offset, Arc::clone(tx)));
     }
     for (c, schedule) in schedules.into_iter().enumerate() {
-        let client = ClientNode::new(config.clone(), schedule);
+        let client = ClientNode::new(config.clone(), schedule, Arc::clone(&table));
         sim.add_actor(NodeId::client(c as u64), Box::new(client));
     }
 
@@ -550,6 +569,16 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioOutcome> {
             )
         })
         .unwrap_or_default();
+    let delivered_occurrences: u64 = (0..scenario.config.num_replicas)
+        .filter_map(|r| sim.actor_as::<ReplicaNode>(NodeId::replica(r)))
+        .map(ReplicaNode::delivered_tx_occurrences)
+        .sum();
+    let confirmed = stats.confirmed_count();
+    let deliveries_per_tx = if confirmed == 0 {
+        0.0
+    } else {
+        delivered_occurrences as f64 / f64::from(scenario.config.num_replicas) / confirmed as f64
+    };
     let recoveries: Vec<(ReplicaId, SimTime)> = (0..scenario.config.num_replicas)
         .filter_map(|r| {
             let id = ReplicaId::new(r);
@@ -562,7 +591,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioOutcome> {
     Ok(ScenarioOutcome {
         protocol: scenario.protocol,
         submitted,
-        confirmed: stats.confirmed_count(),
+        confirmed,
         throughput_ktps: stats.throughput_ktps(),
         avg_latency: stats.average_latency(),
         p95_latency: stats.latency_percentile(0.95),
@@ -581,6 +610,8 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioOutcome> {
         glog_wait_mean_us: stats.glog_wait_mean_us(),
         glog_wait_max_us: stats.glog_wait_max_us,
         glog_wait_count: stats.glog_wait_count,
+        deliveries_per_tx,
+        tx_table_misses: stats.tx_table_misses(),
         report: orthrus_sim::SimulationReport {
             end_time: sim.now(),
             events_processed: last_report.events_processed,

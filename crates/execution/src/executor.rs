@@ -17,8 +17,9 @@
 
 use crate::escrow::EscrowLog;
 use crate::store::ObjectStore;
-use orthrus_types::FxHashMap;
-use orthrus_types::{InstanceId, ObjectKey, Operation, SharedBlock, Transaction, TxId};
+use orthrus_types::{
+    InstanceId, ObjectKey, Operation, SharedBlock, Transaction, TxId, TxMap, TxTable,
+};
 use std::sync::Arc;
 
 /// Final outcome of a transaction at this replica.
@@ -36,20 +37,21 @@ pub enum TxOutcome {
 /// The execution engine of one replica.
 ///
 /// `Clone` exists for crash-recovery state transfer and copies no map: the
-/// store map, the escrow map and the outcome maps all sit behind [`Arc`]s with
-/// copy-on-write mutation, so a snapshot is a consistent copy of exactly
-/// what this replica has executed, taken by bumping reference counts — the
-/// live executor only duplicates a map when it next writes to it while a
-/// snapshot still holds the other reference.
+/// store map, the escrow map and the per-transaction tables all sit behind
+/// [`Arc`]s with copy-on-write mutation, so a snapshot is a consistent copy
+/// of exactly what this replica has executed, taken by bumping reference
+/// counts — the live executor only duplicates a map when it next writes to
+/// it while a snapshot still holds the other reference.
 #[derive(Debug, Default, Clone)]
 pub struct Executor {
     store: ObjectStore,
     elog: EscrowLog,
-    outcomes: Arc<FxHashMap<TxId, TxOutcome>>,
+    outcomes: Arc<TxMap<TxOutcome>>,
     /// Number of glog occurrences of a transaction seen so far (a
     /// transaction assigned to k instances appears k times in the glog and is
-    /// executed only at its last occurrence).
-    glog_occurrences: Arc<FxHashMap<TxId, usize>>,
+    /// executed only at its last occurrence; k is at most the `u32` number
+    /// of instances).
+    glog_occurrences: Arc<TxMap<u32>>,
     committed_count: u64,
     aborted_count: u64,
 }
@@ -60,10 +62,22 @@ impl Executor {
         Self::default()
     }
 
-    /// Create an executor over a pre-populated store (genesis balances).
+    /// Create an executor over a pre-populated store (genesis balances),
+    /// with no transaction table: per-transaction state is hashed.
     pub fn with_store(store: ObjectStore) -> Self {
         Self {
             store,
+            ..Self::default()
+        }
+    }
+
+    /// Create an executor over a pre-populated store whose per-transaction
+    /// state is slot-indexed by the run's transaction table.
+    pub fn with_store_and_table(store: ObjectStore, table: Arc<TxTable>) -> Self {
+        Self {
+            store,
+            outcomes: Arc::new(TxMap::new(Arc::clone(&table))),
+            glog_occurrences: Arc::new(TxMap::new(table)),
             ..Self::default()
         }
     }
@@ -85,7 +99,7 @@ impl Executor {
 
     /// Outcome recorded for `tx`, if it was confirmed at this replica.
     pub fn outcome(&self, tx: TxId) -> Option<TxOutcome> {
-        self.outcomes.get(&tx).copied()
+        self.outcomes.get(tx).copied()
     }
 
     /// Number of committed transactions.
@@ -166,7 +180,7 @@ impl Executor {
         instance: InstanceId,
         assign: &dyn Fn(ObjectKey) -> InstanceId,
     ) -> Option<TxOutcome> {
-        if let Some(existing) = self.outcomes.get(&tx.id) {
+        if let Some(existing) = self.outcomes.get(tx.id) {
             return Some(*existing);
         }
         // Escrow every owned-decrement leg that belongs to this instance
@@ -239,7 +253,7 @@ impl Executor {
         tx: &Transaction,
         assign: &dyn Fn(ObjectKey) -> InstanceId,
     ) -> Option<TxOutcome> {
-        if let Some(existing) = self.outcomes.get(&tx.id) {
+        if let Some(existing) = self.outcomes.get(tx.id) {
             // Already confirmed (payments on the fast path, or an earlier
             // abort). Nothing to do at this position.
             return Some(*existing);
@@ -264,12 +278,12 @@ impl Executor {
         // A transaction in one instance has one occurrence: nothing to count.
         if expected > 1 {
             let occurrences = Arc::make_mut(&mut self.glog_occurrences);
-            let seen = occurrences.entry(tx.id).or_insert(0);
+            let seen = occurrences.get_or_insert_with(tx.id, || 0);
             *seen += 1;
-            if *seen < expected {
+            if (*seen as usize) < expected {
                 return None;
             }
-            occurrences.remove(&tx.id);
+            occurrences.remove(tx.id);
         }
 
         // Last occurrence: execute (lines 35–39).
@@ -291,7 +305,7 @@ impl Executor {
     /// Re-processing a confirmed transaction (e.g. a multi-payer transaction
     /// appearing in several globally ordered blocks) is idempotent.
     pub fn process_sequential_tx(&mut self, tx: &Transaction) -> TxOutcome {
-        if let Some(existing) = self.outcomes.get(&tx.id) {
+        if let Some(existing) = self.outcomes.get(tx.id) {
             return *existing;
         }
         for leg in tx.ops.iter().filter(|leg| leg.is_owned_decrement()) {

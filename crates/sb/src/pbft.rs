@@ -25,7 +25,7 @@ use crate::messages::{PreparedProof, SbMessage};
 use crate::slots::SlotList;
 use orthrus_types::{
     CheckpointProof, Digest, InstanceId, ReplicaId, SeqNum, SharedBlock, SimTime, StableCheckpoint,
-    View,
+    View, VoteSet,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -62,55 +62,14 @@ impl PbftConfig {
     }
 }
 
-/// The replicas that voted in one phase of one slot, as a bitset over
-/// replica ids: a quorum tally only ever inserts, counts and clears.
-/// Ids below 128 (every deployment the paper evaluates) live in one inline
-/// word, so a tally allocates nothing; higher ids spill into `high`, one bit
-/// per id from 128 up. [`PbftInstance::handle_message`] admits ids below `n`
-/// only, so the set never grows past `n` bits.
-#[derive(Debug, Default, Clone)]
-struct VoteSet {
-    low: u128,
-    high: Vec<u64>,
-}
-
-impl VoteSet {
-    /// Record `voter`'s vote; false if it had already voted.
-    fn insert(&mut self, voter: ReplicaId) -> bool {
-        let id = voter.as_usize();
-        if id < 128 {
-            let bit = 1u128 << id;
-            let fresh = self.low & bit == 0;
-            self.low |= bit;
-            return fresh;
-        }
-        let (word, bit) = ((id - 128) / 64, 1u64 << (id % 64));
-        if word >= self.high.len() {
-            self.high.resize(word + 1, 0);
-        }
-        let fresh = self.high[word] & bit == 0;
-        self.high[word] |= bit;
-        fresh
-    }
-
-    fn len(&self) -> usize {
-        let high: u32 = self.high.iter().map(|w| w.count_ones()).sum();
-        (self.low.count_ones() + high) as usize
-    }
-
-    fn clear(&mut self) {
-        self.low = 0;
-        self.high.clear();
-    }
-}
-
 /// Per-sequence-number voting state.
 #[derive(Debug, Default, Clone)]
 struct Slot {
     proposal: Option<SharedBlock>,
     digest: Option<Digest>,
     /// Replicas attesting to the proposal (leader via pre-prepare, others via
-    /// prepare votes).
+    /// prepare votes). [`PbftInstance::handle_message`] admits ids below `n`
+    /// only, so neither tally grows past `n` bits.
     prepares: VoteSet,
     commits: VoteSet,
     sent_commit: bool,
@@ -878,29 +837,6 @@ mod tests {
         };
         assert_eq!(c7.leader_of(View::new(0)), ReplicaId::new(3));
         assert_eq!(c7.leader_of(View::new(5)), ReplicaId::new(1));
-    }
-
-    #[test]
-    fn vote_set_inserts_counts_and_clears_across_words() {
-        let mut votes = VoteSet::default();
-        assert_eq!(votes.len(), 0);
-        // 127 is the last inline id; 128 and 129 are the first to spill.
-        for (i, id) in [0, 63, 64, 127, 128, 129, 200].into_iter().enumerate() {
-            assert!(votes.insert(ReplicaId::new(id)), "first vote of {id}");
-            assert!(!votes.insert(ReplicaId::new(id)), "duplicate vote of {id}");
-            assert_eq!(votes.len(), i + 1);
-        }
-        // Earlier words survive growth, and a low id after a high one lands.
-        assert!(!votes.insert(ReplicaId::new(0)));
-        assert!(votes.insert(ReplicaId::new(1)));
-        assert_eq!(votes.len(), 8);
-        // Clearing after a spill empties both halves.
-        votes.clear();
-        assert_eq!(votes.len(), 0);
-        for id in [127, 128, 129, 200] {
-            assert!(votes.insert(ReplicaId::new(id)), "vote of {id} after clear");
-        }
-        assert_eq!(votes.len(), 4);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * **time series** — throughput and latency averaged over 0.5 s intervals
 //!   (Fig. 7).
 
-use orthrus_types::{Duration, FxHashMap, SimTime, TxId};
+use orthrus_types::{Duration, SimTime, TxId, TxMap, TxTable};
+use std::sync::Arc;
 
 /// The processing stages a transaction passes through (paper §VII-D).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,30 +63,24 @@ impl LatencyStage {
     }
 }
 
-/// A first-write-wins timestamp in one word: `u64::MAX` µs (≈ 585 000 years
-/// of simulated time) stands for "not reached yet".
-#[derive(Debug, Clone, Copy)]
+/// A first-write-wins timestamp in one word, holding the time in µs plus
+/// one: zero stands for "not reached yet", so a fresh record is all zeroes.
+#[derive(Debug, Clone, Copy, Default)]
 struct Stamp(u64);
-
-impl Default for Stamp {
-    fn default() -> Self {
-        Stamp(u64::MAX)
-    }
-}
 
 impl Stamp {
     fn is_set(self) -> bool {
-        self.0 != u64::MAX
+        self.0 != 0
     }
 
     fn get(self) -> Option<SimTime> {
-        self.is_set().then_some(SimTime(self.0))
+        self.is_set().then(|| SimTime(self.0 - 1))
     }
 
     /// Record `now` unless a time is already recorded.
     fn set_once(&mut self, now: SimTime) {
         if !self.is_set() {
-            self.0 = now.as_micros();
+            self.0 = now.as_micros() + 1;
         }
     }
 }
@@ -145,7 +140,8 @@ impl LatencyBreakdown {
 /// Collector of all simulation metrics.
 #[derive(Debug, Default)]
 pub struct StatsCollector {
-    txs: FxHashMap<TxId, TxRecord>,
+    /// One record per transaction any stage was reported for.
+    txs: TxMap<TxRecord>,
     /// Total number of blocks delivered by SB instances.
     pub blocks_delivered: u64,
     /// Total number of view changes completed.
@@ -165,24 +161,44 @@ pub struct StatsCollector {
 }
 
 impl StatsCollector {
-    /// Create an empty collector.
+    /// Create an empty collector with no transaction table: every record
+    /// lives in the table's hashed overflow.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Create an empty collector whose records are slot-indexed by the run's
+    /// transaction table.
+    pub fn with_table(table: Arc<TxTable>) -> Self {
+        Self {
+            txs: TxMap::new(table),
+            ..Self::default()
+        }
+    }
+
+    /// Lookups of ids outside the collector's transaction table, by any
+    /// container sharing it (see [`TxTable::misses`]).
+    pub fn tx_table_misses(&self) -> u64 {
+        self.txs.table().misses()
+    }
+
+    fn record(&mut self, id: TxId) -> &mut TxRecord {
+        self.txs.get_or_insert_with(id, TxRecord::default)
+    }
+
     /// Record that a client submitted a transaction.
     pub fn tx_submitted(&mut self, id: TxId, now: SimTime) {
-        self.txs.entry(id).or_default().submitted.set_once(now);
+        self.record(id).submitted.set_once(now);
     }
 
     /// Record the first completion time of a pipeline stage for `id`.
     pub fn stage_reached(&mut self, id: TxId, stage: LatencyStage, now: SimTime) {
-        self.txs.entry(id).or_default().stages[stage.index()].set_once(now);
+        self.record(id).stages[stage.index()].set_once(now);
     }
 
     /// Record that the client collected `f + 1` replies for `id`.
     pub fn tx_confirmed(&mut self, id: TxId, now: SimTime) {
-        let entry = self.txs.entry(id).or_default();
+        let entry = self.record(id);
         if !entry.confirmed.is_set() {
             entry.confirmed.set_once(now);
             entry.stages[LatencyStage::Reply.index()].set_once(now);
@@ -219,13 +235,11 @@ impl StatsCollector {
 
     /// Number of transactions submitted.
     pub fn submitted_count(&self) -> usize {
-        // orthrus: allow(nondet-iter): count of a filter — order-free fold.
         self.txs.values().filter(|r| r.submitted.is_set()).count()
     }
 
     /// Number of transactions confirmed (successfully or not).
     pub fn confirmed_count(&self) -> usize {
-        // orthrus: allow(nondet-iter): count of a filter — order-free fold.
         self.txs.values().filter(|r| r.confirmed.is_set()).count()
     }
 
@@ -271,7 +285,6 @@ impl StatsCollector {
             .filter_map(|r| r.submitted.get())
             .min()
             .unwrap_or(SimTime::ZERO);
-        // orthrus: allow(nondet-iter): max over all values — order-free fold.
         let last_confirm = self.txs.values().filter_map(|r| r.confirmed.get()).max();
         let Some(last) = last_confirm else {
             return 0.0;
@@ -290,9 +303,11 @@ impl StatsCollector {
         if bucket_s <= 0.0 {
             return Vec::new();
         }
-        // orthrus: allow(nondet-iter): the collected times feed per-bucket counts — a commutative histogram, insensitive to visit order.
-        let confirmed = self.txs.values().filter_map(|r| r.confirmed.get());
-        let confirmations: Vec<SimTime> = confirmed.collect();
+        let confirmations: Vec<SimTime> = self
+            .txs
+            .values()
+            .filter_map(|r| r.confirmed.get())
+            .collect();
         let Some(&max_t) = confirmations.iter().max() else {
             return Vec::new();
         };
@@ -356,7 +371,6 @@ impl StatsCollector {
     pub fn latency_breakdown(&self) -> LatencyBreakdown {
         let mut sums = [0u64; 5];
         let mut count = 0u64;
-        // orthrus: allow(nondet-iter): per-stage sums and a count — commutative accumulation.
         for rec in self.txs.values() {
             let (Some(submitted), Some(confirmed)) = (rec.submitted.get(), rec.confirmed.get())
             else {
@@ -459,7 +473,58 @@ mod tests {
 
     #[test]
     fn a_record_fits_one_cache_line() {
-        assert!(std::mem::size_of::<TxRecord>() <= 64);
+        // The slot entry of the transaction table, `Option<TxRecord>`.
+        assert!(std::mem::size_of::<Option<TxRecord>>() <= 64);
+    }
+
+    /// The same reports, in the same order, to a table-backed collector and a
+    /// table-less one give identical aggregates — including for ids outside
+    /// the table and stages reported before (or without) a submission.
+    #[test]
+    fn table_backed_collector_matches_the_table_less_one() {
+        use orthrus_types::rng::{Rng, StdRng};
+        use orthrus_types::ClientId;
+        let mut rng = StdRng::seed_from_u64(7);
+        let counts: Vec<u64> = (0..40u64).map(|c| c % 4).collect();
+        let ids: Vec<TxId> = (0..40u64)
+            .flat_map(|c| (0..c % 4).map(move |s| TxId::new(ClientId::new(c), s)))
+            .collect();
+        let table = Arc::new(TxTable::new(&counts));
+        let (mut dense, mut hashed) = (StatsCollector::with_table(table), StatsCollector::new());
+        for step in 0..2_000u64 {
+            let id = if rng.gen_bool(0.9) {
+                ids[rng.gen_range(0..ids.len())]
+            } else {
+                TxId::new(ClientId::new(rng.gen_range(0..50)), rng.gen_range(0..6))
+            };
+            let now = at(step + rng.gen_range(0..500));
+            for s in [&mut dense, &mut hashed] {
+                match step % 3 {
+                    0 => s.tx_submitted(id, now),
+                    1 => s.stage_reached(id, LatencyStage::ALL[(step % 5) as usize], now),
+                    _ => s.tx_confirmed(id, now),
+                }
+            }
+        }
+        let bucket = Duration::from_millis(100);
+        assert_eq!(dense.submitted_count(), hashed.submitted_count());
+        assert_eq!(dense.confirmed_count(), hashed.confirmed_count());
+        assert!(dense.confirmed_count() > 100);
+        assert_eq!(dense.average_latency(), hashed.average_latency());
+        assert_eq!(
+            dense.latency_percentile(0.99),
+            hashed.latency_percentile(0.99)
+        );
+        assert_eq!(dense.latency_breakdown(), hashed.latency_breakdown());
+        assert_eq!(dense.throughput_ktps(), hashed.throughput_ktps());
+        assert_eq!(
+            dense.throughput_timeseries(bucket),
+            hashed.throughput_timeseries(bucket)
+        );
+        assert_eq!(
+            dense.latency_timeseries(bucket),
+            hashed.latency_timeseries(bucket)
+        );
     }
 
     #[test]
@@ -476,7 +541,7 @@ mod tests {
         s.tx_submitted(tx(1), at(0));
         s.tx_confirmed(tx(1), at(40));
         s.stage_reached(tx(1), LatencyStage::Reply, at(45));
-        let (first, second) = (&s.txs[&tx(0)], &s.txs[&tx(1)]);
+        let (first, second) = (s.txs.get(tx(0)).unwrap(), s.txs.get(tx(1)).unwrap());
         assert_eq!(first.stages[0].get(), Some(at(10)));
         assert_eq!(first.stages[4].get(), Some(at(50)));
         assert_eq!(first.confirmed.get(), Some(at(60)));

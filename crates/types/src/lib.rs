@@ -23,6 +23,9 @@
 //! * [`rng`] — deterministic pseudo-random number generation (the workspace
 //!   builds offline, so it carries its own seeded generator instead of
 //!   depending on the `rand` crate).
+//! * [`txtable`] — the per-run dense transaction table and the slot-indexed
+//!   set and map over it that replace `TxId`-keyed hash containers.
+//! * [`voteset`] — a bitset of replicas, the quorum tally type.
 //! * [`hash`] — a seedless Fx hasher for the hot in-memory maps (faster and
 //!   run-to-run stable, unlike `std`'s keyed SipHash).
 //! * [`error`] — the common error type.
@@ -44,6 +47,8 @@ pub mod rng;
 pub mod state;
 pub mod time;
 pub mod transaction;
+pub mod txtable;
+pub mod voteset;
 
 pub use block::{Block, BlockHeader, BlockId, BlockParams, SharedBlock};
 pub use checkpoint::{CheckpointProof, StableCheckpoint};
@@ -57,3 +62,5 @@ pub use profiling::ProfTimer;
 pub use state::SystemState;
 pub use time::{Duration, SimTime};
 pub use transaction::{SharedTx, Transaction, TxKind};
+pub use txtable::{TxMap, TxSet, TxTable};
+pub use voteset::VoteSet;

@@ -308,21 +308,13 @@ impl Transaction {
         }
         // At most one decremental operation per object: the escrow log keys
         // reservations by (object, transaction), so duplicate debit legs on
-        // the same account would alias each other.
-        let mut debit_keys: Vec<ObjectKey> = self
-            .ops
-            .iter()
-            .filter(|o| o.is_owned_decrement())
-            .map(|o| o.key)
-            .collect();
-        let distinct = {
-            let mut d = debit_keys.clone();
-            d.sort_unstable();
-            d.dedup();
-            d.len()
-        };
-        if distinct != debit_keys.len() {
-            debit_keys.sort_unstable();
+        // the same account would alias each other. Legs are few, so a
+        // pairwise scan beats collecting and sorting the keys.
+        let debits = || self.ops.iter().filter(|o| o.is_owned_decrement());
+        if debits()
+            .enumerate()
+            .any(|(i, leg)| debits().skip(i + 1).any(|later| later.key == leg.key))
+        {
             return Err(OrthrusError::InvalidTransaction {
                 id: self.id,
                 reason: "duplicate decremental operations on the same object".into(),
@@ -456,6 +448,42 @@ mod tests {
         tx.ops.push(ObjectOp::set_shared(ObjectKey::new(9), 1));
         // kind still says Payment, so validation must flag the inconsistency.
         assert!(tx.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_duplicate_debits_on_one_object() {
+        let id = tx_id(11);
+        let sign = |key: u64, amount| {
+            KeyPair::for_owner(key).sign(Transaction::authorisation_digest(
+                id,
+                ObjectKey::new(key),
+                amount,
+            ))
+        };
+        let legs = |keys: &[u64]| -> Vec<ObjectOp> {
+            let mut ops: Vec<ObjectOp> = keys
+                .iter()
+                .map(|&k| ObjectOp::debit(ObjectKey::new(k), 1))
+                .collect();
+            ops.push(ObjectOp::credit(ObjectKey::new(50), keys.len() as u64));
+            ops
+        };
+        let signed = |keys: &[u64]| {
+            Transaction::from_ops(id, legs(keys), keys.iter().map(|&k| sign(k, 1)).collect())
+        };
+        assert!(signed(&[1, 2, 3]).validate().is_ok());
+        // The duplicate may sit anywhere among the debit legs, adjacent or not.
+        for keys in [[1, 1, 3], [1, 2, 1], [3, 2, 2]] {
+            match signed(&keys).validate() {
+                Err(crate::error::OrthrusError::InvalidTransaction { reason, .. }) => {
+                    assert_eq!(
+                        reason, "duplicate decremental operations on the same object",
+                        "{keys:?}"
+                    );
+                }
+                other => panic!("{keys:?} validated to {other:?}"),
+            }
+        }
     }
 
     #[test]

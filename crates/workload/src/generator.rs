@@ -179,6 +179,10 @@ pub struct Workload {
     /// shared handles: the runner, the client actors and every replica bucket
     /// reference the same allocation.
     pub transactions: Vec<SharedTx>,
+    /// Transactions generated per payer: client `c`'s ids are `(c, 0)` up
+    /// to `(c, txs_per_client[c] - 1)`, the counts a run's `TxTable` is
+    /// built from.
+    pub txs_per_client: Vec<u64>,
 }
 
 impl Workload {
@@ -201,12 +205,12 @@ impl Workload {
             .collect();
 
         let mut transactions = Vec::with_capacity(config.num_transactions);
-        let mut seq_per_client = vec![0u64; config.num_accounts as usize];
+        let mut txs_per_client = vec![0u64; config.num_accounts as usize];
         for _ in 0..config.num_transactions {
             let payer_idx = popularity.sample(&mut rng) as u64;
             let payer = ClientId::new(payer_idx);
-            let seq = seq_per_client[payer_idx as usize];
-            seq_per_client[payer_idx as usize] += 1;
+            let seq = txs_per_client[payer_idx as usize];
+            txs_per_client[payer_idx as usize] += 1;
             let id = TxId::new(payer, seq);
             let amount = rng.gen_range(1..=config.max_transfer);
             let is_payment = rng.gen_bool(config.payment_share.clamp(0.0, 1.0));
@@ -255,6 +259,7 @@ impl Workload {
             genesis_accounts,
             genesis_shared,
             transactions,
+            txs_per_client,
         }
     }
 
@@ -406,6 +411,21 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), w.transactions.len());
+    }
+
+    /// A run's transaction table assumes each payer's ids are numbered
+    /// densely from 0 and counted in `txs_per_client`.
+    #[test]
+    fn ids_are_dense_per_client_and_counted() {
+        let w = Workload::generate(WorkloadConfig::small().with_transactions(2_000));
+        let mut ids: Vec<TxId> = w.transactions.iter().map(|tx| tx.id).collect();
+        ids.sort_unstable();
+        let expected: Vec<TxId> = (0..w.txs_per_client.len() as u64)
+            .flat_map(|c| {
+                (0..w.txs_per_client[c as usize]).map(move |s| TxId::new(ClientId::new(c), s))
+            })
+            .collect();
+        assert_eq!(ids, expected);
     }
 
     #[test]

@@ -682,3 +682,38 @@ fn fig3_spec_runs_are_bit_identical_to_literal_runs() {
         assert_eq!(a.report, b.report, "{context}: report diverged");
     }
 }
+
+/// Every per-transaction table of a run (stats, client tallies, buckets,
+/// executor, reply sets) is slot-indexed by the run's `TxTable`; an id
+/// outside it would fall back to the hashed overflow and be counted. Run
+/// every registry spec's reduced points with up to 8 replicas and check
+/// that no id missed. Each point keeps its protocol, network and faults,
+/// but runs at most 200 transactions and stops once they are all
+/// confirmed: which ids reach a table depends on the paths a point
+/// exercises, not on its size, and the full grid takes minutes in a test
+/// build (the 16-replica points and the digest-quiesce drain, ROADMAP
+/// item 8).
+#[test]
+fn registry_points_never_overflow_the_transaction_table() {
+    let mut names = Vec::new();
+    let mut scenarios = Vec::new();
+    for entry in registry::ENTRIES {
+        let points = entry.spec().unwrap().lower(SpecScale::Reduced).unwrap();
+        for point in points {
+            if point.scenario.config.num_replicas > 8 {
+                continue;
+            }
+            names.push(format!("{} {} x={}", entry.name, point.label, point.x));
+            let mut scenario = point.scenario;
+            scenario.workload.num_transactions = scenario.workload.num_transactions.min(200);
+            scenario.stop = vec![StopCondition::AllConfirmed, StopCondition::SimTimeLimit];
+            scenarios.push(scenario);
+        }
+    }
+    assert!(scenarios.len() > 50, "only {} points", scenarios.len());
+    let outcomes = run_scenarios(&scenarios).expect("registry points run");
+    for (name, outcome) in names.iter().zip(&outcomes) {
+        assert!(outcome.confirmed > 0, "{name}: nothing confirmed");
+        assert_eq!(outcome.tx_table_misses, 0, "{name}: ids missed the table");
+    }
+}
