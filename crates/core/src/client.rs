@@ -32,14 +32,17 @@ pub struct ClientNode {
 
 impl ClientNode {
     /// Build a client with a submission schedule (offset, transaction). The
-    /// schedule is sorted by offset internally. `table` is the run's
-    /// transaction table, which slot-indexes the reply tally.
+    /// schedule is sorted by offset internally (stably, and only if it is
+    /// not sorted already). `table` is the run's transaction table, which
+    /// slot-indexes the reply tally.
     pub fn new(
         config: ProtocolConfig,
         mut schedule: Vec<(Duration, SharedTx)>,
         table: Arc<TxTable>,
     ) -> Self {
-        schedule.sort_by_key(|(offset, _)| *offset);
+        if !schedule.is_sorted_by_key(|(offset, _)| *offset) {
+            schedule.sort_by_key(|(offset, _)| *offset);
+        }
         Self {
             config,
             schedule,

@@ -30,8 +30,8 @@ use orthrus_sim::{
     ThroughputPoint,
 };
 use orthrus_types::{
-    Digest, Duration, NetworkKind, OrthrusError, ProtocolConfig, ProtocolKind, ReplicaId, Result,
-    SharedTx, SimTime, TxTable,
+    ClientId, Digest, Duration, NetworkKind, OrthrusError, ProtocolConfig, ProtocolKind, ReplicaId,
+    Result, SharedTx, SimTime, TxTable,
 };
 use orthrus_workload::{Workload, WorkloadConfig};
 use std::sync::Arc;
@@ -445,22 +445,31 @@ pub fn build_simulation(scenario: &Scenario) -> Result<(Simulation<NetMessage>, 
     }
 
     // Assign each logical client to a client actor and spread submission
-    // times uniformly over the submission window.
-    let total = workload.transactions.len().max(1);
+    // times uniformly over the submission window. Each actor's schedule is
+    // sized from its clients' transaction counts and fills in offset order,
+    // so `ClientNode::new` need not sort it. The handles move out of the
+    // workload, so building the schedules touches no reference count.
+    let submitted = workload.transactions.len();
+    let total = submitted.max(1);
     let window_us = scenario.submission_window.as_micros();
+    let mut sizes = vec![0; num_clients as usize];
+    for (client, &count) in workload.txs_per_client.iter().enumerate() {
+        sizes[config.client_actor_of(ClientId::new(client as u64)).value() as usize] +=
+            count as usize;
+    }
     let mut schedules: Vec<Vec<(Duration, SharedTx)>> =
-        (0..num_clients).map(|_| Vec::new()).collect();
-    for (idx, tx) in workload.transactions.iter().enumerate() {
+        sizes.into_iter().map(Vec::with_capacity).collect();
+    for (idx, tx) in workload.transactions.into_iter().enumerate() {
         let offset = Duration::from_micros(window_us * idx as u64 / total as u64);
         let actor = config.client_actor_of(tx.id.client).value() as usize;
-        schedules[actor].push((offset, Arc::clone(tx)));
+        schedules[actor].push((offset, tx));
     }
     for (c, schedule) in schedules.into_iter().enumerate() {
         let client = ClientNode::new(config.clone(), schedule, Arc::clone(&table));
         sim.add_actor(NodeId::client(c as u64), Box::new(client));
     }
 
-    Ok((sim, workload.transactions.len()))
+    Ok((sim, submitted))
 }
 
 /// Run a scenario until its [`StopCondition`]s are met (by default: all

@@ -107,6 +107,12 @@ impl ObjectStore {
         self.ops = vec![0; m.max(1) as usize + 1];
     }
 
+    /// Make room for `additional` more objects, so populating a genesis
+    /// store rehashes nothing. Touches no aggregate.
+    pub fn reserve(&mut self, additional: usize) {
+        Arc::make_mut(&mut self.objects).reserve(additional);
+    }
+
     /// Move the aggregates from entry `old` to entry `new` of `key` (either
     /// may be absent).
     fn reaccount(&mut self, key: ObjectKey, old: Option<ObjectState>, new: Option<ObjectState>) {

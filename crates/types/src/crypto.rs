@@ -102,7 +102,7 @@ impl Hasher for FnvHasher {
 
 /// A public key. In the simulation the key is derived deterministically from
 /// the owner identifier, so the PKI needs no setup phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PublicKey {
     /// Owner of the key (replica or client address space).
     pub owner: u64,
@@ -163,8 +163,9 @@ impl KeyPair {
     }
 }
 
-/// A signature over a digest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// A signature over a digest. The all-zero default, the filler of unused
+/// inline signature slots, never verifies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Signature {
     /// Public key of the signer.
     pub signer: PublicKey,

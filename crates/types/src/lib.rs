@@ -14,6 +14,8 @@
 //! * [`object`] — the object-centric data model of §III-B: owned and shared
 //!   objects, incremental/decremental/assignment operations and conditions.
 //! * [`transaction`] — payment and contract transactions over objects.
+//! * [`inlinevec`] — the inline short list holding a transaction's legs and
+//!   signatures.
 //! * [`block`] — blocks proposed by sequenced-broadcast instance leaders.
 //! * [`checkpoint`] — quorum-certified stable checkpoints, the low-water
 //!   marks behind log truncation and crash recovery.
@@ -40,6 +42,7 @@ pub mod crypto;
 pub mod error;
 pub mod hash;
 pub mod ids;
+pub mod inlinevec;
 pub mod object;
 pub mod pool;
 pub mod profiling;
@@ -57,6 +60,7 @@ pub use crypto::{Digest, KeyPair, PublicKey, Signature};
 pub use error::{OrthrusError, Result};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use ids::{ClientId, Epoch, InstanceId, ObjectKey, Rank, ReplicaId, SeqNum, TxId, View};
+pub use inlinevec::InlineVec;
 pub use object::{Amount, Condition, ObjectOp, ObjectType, Operation, Value};
 pub use profiling::ProfTimer;
 pub use state::SystemState;

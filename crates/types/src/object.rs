@@ -140,6 +140,13 @@ pub struct ObjectOp {
     pub condition: Condition,
 }
 
+/// A read of shared object 0: the filler of unused inline leg slots.
+impl Default for ObjectOp {
+    fn default() -> Self {
+        Self::read_shared(ObjectKey::default())
+    }
+}
+
 impl ObjectOp {
     /// Credit `amount` tokens to the owned object `key` (a payee leg).
     pub fn credit(key: ObjectKey, amount: Amount) -> Self {

@@ -15,6 +15,7 @@
 
 use crate::crypto::{Digest, KeyPair, Signature};
 use crate::ids::{ClientId, ObjectKey, TxId};
+use crate::inlinevec::InlineVec;
 use crate::object::{Amount, ObjectOp, Operation};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -37,18 +38,25 @@ pub enum TxKind {
     Contract,
 }
 
+/// A transaction's object operations: up to three legs (two payers and a
+/// payee, or two payers and a contract write) are stored inline.
+pub type Legs = InlineVec<ObjectOp, 3>;
+
+/// A transaction's owner signatures: up to two payers' are stored inline.
+pub type Signatures = InlineVec<Signature, 2>;
+
 /// A transaction.
 #[derive(Debug, Clone)]
 pub struct Transaction {
     /// Unique identifier (client id + client-local sequence number).
     pub id: TxId,
     /// The set `O` of object operations.
-    pub ops: Vec<ObjectOp>,
+    pub ops: Legs,
     /// Payment or contract.
     pub kind: TxKind,
     /// Signatures of the owners of all owned objects with decremental
     /// operations (σ in the paper). One signature per distinct payer.
-    pub signatures: Vec<Signature>,
+    pub signatures: Signatures,
     /// Size of the client payload in bytes. The paper's evaluation uses
     /// 500-byte payloads; the network model charges bandwidth per byte.
     pub payload_bytes: u32,
@@ -93,39 +101,40 @@ impl Transaction {
         payers: &[(ClientId, Amount)],
         payees: &[(ClientId, Amount)],
     ) -> Self {
-        let payers = Self::aggregate_payers(payers);
-        let mut ops = Vec::with_capacity(payers.len() + payees.len());
-        let mut signatures = Vec::with_capacity(payers.len());
-        for &(key, amount) in &payers {
-            ops.push(ObjectOp::debit(key, amount));
-            let digest = Self::authorisation_digest(id, key, amount);
-            signatures.push(KeyPair::for_owner(key.value()).sign(digest));
-        }
-        for &(payee, amount) in payees {
-            ops.push(ObjectOp::credit(ObjectKey::account_of(payee), amount));
-        }
-        Self {
-            id,
-            ops,
-            kind: TxKind::Payment,
-            signatures,
-            payload_bytes: DEFAULT_PAYLOAD_BYTES,
-            digest_memo: OnceLock::new(),
-        }
+        let mut tx = Self::signed_debits(id, TxKind::Payment, payers);
+        tx.ops.extend(
+            payees
+                .iter()
+                .map(|&(payee, amount)| ObjectOp::credit(ObjectKey::account_of(payee), amount)),
+        );
+        tx
     }
 
-    /// Merge payer entries naming the same account, preserving first-seen
-    /// order.
-    fn aggregate_payers(payers: &[(ClientId, Amount)]) -> Vec<(ObjectKey, Amount)> {
-        let mut merged: Vec<(ObjectKey, Amount)> = Vec::with_capacity(payers.len());
+    /// A transaction of `kind` with one debit leg per payer account (entries
+    /// naming the same account merged into one leg, in first-seen order) and
+    /// each leg's owner signature. Callers append their remaining legs.
+    fn signed_debits(id: TxId, kind: TxKind, payers: &[(ClientId, Amount)]) -> Self {
+        let mut tx = Self {
+            id,
+            ops: Legs::new(),
+            kind,
+            signatures: Signatures::new(),
+            payload_bytes: DEFAULT_PAYLOAD_BYTES,
+            digest_memo: OnceLock::new(),
+        };
         for &(payer, amount) in payers {
             let key = ObjectKey::account_of(payer);
-            match merged.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, total)) => *total += amount,
-                None => merged.push((key, amount)),
+            match tx.ops.iter_mut().find(|leg| leg.key == key) {
+                Some(leg) => *leg = ObjectOp::debit(key, leg.op.amount() + amount),
+                None => tx.ops.push(ObjectOp::debit(key, amount)),
             }
         }
-        merged
+        for leg in tx.ops.iter() {
+            let digest = Self::authorisation_digest(id, leg.key, leg.op.amount());
+            tx.signatures
+                .push(KeyPair::for_owner(leg.key.value()).sign(digest));
+        }
+        tx
     }
 
     /// Build a contract transaction: the listed payers each pay `fee` into
@@ -136,23 +145,9 @@ impl Transaction {
     /// requires two clients to invoke it together, incurring a cost of $1 per
     /// client".
     pub fn contract(id: TxId, payers: &[(ClientId, Amount)], shared_ops: Vec<ObjectOp>) -> Self {
-        let payers = Self::aggregate_payers(payers);
-        let mut ops = Vec::with_capacity(payers.len() + shared_ops.len());
-        let mut signatures = Vec::with_capacity(payers.len());
-        for &(key, amount) in &payers {
-            ops.push(ObjectOp::debit(key, amount));
-            let digest = Self::authorisation_digest(id, key, amount);
-            signatures.push(KeyPair::for_owner(key.value()).sign(digest));
-        }
-        ops.extend(shared_ops);
-        Self {
-            id,
-            ops,
-            kind: TxKind::Contract,
-            signatures,
-            payload_bytes: DEFAULT_PAYLOAD_BYTES,
-            digest_memo: OnceLock::new(),
-        }
+        let mut tx = Self::signed_debits(id, TxKind::Contract, payers);
+        tx.ops.extend(shared_ops);
+        tx
     }
 
     /// Construct a transaction from raw parts, inferring its kind.
@@ -167,9 +162,9 @@ impl Transaction {
         };
         Self {
             id,
-            ops,
+            ops: ops.into(),
             kind,
-            signatures,
+            signatures: signatures.into(),
             payload_bytes: DEFAULT_PAYLOAD_BYTES,
             digest_memo: OnceLock::new(),
         }
@@ -500,6 +495,49 @@ mod tests {
         let b = Transaction::payment(tx_id(9), ClientId::new(1), ClientId::new(2), 11);
         assert_ne!(a.digest(), b.digest());
         assert_eq!(a.digest(), a.clone().digest());
+    }
+
+    /// Content digests of a 1-, 2- and 3-payer payment and a contract, as
+    /// recorded when legs and signatures were `Vec`s: the inline storage
+    /// hashes exactly as the slice did.
+    #[test]
+    fn digests_are_pinned_across_leg_storage() {
+        let id = |seq| TxId::new(ClientId::new(3), seq);
+        let c = ClientId::new;
+        let cases = [
+            (
+                Transaction::payment(id(0), c(3), c(9), 17),
+                0x58ff64f84199f525,
+            ),
+            (
+                Transaction::multi_payment(id(1), &[(c(3), 5), (c(4), 6)], &[(c(9), 11)]),
+                0x1eb0ebbc1b095f01,
+            ),
+            (
+                Transaction::multi_payment(
+                    id(2),
+                    &[(c(3), 5), (c(4), 6), (c(5), 7)],
+                    &[(c(9), 18)],
+                ),
+                0x3a629f42edca6b8e,
+            ),
+            (
+                Transaction::contract(
+                    id(3),
+                    &[(c(3), 1), (c(4), 1)],
+                    vec![ObjectOp::add_shared(ObjectKey::new((1 << 48) + 2), -7)],
+                ),
+                0x9fab529d579c7d2d,
+            ),
+        ];
+        for (tx, pinned) in cases {
+            assert_eq!(tx.compute_digest(), Digest(pinned), "{tx}");
+            tx.validate().expect("pinned transactions are well formed");
+            // Only the 3-payer payment (four legs, three signatures) spills.
+            let spills = tx.payer_count() == 3;
+            assert_eq!(tx.ops.spilled(), spills, "{tx}");
+            assert_eq!(tx.signatures.spilled(), spills, "{tx}");
+        }
     }
 
     #[test]

@@ -304,6 +304,7 @@ impl Workload {
 
     /// Populate an executor's store with the genesis state.
     pub fn install_genesis(&self, store: &mut orthrus_execution::ObjectStore) {
+        store.reserve(self.genesis_accounts.len() + self.genesis_shared.len());
         for (key, balance) in &self.genesis_accounts {
             store.create_account(*key, *balance);
         }

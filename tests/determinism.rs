@@ -9,6 +9,7 @@
 
 use orthrus::prelude::*;
 use orthrus::sim::SimulationReport;
+use orthrus::types::Digest;
 
 fn scenario(seed: u64) -> Scenario {
     let workload = WorkloadConfig {
@@ -155,6 +156,49 @@ fn event_order_matches_pinned_traces() {
             },
             "{protocol} simulation report moved"
         );
+    }
+}
+
+/// The generated trace itself, before any protocol runs: every transaction
+/// digest of the three stock workloads at seeds 1 and 42, folded in order, as
+/// recorded when the Zipf sampler was a binary search and legs and
+/// signatures were `Vec`s. Every stock transaction keeps its legs and
+/// signatures inline.
+#[test]
+fn stock_workload_traces_match_pinned_digests() {
+    let pinned = [
+        (
+            "default",
+            WorkloadConfig::default(),
+            [0x1ae9d710a570f2a8, 0x1ee2e2d5482e4c67],
+        ),
+        (
+            "small",
+            WorkloadConfig::small(),
+            [0x083f26b3790239ca, 0x48cfaeff3efc752c],
+        ),
+        (
+            "hot_accounts",
+            WorkloadConfig::hot_accounts(),
+            [0x39d5083513954f79, 0xf134b7db69b99a8e],
+        ),
+    ];
+    for (name, config, digests) in pinned {
+        for (seed, digest) in [1, 42].into_iter().zip(digests) {
+            let workload = Workload::generate(config.clone().with_seed(seed));
+            let fold = workload
+                .transactions
+                .iter()
+                .fold(Digest::EMPTY, |acc, tx| acc.combine(tx.digest()));
+            assert_eq!(fold, Digest(digest), "{name} trace at seed {seed} moved");
+            assert!(
+                workload
+                    .transactions
+                    .iter()
+                    .all(|tx| !tx.ops.spilled() && !tx.signatures.spilled()),
+                "{name} at seed {seed} has a transaction on the heap"
+            );
+        }
     }
 }
 
