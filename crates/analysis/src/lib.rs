@@ -219,7 +219,7 @@ mod tests {
         let src = "fn f() -> std::time::Instant { std::time::Instant::now() }\n";
         let report = run("crates/sim/src/x.rs", src);
         assert_eq!(codes(&report), vec!["ORT002"]);
-        assert!(run("crates/bench/src/timing.rs", src).is_clean());
+        assert!(run("crates/bench/src/harness.rs", src).is_clean());
     }
 
     #[test]

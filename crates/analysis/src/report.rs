@@ -475,7 +475,7 @@ mod tests {
                 reason: "single sanctioned doorway".into(),
             }],
             unsafe_inventory: vec![UnsafeSite {
-                file: "crates/bench/benches/msgfabric.rs".into(),
+                file: "crates/sim/src/x.rs".into(),
                 line: 33,
                 has_safety: true,
             }],

@@ -499,7 +499,7 @@ pub fn check_file(fa: &FileAnalysis<'_>, original: &str, report: &mut Report) {
                         rule: Rule::WallClock,
                         line: i,
                         message: format!(
-                            "wall-clock read `{pat}` — route through orthrus_bench::timing or \
+                            "wall-clock read `{pat}` — route through orthrus_bench::harness or \
                              the ProfTimer doorway"
                         ),
                     });

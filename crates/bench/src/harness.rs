@@ -1,7 +1,7 @@
 //! Measuring, printing and serializing sweep points: the wall-clock half of
-//! `orthrus run`, shared with the snapshot benches.
+//! `orthrus run`.
 
-use orthrus_core::{parallel_map, run_scenario, sweep_threads, Scenario, ScenarioOutcome};
+use orthrus_core::{parallel_map, run_scenario, Scenario, ScenarioOutcome};
 use orthrus_lab::LoweredPoint;
 use orthrus_sim::ThroughputPoint;
 use std::fmt::Write as _;
@@ -127,7 +127,7 @@ impl MeasuredPoint {
 /// Panics on an invalid scenario: callers validate their grids first (the
 /// CLI does, and registry specs are pinned by the spec lint), so an invalid
 /// point here is a bug, not input.
-pub fn measure(label: &str, x: f64, scenario: &Scenario) -> MeasuredPoint {
+fn measure(label: &str, x: f64, scenario: &Scenario) -> MeasuredPoint {
     let wall = Instant::now();
     let outcome = run_scenario(scenario).expect("sweep scenario must validate");
     MeasuredPoint {
@@ -139,15 +139,9 @@ pub fn measure(label: &str, x: f64, scenario: &Scenario) -> MeasuredPoint {
 }
 
 /// Run a sweep of independent scenario points on the scoped thread pool
-/// (`orthrus_core::parallel_map`), one deterministic seeded simulation per
-/// worker. Results come back in input order, so figure series are stable
-/// regardless of thread count; set `ORTHRUS_SWEEP_THREADS` to override the
-/// worker count.
-pub fn measure_sweep(points: &[LoweredPoint]) -> Vec<MeasuredPoint> {
-    measure_sweep_with_threads(points, sweep_threads())
-}
-
-/// [`measure_sweep`] with an explicit worker count.
+/// (`orthrus_core::parallel_map`) with `threads` workers, one deterministic
+/// seeded simulation per worker. Results come back in input order, so
+/// figure series are stable regardless of thread count.
 pub fn measure_sweep_with_threads(points: &[LoweredPoint], threads: usize) -> Vec<MeasuredPoint> {
     parallel_map(points, threads, |point| {
         measure(&point.label, point.x, &point.scenario)

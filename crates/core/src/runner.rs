@@ -987,30 +987,45 @@ mod tests {
 
     #[test]
     fn crashed_replica_recovers_via_state_transfer_and_reconverges() {
-        // Replica 2 crashes mid-submission and restarts two (virtual)
-        // seconds later; it must fetch a state transfer, rejoin, and end the
-        // run with the same state digest as everyone else.
-        let scenario = tiny_scenario(ProtocolKind::Orthrus).with_crash_recover(
-            ReplicaId::new(2),
-            SimTime::from_millis(100),
-            SimTime::from_millis(2_100),
-        );
-        let outcome = run(&scenario);
-        assert_eq!(outcome.confirmed, outcome.submitted);
-        assert_eq!(outcome.recoveries.len(), 1);
-        let (who, when) = outcome.recoveries[0];
-        assert_eq!(who, ReplicaId::new(2));
-        assert!(
-            when >= SimTime::from_millis(2_100),
-            "install precedes restart: {when}"
-        );
-        let digests: Vec<Digest> = outcome.state_digests.iter().map(|(_, d)| *d).collect();
-        assert_eq!(digests.len(), 4);
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "recovered replica diverged: {:?}",
-            outcome.state_digests
-        );
+        // Replica 2 crashes mid-submission and restarts later; it must fetch
+        // a state transfer, rejoin, and end the run with the same state
+        // digest as everyone else. Two inputs: the tiny LAN run, and a
+        // 16-replica run under 3 000 transactions.
+        let tiny = tiny_scenario(ProtocolKind::Orthrus);
+        let workload = WorkloadConfig {
+            num_accounts: 1_000,
+            num_transactions: 3_000,
+            payment_share: 0.46,
+            multi_payer_share: 0.05,
+            num_shared_objects: 32,
+            ..WorkloadConfig::default()
+        };
+        let wide = Scenario::new(ProtocolKind::Orthrus, NetworkKind::Lan, 16)
+            .with_workload(workload)
+            .with_seed(42)
+            .with_batch_size(32)
+            .with_batch_timeout(Duration::from_millis(20))
+            .with_num_clients(8)
+            .with_submission_window(Duration::from_secs(4));
+        for (base, crash_ms, restart_ms) in [(tiny, 100, 2_100), (wide, 500, 3_000)] {
+            let restart = SimTime::from_millis(restart_ms);
+            let scenario =
+                base.with_crash_recover(ReplicaId::new(2), SimTime::from_millis(crash_ms), restart);
+            let outcome = run(&scenario);
+            let n = scenario.config.num_replicas;
+            assert_eq!(outcome.confirmed, outcome.submitted, "n = {n}");
+            assert_eq!(outcome.recoveries.len(), 1, "n = {n}");
+            let (who, when) = outcome.recoveries[0];
+            assert_eq!(who, ReplicaId::new(2));
+            assert!(when >= restart, "n = {n}: install precedes restart: {when}");
+            let digests: Vec<Digest> = outcome.state_digests.iter().map(|(_, d)| *d).collect();
+            assert_eq!(digests.len(), n as usize);
+            assert!(
+                digests.windows(2).all(|w| w[0] == w[1]),
+                "n = {n}: recovered replica diverged: {:?}",
+                outcome.state_digests
+            );
+        }
     }
 
     #[test]
@@ -1044,6 +1059,53 @@ mod tests {
         );
         assert!(outcome.peak_retained_bytes <= 156_968);
         assert!(outcome.recoveries.is_empty());
+    }
+
+    #[test]
+    fn checkpoint_truncation_holds_retention_at_a_plateau_over_a_longer_run() {
+        // Every instance proposes many blocks; run to all-confirmed, then two
+        // more seconds so the last checkpoints (and their truncations) land.
+        let workload = WorkloadConfig {
+            num_accounts: 2_000,
+            num_transactions: 6_000,
+            payment_share: 0.46,
+            multi_payer_share: 0.05,
+            num_shared_objects: 64,
+            ..WorkloadConfig::default()
+        };
+        let mut scenario = Scenario::new(ProtocolKind::Orthrus, NetworkKind::Lan, 8)
+            .with_workload(workload)
+            .with_seed(42)
+            .with_batch_size(32)
+            .with_batch_timeout(Duration::from_millis(20))
+            .with_num_clients(8)
+            .with_submission_window(Duration::from_secs(10))
+            .with_max_sim_time(Duration::from_secs(120));
+        scenario.config.checkpoint_interval = 4;
+        let (mut sim, submitted) = build_simulation(&scenario).expect("valid scenario");
+        while sim.stats().confirmed_count() < submitted {
+            assert!(
+                sim.now() < SimTime::ZERO + scenario.max_sim_time,
+                "run stalled"
+            );
+            sim.run_for(Duration::from_millis(250));
+        }
+        sim.run_for(Duration::from_secs(2));
+        let node = sim
+            .actor_as::<ReplicaNode>(NodeId::replica(0))
+            .expect("replica 0 exists");
+        let (retained, peak, delivered) = (
+            node.retained_log_entries(),
+            node.peak_retained_entries(),
+            node.delivered_blocks(),
+        );
+        // A plateau far below the delivered history, every block of which an
+        // untruncated log would still hold, and no late growth past the peak.
+        assert!(
+            retained * 2 <= delivered,
+            "retained {retained} of {delivered} delivered blocks"
+        );
+        assert!(retained <= peak, "retained {retained} above peak {peak}");
     }
 
     #[test]

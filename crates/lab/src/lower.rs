@@ -38,18 +38,6 @@ pub enum SpecScale {
     Full,
 }
 
-impl SpecScale {
-    /// Pick the scale from the `ORTHRUS_FULL_SCALE` environment variable
-    /// (`1` or `true` selects [`SpecScale::Full`]; the `orthrus` CLI and the
-    /// snapshot benches share this convention).
-    pub fn from_env() -> Self {
-        match std::env::var("ORTHRUS_FULL_SCALE") {
-            Ok(value) if value == "1" || value.eq_ignore_ascii_case("true") => SpecScale::Full,
-            _ => SpecScale::Reduced,
-        }
-    }
-}
-
 /// One runnable point of a lowered spec: the scenario plus the series label
 /// and x value the harness reports it under.
 #[derive(Debug, Clone, PartialEq)]

@@ -29,8 +29,8 @@
 //!
 //! Specs are resolved against the built-in registry first; anything
 //! containing a path separator or ending in `.orth` is read from disk.
-//! `--full` (or `ORTHRUS_FULL_SCALE=1`) applies the spec's `[full_scale]`
-//! overrides; `--threads` (or `ORTHRUS_SWEEP_THREADS`) sets the width of the
+//! `--full` applies the spec's `[full_scale]` overrides (the paper's
+//! scale); `--threads` (or `ORTHRUS_SWEEP_THREADS`) sets the width of the
 //! sweep pool (how many points run at once). Results do not depend on it.
 
 use orthrus_bench::harness::{self, MeasuredPoint};
@@ -42,8 +42,9 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  orthrus list\n  orthrus show <name|file.orth>\n  orthrus run <name|file.orth> \
          [--threads N] [--json PATH] [--full]\n  orthrus lint [files...]\n  orthrus analyze \
-         [--json PATH]\n\n--threads N (default: ORTHRUS_SWEEP_THREADS, else the host's cores) sets how \
-         many sweep points run\nat once; results do not depend on it."
+         [--json PATH]\n\n--full applies the spec's [full_scale] overrides (the paper's scale).\n\
+         --threads N (default: ORTHRUS_SWEEP_THREADS, else the host's cores) sets how many sweep \
+         points run\nat once; results do not depend on it."
     );
     ExitCode::from(2)
 }
@@ -147,7 +148,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let mut target: Option<&str> = None;
     let mut threads: Option<usize> = None;
     let mut json_path: Option<&str> = None;
-    let mut scale = SpecScale::from_env();
+    let mut scale = SpecScale::Reduced;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
