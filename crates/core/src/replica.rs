@@ -36,6 +36,9 @@ const TIMER_RECOVERY_SYNC: u64 = 3;
 /// before a crash cannot fire into the state installed after recovery:
 /// `tag = epoch * TIMER_EPOCH_STRIDE + base`.
 const TIMER_EPOCH_STRIDE: u64 = 8;
+/// Number of sequence numbers assigned to each instance per epoch (the
+/// `epoch` stamped on every proposed block).
+const EPOCH_LENGTH: u64 = 4;
 
 /// The global-ordering policy selected by the protocol.
 #[derive(Clone)]
@@ -79,6 +82,13 @@ impl Policy {
             Policy::Ladon(p) => p.pending(),
         }
     }
+
+    fn dqbft(&self) -> Option<&DqbftOrdering> {
+        match self {
+            Policy::Dqbft(p) => Some(p),
+            _ => None,
+        }
+    }
 }
 
 /// The lightweight snapshot a replica refreshes at every stable checkpoint:
@@ -112,7 +122,6 @@ pub(crate) struct CatchUp {
     pub(crate) rank: RankTracker,
     pub(crate) buckets: Vec<Bucket>,
     pub(crate) replied: TxSet,
-    pub(crate) pending_order_decisions: Vec<orthrus_types::BlockId>,
     pub(crate) delivered_blocks: u64,
 }
 
@@ -190,9 +199,10 @@ pub struct ReplicaNode {
     progress: ProgressTracker,
     /// Blocks whose partial-log execution has completed, per instance.
     executed_state: SystemState,
-    /// DQBFT: data-block ids awaiting a slot in the ordering instance
-    /// (only used by the ordering instance's leader).
-    pending_order_decisions: Vec<orthrus_types::BlockId>,
+    /// DQBFT: the delivery mark (`DqbftOrdering::next_mark`) up to which
+    /// this replica has proposed the undecided ids as the ordering
+    /// instance's leader in the current view.
+    ordering_proposed: u64,
     /// Transactions already answered to their client.
     replied: TxSet,
     /// Undetectable-fault behaviour: keep leading our own instance but ignore
@@ -282,7 +292,7 @@ impl ReplicaNode {
             rank: RankTracker::new(),
             progress: ProgressTracker::new(config.view_change_timeout),
             executed_state: SystemState::new(m as usize),
-            pending_order_decisions: Vec::new(),
+            ordering_proposed: 0,
             replied: TxSet::new(table),
             selfish: false,
             delivered_blocks: 0,
@@ -324,11 +334,6 @@ impl ReplicaNode {
         &self.executor
     }
 
-    /// The replica's global log (for cross-replica agreement checks).
-    pub fn global_log(&self) -> &GlobalLog {
-        &self.glog
-    }
-
     /// Number of blocks delivered across all SB instances.
     pub fn delivered_blocks(&self) -> u64 {
         self.delivered_blocks
@@ -344,18 +349,6 @@ impl ReplicaNode {
     /// Number of transactions this replica has confirmed to clients.
     pub fn confirmed_transactions(&self) -> usize {
         self.replied.len()
-    }
-
-    /// The per-instance stable-checkpoint frontier (what truncation has been
-    /// driven by).
-    pub fn stable_frontier(&self) -> &SystemState {
-        &self.stable
-    }
-
-    /// The snapshot anchor refreshed at the latest stable checkpoint, if any
-    /// checkpoint has formed yet.
-    pub fn checkpoint_anchor(&self) -> Option<&CheckpointAnchor> {
-        self.anchor.as_ref()
     }
 
     /// Log entries currently retained: partial-log blocks, global-log
@@ -445,6 +438,11 @@ impl ReplicaNode {
                 SbAction::ViewChanged { leader, .. } => {
                     ctx.stats().view_change_completed();
                     self.progress.record_progress(instance, ctx.now());
+                    if self.is_ordering_instance(instance) {
+                        // The new leader proposes every undecided id again,
+                        // including those the old leader left in flight.
+                        self.ordering_proposed = 0;
+                    }
                     // Make sure the new leader knows about every transaction
                     // still pending in this bucket: the old leader may have
                     // been the only replica the client contacted.
@@ -554,10 +552,16 @@ impl ReplicaNode {
 
         if self.is_ordering_instance(instance) {
             // DQBFT: the delivered block carries ordering decisions.
-            let ids = block.header.ordered_ids.clone();
-            for id in ids {
+            for &id in &block.header.ordered_ids {
                 let confirmed = self.policy.on_order_decision(id);
                 self.handle_globally_confirmed(confirmed, ctx);
+            }
+            if self
+                .policy
+                .dqbft()
+                .is_some_and(|p| p.undecided_from(0).next().is_none())
+            {
+                self.progress.clear_expectation(instance);
             }
             return;
         }
@@ -578,13 +582,13 @@ impl ReplicaNode {
         // Ordering module: partial log + global ordering policy. Both paths
         // share the delivered block's handle — no payload copies.
         self.plogs.get_mut(instance).insert(Arc::clone(&block));
-        if self.protocol == ProtocolKind::Dqbft {
-            let ordering_leader = self.config.num_instances % self.config.num_replicas;
-            if self.me == ReplicaId::new(ordering_leader) {
-                self.pending_order_decisions.push(block.id());
-            }
-        }
+        let id = block.id();
         let confirmed = self.policy.on_deliver(block);
+        if self.policy.dqbft().is_some_and(|p| p.is_undecided(id)) {
+            // Every replica expects the ordering instance to decide it.
+            let ordering = self.ordering_instance();
+            self.progress.record_expectation(ordering, ctx.now());
+        }
         self.handle_globally_confirmed(confirmed, ctx);
 
         // Execution module: advance the partial-log fast path, then any glog
@@ -726,7 +730,7 @@ impl ReplicaNode {
         let params = BlockParams {
             instance,
             sn,
-            epoch: Epoch::new(sn.value() / self.config.epoch_length.max(1)),
+            epoch: Epoch::new(sn.value() / EPOCH_LENGTH),
             view: self.instances[idx].current_view(),
             proposer: self.me,
             rank: self.rank.next_rank(),
@@ -750,7 +754,11 @@ impl ReplicaNode {
     }
 
     fn try_propose_ordering(&mut self, ctx: &mut Context<'_, NetMessage>) {
-        if self.protocol != ProtocolKind::Dqbft || self.pending_order_decisions.is_empty() {
+        let Some(ordering) = self.policy.dqbft() else {
+            return;
+        };
+        let from = self.ordering_proposed;
+        if ordering.undecided_from(from).next().is_none() {
             return;
         }
         let instance = self.ordering_instance();
@@ -765,11 +773,12 @@ impl ReplicaNode {
         if sn.value() >= delivered + self.config.max_inflight_blocks {
             return;
         }
-        let ids = std::mem::take(&mut self.pending_order_decisions);
+        let ids = ordering.undecided_from(from).collect();
+        self.ordering_proposed = ordering.next_mark();
         let params = BlockParams {
             instance,
             sn,
-            epoch: Epoch::new(sn.value() / self.config.epoch_length.max(1)),
+            epoch: Epoch::new(sn.value() / EPOCH_LENGTH),
             view: self.instances[idx].current_view(),
             proposer: self.me,
             rank: self.rank.next_rank(),
@@ -900,7 +909,6 @@ impl ReplicaNode {
                 rank: self.rank.clone(),
                 buckets: self.buckets.clone(),
                 replied: self.replied.clone(),
-                pending_order_decisions: self.pending_order_decisions.clone(),
                 delivered_blocks: self.delivered_blocks,
             },
             mark: self.progress_mark(),
@@ -985,7 +993,8 @@ impl ReplicaNode {
             }
         }
         self.replied = state.catch_up.replied.clone();
-        self.pending_order_decisions = state.catch_up.pending_order_decisions.clone();
+        // Whatever the peer proposed is not ours: propose it again if we lead.
+        self.ordering_proposed = 0;
         self.delivered_blocks = state.catch_up.delivered_blocks;
         let now = ctx.now();
         self.refresh_anchor(state.checkpoint.clone(), now);
@@ -1229,8 +1238,8 @@ mod tests {
     #[test]
     fn fresh_replica_has_empty_checkpoint_and_retention_state() {
         let node = replica(0, ProtocolKind::Orthrus);
-        assert!(node.checkpoint_anchor().is_none());
-        assert_eq!(node.stable_frontier().total_delivered_blocks(), 0);
+        assert!(node.anchor.is_none());
+        assert_eq!(node.stable.total_delivered_blocks(), 0);
         assert_eq!(node.retained_log_entries(), 0);
         assert_eq!(node.retained_log_bytes(), 0);
         assert_eq!(node.peak_retained_entries(), 0);

@@ -169,18 +169,6 @@ impl Scenario {
         self
     }
 
-    /// Switch the network model.
-    pub fn with_network(mut self, network: NetworkKind) -> Self {
-        self.network = network;
-        self
-    }
-
-    /// Replace the whole protocol configuration.
-    pub fn with_config(mut self, config: ProtocolConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Use the given workload configuration (its `seed` field is ignored;
     /// the scenario seed is the single source of truth).
     pub fn with_workload(mut self, workload: WorkloadConfig) -> Self {
@@ -391,16 +379,6 @@ pub struct ScenarioOutcome {
     pub tx_table_misses: u64,
     /// Raw simulation report (events, messages, bytes).
     pub report: SimulationReport,
-}
-
-impl ScenarioOutcome {
-    /// Fraction of submitted transactions that were confirmed.
-    pub fn completion_ratio(&self) -> f64 {
-        if self.submitted == 0 {
-            return 0.0;
-        }
-        self.confirmed as f64 / self.submitted as f64
-    }
 }
 
 /// Build the simulation for a scenario without running it (used by tests that
@@ -718,7 +696,6 @@ mod tests {
         assert_eq!(outcome.confirmed, 120, "outcome: {outcome:?}");
         assert!(outcome.throughput_ktps > 0.0);
         assert!(outcome.avg_latency > Duration::ZERO);
-        assert!(outcome.completion_ratio() > 0.999);
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! serializable experiment layer in front of `orthrus_core::run_scenario`:
 //!
 //! * [`spec`] — the zero-dependency, line-oriented `.orth` format
-//!   (`key = value` sections) with a hand-rolled parser and serializer whose
-//!   round trip is exact at the data-model level;
-//! * [`lower`] — lowering rules from [`Spec`] to runnable
-//!   [`orthrus_core::Scenario`] grids ([`Spec::lower`]), plus end-to-end
-//!   validation ([`Spec::lint`]);
+//!   (`key = value` sections): a [`Spec`] keeps each section's entries in
+//!   file order, and its hand-rolled parser and serializer round-trip them
+//!   exactly;
+//! * [`lower`] — the one key table that says what each entry sets, and the
+//!   lowering from [`Spec`] to runnable [`orthrus_core::Scenario`] grids
+//!   ([`Spec::lower`]), plus end-to-end validation ([`Spec::lint`]);
 //! * [`registry`] — the named registry of checked-in `scenarios/*.orth`
 //!   files covering Figures 3–8 and the ablation studies.
 //!
@@ -56,6 +57,4 @@ pub mod spec;
 
 pub use lower::{LoweredPoint, SpecScale, DEFAULT_CRASH_AT_MS};
 pub use registry::{find, RegistryEntry, ENTRIES};
-pub use spec::{
-    parse, serialize, Axis, AxisKey, AxisValues, Params, ScenarioSpec, Spec, SpecError, SweepSpec,
-};
+pub use spec::{parse, serialize, Spec, SpecError};

@@ -1,31 +1,38 @@
-//! Lowering: turn a parsed [`Spec`] into runnable
-//! [`orthrus_core::Scenario`] values.
+//! The key table and lowering: what each `.orth` entry sets, and how a
+//! parsed [`Spec`] becomes runnable [`orthrus_core::Scenario`] values.
+//!
+//! Every key is matched in one place, `Point::apply`. The parser applies
+//! each entry to a scratch point to check it; lowering applies the same
+//! entries to each grid point.
 //!
 //! # Lowering rules
 //!
 //! * Every grid point starts from `Scenario::new(protocol, network,
 //!   replicas)` with a full-size `WorkloadConfig::default()` workload, then
-//!   applies each parameter the spec sets. `protocol`, `network` and
-//!   `replicas` are required (from the base or an axis).
+//!   applies its entries in file order: the `[scenario]` / `[base]` entries,
+//!   then one item of each axis. `protocol`, `network` and `replicas` are
+//!   required (from the base or an axis).
 //! * A sweep enumerates the cartesian product of its axes, **first axis
 //!   outermost** — exactly the nesting order of the hand-written bench loops
 //!   the registry replaced.
-//! * `payment_share_pct` / `multi_payer_pct` axes lower to shares divided by
-//!   100 (the percent stays in `x` so figure axes match the paper).
+//! * `payment_share_pct` / `multi_payer_pct` exist only as axes; they lower
+//!   to shares divided by 100 (the percent stays in `x` so figure axes match
+//!   the paper).
 //! * `crash_count = k` crashes replicas `1..=k` at `crash_at_ms` (instance 0
 //!   keeps its leader, as in Fig. 7); `selfish_count = k` flags the tail
 //!   replicas `n-1, n-2, …` (they lead instances other than 0, as in
-//!   Fig. 8).
-//! * Each point's label defaults to the protocol's figure label, and its x
-//!   value to the sweep's `x_axis` (falling back to the replica count).
-//! * At [`SpecScale::Full`], `[full_scale]` overrides are applied first:
-//!   keys naming an existing axis replace that axis's values, any other key
-//!   overrides the base parameters.
+//!   Fig. 8). Both are applied after every other entry.
+//! * Each point's label defaults to the protocol's figure label. Its x is an
+//!   explicit `x` entry, else the numeric value of its `x_axis` entry, else
+//!   the replica count.
+//! * At [`SpecScale::Full`], each `[full_scale]` entry replaces the items of
+//!   the axis it names, or else the base entry with its key (it is appended
+//!   when the base has none).
 
-use crate::spec::{parse_axis, Axis, AxisKey, AxisValues, Params, Spec, SpecError, SweepSpec};
-use orthrus_core::Scenario;
-use orthrus_sim::FaultPlan;
-use orthrus_types::{Duration, ReplicaId, SimTime};
+use crate::spec::{Spec, SpecError};
+use orthrus_core::{Scenario, StopCondition};
+use orthrus_sim::faults::{CrashRecoverSpec, CrashSpec, StragglerSpec};
+use orthrus_types::{Duration, NetworkKind, ProtocolKind, ReplicaId, SimTime};
 use orthrus_workload::WorkloadConfig;
 
 /// Whether to lower the spec's reduced (default) or full-scale grid.
@@ -53,221 +60,288 @@ pub struct LoweredPoint {
 /// The default crash time for `crash_count` lowering (the paper's t = 9 s).
 pub const DEFAULT_CRASH_AT_MS: u64 = 9_000;
 
-fn params_to_scenario(params: &Params) -> Result<Scenario, SpecError> {
-    let protocol = params
-        .protocol
-        .ok_or_else(|| SpecError::general("missing `protocol` (set it in base or as an axis)"))?;
-    let network = params
-        .network
-        .ok_or_else(|| SpecError::general("missing `network` (lan|wan)"))?;
-    let replicas = params
-        .replicas
-        .ok_or_else(|| SpecError::general("missing `replicas` (set it in base or as an axis)"))?;
+/// The most items an axis's `start..=end` range may expand to.
+const MAX_RANGE_ITEMS: u64 = 10_000;
 
-    let mut scenario =
-        Scenario::new(protocol, network, replicas).with_workload(WorkloadConfig::default());
+/// The keys an `[axes]` entry (and `x_axis`) may name.
+pub(crate) const AXES: [&str; 9] = [
+    "protocol",
+    "replicas",
+    "seed",
+    "payment_share_pct",
+    "multi_payer_pct",
+    "crash_count",
+    "selfish_count",
+    "zipf_exponent",
+    "max_inflight_blocks",
+];
 
-    if let Some(clients) = params.clients {
-        scenario.num_clients = clients;
-    }
-    if let Some(seed) = params.seed {
-        scenario.seed = seed;
-    }
-    if let Some(batch_size) = params.batch_size {
-        scenario.config.batch_size = batch_size;
-    }
-    if let Some(ms) = params.batch_timeout_ms {
-        scenario.config.batch_timeout = Duration::from_millis(ms);
-    }
-    if let Some(ms) = params.view_change_timeout_ms {
-        scenario.config.view_change_timeout = Duration::from_millis(ms);
-    }
-    if let Some(depth) = params.max_inflight_blocks {
-        scenario.config.max_inflight_blocks = depth;
-    }
-    if let Some(accounts) = params.accounts {
-        scenario.workload.num_accounts = accounts;
-    }
-    if let Some(transactions) = params.transactions {
-        scenario.workload.num_transactions = transactions;
-    }
-    if let Some(share) = params.payment_share {
-        scenario.workload.payment_share = share;
-    }
-    if let Some(share) = params.multi_payer_share {
-        scenario.workload.multi_payer_share = share;
-    }
-    if let Some(objects) = params.shared_objects {
-        scenario.workload.num_shared_objects = objects;
-    }
-    if let Some(exponent) = params.zipf_exponent {
-        scenario.workload.zipf_exponent = exponent;
-    }
-    if let Some(bytes) = params.payload_bytes {
-        scenario.workload.payload_bytes = bytes;
-    }
-    if let Some(balance) = params.initial_balance {
-        scenario.workload.initial_balance = balance;
-    }
-    if let Some(amount) = params.max_transfer {
-        scenario.workload.max_transfer = amount;
-    }
-    if let Some(ms) = params.submission_window_ms {
-        scenario.submission_window = Duration::from_millis(ms);
-    }
-    if let Some(ms) = params.max_sim_time_ms {
-        scenario.max_sim_time = Duration::from_millis(ms);
-    }
-    if let Some(stop) = &params.stop {
-        scenario.stop = stop.clone();
-    }
-
-    let mut faults = FaultPlan::none();
-    if let Some(stragglers) = &params.stragglers {
-        for &(replica, factor) in stragglers {
-            faults = faults.with_straggler(ReplicaId::new(replica), factor);
-        }
-    }
-    if let Some(crashes) = &params.crashes {
-        for &(replica, at_ms) in crashes {
-            faults = faults.with_crash(ReplicaId::new(replica), SimTime::from_millis(at_ms));
-        }
-    }
-    if let Some(recoveries) = &params.crash_recover {
-        for &(replica, crash_ms, recover_ms) in recoveries {
-            faults = faults.with_crash_recover(
-                ReplicaId::new(replica),
-                SimTime::from_millis(crash_ms),
-                SimTime::from_millis(recover_ms),
-            );
-        }
-    }
-    if let Some(selfish) = &params.selfish {
-        for &replica in selfish {
-            faults = faults.with_selfish(ReplicaId::new(replica));
-        }
-    }
-    if let Some(count) = params.crash_count {
-        let at = SimTime::from_millis(params.crash_at_ms.unwrap_or(DEFAULT_CRASH_AT_MS));
-        for f in 0..count {
-            faults = faults.with_crash(ReplicaId::new(1 + f), at);
-        }
-    }
-    if let Some(count) = params.selfish_count {
-        if count >= replicas {
-            return Err(SpecError::general(format!(
-                "selfish_count {count} does not fit a {replicas}-replica deployment"
-            )));
-        }
-        for f in 0..count {
-            faults = faults.with_selfish(ReplicaId::new(replicas - 1 - f));
-        }
-    }
-    scenario.faults = faults;
-
-    Ok(scenario)
+/// One grid point while its entries are applied: the scenario under
+/// construction plus the values only lowering reads.
+#[derive(Debug, Clone)]
+pub(crate) struct Point<'a> {
+    scenario: Scenario,
+    protocol: Option<ProtocolKind>,
+    network: Option<NetworkKind>,
+    replicas: Option<u32>,
+    crash_count: Option<u32>,
+    crash_at_ms: Option<u64>,
+    selfish_count: Option<u32>,
+    label: Option<String>,
+    x: Option<f64>,
+    /// The spec's `x_axis` key, and the numeric value of its last entry.
+    x_axis: Option<&'a str>,
+    axis_x: Option<f64>,
 }
 
-/// The x value a set of resolved params yields for `key` (used when the
-/// `x_axis` key lives in the base rather than on an axis).
-fn x_from_params(key: AxisKey, params: &Params) -> Option<f64> {
-    match key {
-        AxisKey::Protocol => None,
-        AxisKey::Replicas => params.replicas.map(f64::from),
-        AxisKey::Seed => params.seed.map(|s| s as f64),
-        AxisKey::PaymentSharePct => params.payment_share.map(|s| s * 100.0),
-        AxisKey::MultiPayerPct => params.multi_payer_share.map(|s| s * 100.0),
-        AxisKey::CrashCount => params.crash_count.map(f64::from),
-        AxisKey::SelfishCount => params.selfish_count.map(f64::from),
-        AxisKey::ZipfExponent => params.zipf_exponent,
-        AxisKey::MaxInflightBlocks => params.max_inflight_blocks.map(|d| d as f64),
+fn num<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String> {
+    let value = value.trim();
+    value
+        .parse::<T>()
+        .map_err(|_| format!("invalid {what}: {value:?}"))
+}
+
+/// Parse a float, rejecting `NaN`/`inf`: non-finite values have no place in
+/// the spec format and would corrupt the emitted JSON series downstream.
+fn finite(value: &str, what: &str) -> Result<f64, String> {
+    let parsed: f64 = num(value, what)?;
+    if !parsed.is_finite() {
+        return Err(format!("{what} must be finite, got {value:?}"));
     }
+    Ok(parsed)
 }
 
-/// Narrow a u64 axis value into a u32 parameter, rejecting overflow with a
-/// diagnostic (the `[base]` path parses these keys as u32 directly, so the
-/// axis path must not be laxer and silently wrap).
-fn narrow_u32(key: AxisKey, value: u64) -> Result<u32, SpecError> {
-    u32::try_from(value).map_err(|_| {
-        SpecError::general(format!(
-            "axis {} value {value} does not fit a 32-bit count",
-            key.name()
-        ))
-    })
+fn replica(value: &str) -> Result<ReplicaId, String> {
+    num(value, "replica id").map(ReplicaId::new)
 }
 
-/// Apply one axis value to `params`, returning the value's numeric
-/// representation (None for the protocol axis).
-fn apply_axis_value(
-    params: &mut Params,
-    key: AxisKey,
-    values: &AxisValues,
-    index: usize,
-) -> Result<Option<f64>, SpecError> {
-    match (key, values) {
-        (AxisKey::Protocol, AxisValues::Protocols(list)) => {
-            params.protocol = Some(list[index]);
-            Ok(None)
+fn items(value: &str) -> impl Iterator<Item = &str> {
+    value.split(',').map(str::trim).filter(|s| !s.is_empty())
+}
+
+fn split<'v>(item: &'v str, separator: &str, shape: &str) -> Result<(&'v str, &'v str), String> {
+    item.split_once(separator)
+        .ok_or_else(|| format!("{item:?} is not {shape}"))
+}
+
+impl<'a> Point<'a> {
+    pub(crate) fn new(x_axis: Option<&'a str>) -> Self {
+        Self {
+            scenario: Scenario::new(ProtocolKind::Orthrus, NetworkKind::Lan, 4)
+                .with_workload(WorkloadConfig::default()),
+            protocol: None,
+            network: None,
+            replicas: None,
+            crash_count: None,
+            crash_at_ms: None,
+            selfish_count: None,
+            label: None,
+            x: None,
+            x_axis,
+            axis_x: None,
         }
-        (AxisKey::Replicas, AxisValues::Ints(list)) => {
-            params.replicas = Some(narrow_u32(key, list[index])?);
-            Ok(Some(list[index] as f64))
-        }
-        (AxisKey::Seed, AxisValues::Ints(list)) => {
-            params.seed = Some(list[index]);
-            Ok(Some(list[index] as f64))
-        }
-        (AxisKey::PaymentSharePct, AxisValues::Ints(list)) => {
-            params.payment_share = Some(list[index] as f64 / 100.0);
-            Ok(Some(list[index] as f64))
-        }
-        (AxisKey::MultiPayerPct, AxisValues::Ints(list)) => {
-            params.multi_payer_share = Some(list[index] as f64 / 100.0);
-            Ok(Some(list[index] as f64))
-        }
-        (AxisKey::CrashCount, AxisValues::Ints(list)) => {
-            params.crash_count = Some(narrow_u32(key, list[index])?);
-            Ok(Some(list[index] as f64))
-        }
-        (AxisKey::SelfishCount, AxisValues::Ints(list)) => {
-            params.selfish_count = Some(narrow_u32(key, list[index])?);
-            Ok(Some(list[index] as f64))
-        }
-        (AxisKey::ZipfExponent, AxisValues::Floats(list)) => {
-            params.zipf_exponent = Some(list[index]);
-            Ok(Some(list[index]))
-        }
-        (AxisKey::MaxInflightBlocks, AxisValues::Ints(list)) => {
-            params.max_inflight_blocks = Some(list[index]);
-            Ok(Some(list[index] as f64))
-        }
-        (key, _) => Err(SpecError::general(format!(
-            "axis {} carries values of the wrong type",
-            key.name()
-        ))),
     }
-}
 
-fn apply_full_scale(sweep: &SweepSpec) -> Result<(Params, Vec<Axis>), SpecError> {
-    let mut base = sweep.base.clone();
-    let mut axes = sweep.axes.clone();
-    for (key, value) in &sweep.full_scale {
-        let as_axis =
-            AxisKey::from_name(key).and_then(|k| axes.iter().position(|axis| axis.key == k));
-        match as_axis {
-            Some(position) => {
-                axes[position] = parse_axis(key, value, 0).map_err(|err| {
-                    SpecError::general(format!("full_scale override {key:?}: {}", err.msg))
-                })?;
+    /// Apply one `key = value` entry: the one place a spec key is given its
+    /// meaning. `on_axis` admits the axis-only percent keys.
+    pub(crate) fn apply(&mut self, key: &str, value: &str, on_axis: bool) -> Result<(), String> {
+        let s = &mut self.scenario;
+        match key {
+            "protocol" => {
+                self.protocol = Some(ProtocolKind::from_name(value).ok_or_else(|| {
+                    let names = ProtocolKind::ALL.map(ProtocolKind::name);
+                    format!("unknown protocol {value:?} ({})", names.join("|"))
+                })?);
             }
-            None => {
-                base.set(key, value, 0, true).map_err(|err| {
-                    SpecError::general(format!("full_scale override {key:?}: {}", err.msg))
-                })?;
+            "network" => {
+                self.network = Some(match value {
+                    "lan" => NetworkKind::Lan,
+                    "wan" => NetworkKind::Wan,
+                    _ => return Err(format!("unknown network {value:?} (lan|wan)")),
+                });
+            }
+            "replicas" => self.replicas = Some(num(value, "replica count")?),
+            "clients" => s.num_clients = num(value, "client count")?,
+            "seed" => s.seed = num(value, "seed")?,
+            "batch_size" => s.config.batch_size = num(value, "batch size")?,
+            "batch_timeout_ms" => {
+                s.config.batch_timeout = Duration::from_millis(num(value, "timeout")?);
+            }
+            "view_change_timeout_ms" => {
+                s.config.view_change_timeout = Duration::from_millis(num(value, "timeout")?);
+            }
+            "max_inflight_blocks" => s.config.max_inflight_blocks = num(value, "depth")?,
+            "accounts" => s.workload.num_accounts = num(value, "account count")?,
+            "transactions" => s.workload.num_transactions = num(value, "transaction count")?,
+            "payment_share" => s.workload.payment_share = finite(value, "share")?,
+            "payment_share_pct" if on_axis => {
+                s.workload.payment_share = num::<u64>(value, key)? as f64 / 100.0;
+            }
+            "multi_payer_share" => s.workload.multi_payer_share = finite(value, "share")?,
+            "multi_payer_pct" if on_axis => {
+                s.workload.multi_payer_share = num::<u64>(value, key)? as f64 / 100.0;
+            }
+            "shared_objects" => s.workload.num_shared_objects = num(value, "object count")?,
+            "zipf_exponent" => s.workload.zipf_exponent = finite(value, "exponent")?,
+            "payload_bytes" => s.workload.payload_bytes = num(value, "byte count")?,
+            "initial_balance" => s.workload.initial_balance = num(value, "balance")?,
+            "max_transfer" => s.workload.max_transfer = num(value, "amount")?,
+            "submission_window_ms" => {
+                s.submission_window = Duration::from_millis(num(value, "duration")?);
+            }
+            "max_sim_time_ms" => {
+                s.max_sim_time = Duration::from_millis(num(value, "duration")?);
+            }
+            "stop" => {
+                s.stop = items(value)
+                    .map(|item| {
+                        StopCondition::from_name(item).ok_or_else(|| {
+                            format!(
+                                "unknown stop condition {item:?} \
+                                 (all_confirmed|digests_quiesce|sim_time_limit)"
+                            )
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
+            }
+            "stragglers" => {
+                for item in items(value) {
+                    let (id, factor) = split(item, "x", "<replica>x<factor>")
+                        .map_err(|e| format!("straggler {e}"))?;
+                    s.faults.stragglers.push(StragglerSpec {
+                        replica: replica(id)?,
+                        factor: finite(factor, "slowdown factor")?,
+                    });
+                }
+            }
+            "crashes" => {
+                for item in items(value) {
+                    let (id, at) =
+                        split(item, "@", "<replica>@<ms>").map_err(|e| format!("crash {e}"))?;
+                    s.faults.crashes.push(CrashSpec {
+                        replica: replica(id)?,
+                        at: SimTime::from_millis(num(at, "crash time (ms)")?),
+                    });
+                }
+            }
+            "crash_recover" => {
+                for item in items(value) {
+                    let (id, window) = split(item, "@", "<replica>@<crash_ms>..<recover_ms>")
+                        .map_err(|e| format!("crash_recover {e}"))?;
+                    let (crash_ms, recover_ms) = window.split_once("..").ok_or_else(|| {
+                        format!(
+                            "crash_recover {item:?} is missing the <crash_ms>..<recover_ms> window"
+                        )
+                    })?;
+                    s.faults.crash_recoveries.push(CrashRecoverSpec {
+                        replica: replica(id)?,
+                        crash_at: SimTime::from_millis(num(crash_ms, "crash time (ms)")?),
+                        recover_at: SimTime::from_millis(num(recover_ms, "recovery time (ms)")?),
+                    });
+                }
+            }
+            "selfish" => {
+                for item in items(value) {
+                    s.faults.selfish.push(replica(item)?);
+                }
+            }
+            "crash_count" => self.crash_count = Some(num(value, "fault count")?),
+            "crash_at_ms" => self.crash_at_ms = Some(num(value, "crash time (ms)")?),
+            "selfish_count" => self.selfish_count = Some(num(value, "fault count")?),
+            "label" => {
+                // Labels flow into the emitted JSON/CSV series verbatim, so
+                // keep them to a charset that cannot corrupt either format.
+                if value.is_empty()
+                    || value
+                        .chars()
+                        .any(|c| c.is_control() || matches!(c, '"' | '\\' | ','))
+                {
+                    return Err(format!(
+                        "label {value:?} must be non-empty and free of quotes, \
+                         backslashes, commas and control characters"
+                    ));
+                }
+                self.label = Some(value.to_string());
+            }
+            "x" => self.x = Some(finite(value, "x value")?),
+            _ => return Err(format!("unknown parameter {key:?}")),
+        }
+        if self.x_axis == Some(key) {
+            self.axis_x = value.parse().ok();
+        }
+        Ok(())
+    }
+
+    /// Apply the placement counts and the required keys, and name the point.
+    fn finish(mut self) -> Result<LoweredPoint, SpecError> {
+        let protocol = self.protocol.ok_or_else(|| {
+            SpecError::general("missing `protocol` (set it in base or as an axis)")
+        })?;
+        let network = self
+            .network
+            .ok_or_else(|| SpecError::general("missing `network` (lan|wan)"))?;
+        let replicas = self.replicas.ok_or_else(|| {
+            SpecError::general("missing `replicas` (set it in base or as an axis)")
+        })?;
+        for (key, count) in [
+            ("crash_count", self.crash_count),
+            ("selfish_count", self.selfish_count),
+        ] {
+            if let Some(count) = count.filter(|&count| count >= replicas) {
+                return Err(SpecError::general(format!(
+                    "{key} {count} does not fit a {replicas}-replica deployment"
+                )));
             }
         }
+        let s = &mut self.scenario;
+        s.protocol = protocol;
+        s.network = network;
+        s.config.num_replicas = replicas;
+        s.config.num_instances = replicas;
+        let at = SimTime::from_millis(self.crash_at_ms.unwrap_or(DEFAULT_CRASH_AT_MS));
+        for f in 0..self.crash_count.unwrap_or(0) {
+            let replica = ReplicaId::new(1 + f);
+            s.faults.crashes.push(CrashSpec { replica, at });
+        }
+        for f in 0..self.selfish_count.unwrap_or(0) {
+            s.faults.selfish.push(ReplicaId::new(replicas - 1 - f));
+        }
+        Ok(LoweredPoint {
+            label: self.label.unwrap_or_else(|| protocol.label().to_string()),
+            x: self.x.or(self.axis_x).unwrap_or(f64::from(replicas)),
+            scenario: self.scenario,
+        })
     }
-    Ok((base, axes))
+}
+
+/// An axis's value items — a comma list, or an inclusive `start..=end`
+/// integer range — each checked by applying it to `scratch`.
+pub(crate) fn axis_items(
+    key: &str,
+    value: &str,
+    scratch: &mut Point,
+) -> Result<Vec<String>, String> {
+    let items: Vec<String> = match value.split_once("..=") {
+        Some((start, end)) => {
+            let start: u64 = num(start, key)?;
+            let end: u64 = num(end, key)?;
+            if end < start || end - start >= MAX_RANGE_ITEMS {
+                let most = MAX_RANGE_ITEMS;
+                return Err(format!(
+                    "range {start}..={end} for {key} must hold 1 to {most} items"
+                ));
+            }
+            (start..=end).map(|v| v.to_string()).collect()
+        }
+        None => items(value).map(str::to_string).collect(),
+    };
+    if items.is_empty() {
+        return Err(format!("axis {key} is empty"));
+    }
+    for item in &items {
+        scratch.apply(key, item, true)?;
+    }
+    Ok(items)
 }
 
 impl Spec {
@@ -276,62 +350,40 @@ impl Spec {
     /// Scenario specs yield exactly one point; sweeps yield their full
     /// cartesian grid in deterministic order (first axis outermost).
     pub fn lower(&self, scale: SpecScale) -> Result<Vec<LoweredPoint>, SpecError> {
-        match self {
-            Spec::Scenario(spec) => {
-                let scenario = params_to_scenario(&spec.params)?;
-                let label = spec
-                    .params
-                    .label
-                    .clone()
-                    .unwrap_or_else(|| scenario.protocol.label().to_string());
-                let x = spec
-                    .params
-                    .x
-                    .unwrap_or(f64::from(scenario.config.num_replicas));
-                Ok(vec![LoweredPoint { label, x, scenario }])
-            }
-            Spec::Sweep(sweep) => {
-                let (base, axes) = match scale {
-                    SpecScale::Reduced => (sweep.base.clone(), sweep.axes.clone()),
-                    SpecScale::Full => apply_full_scale(sweep)?,
-                };
-                // Cartesian product, first axis outermost.
-                let mut combos: Vec<(Params, Option<f64>)> = vec![(base, None)];
-                for axis in &axes {
-                    let mut next = Vec::with_capacity(combos.len() * axis.values.len());
-                    for (params, x) in &combos {
-                        for index in 0..axis.values.len() {
-                            let mut refined = params.clone();
-                            let raw =
-                                apply_axis_value(&mut refined, axis.key, &axis.values, index)?;
-                            let x = if sweep.x_axis == Some(axis.key) {
-                                raw
-                            } else {
-                                *x
-                            };
-                            next.push((refined, x));
-                        }
-                    }
-                    combos = next;
+        let mut base = self.base.clone();
+        let mut axes = self.axes.clone();
+        if scale == SpecScale::Full {
+            for (key, value) in &self.full_scale {
+                if let Some(axis) = axes.iter_mut().find(|(k, _)| k == key) {
+                    axis.1 = axis_items(key, value, &mut Point::new(None)).map_err(|msg| {
+                        SpecError::general(format!("full_scale override {key:?}: {msg}"))
+                    })?;
+                } else if let Some(entry) = base.iter_mut().find(|(k, _)| k == key) {
+                    entry.1.clone_from(value);
+                } else {
+                    base.push((key.clone(), value.clone()));
                 }
-                combos
-                    .into_iter()
-                    .map(|(params, axis_x)| {
-                        let scenario = params_to_scenario(&params)?;
-                        let label = params
-                            .label
-                            .clone()
-                            .unwrap_or_else(|| scenario.protocol.label().to_string());
-                        let x = params
-                            .x
-                            .or(axis_x)
-                            .or_else(|| sweep.x_axis.and_then(|key| x_from_params(key, &params)))
-                            .unwrap_or(f64::from(scenario.config.num_replicas));
-                        Ok(LoweredPoint { label, x, scenario })
-                    })
-                    .collect()
             }
         }
+        let mut start = Point::new(self.x_axis.as_deref());
+        for (key, value) in &base {
+            start.apply(key, value, false).map_err(SpecError::general)?;
+        }
+        // Cartesian product, first axis outermost.
+        let mut points = vec![start];
+        for (key, items) in &axes {
+            points = points
+                .iter()
+                .flat_map(|point| {
+                    items.iter().map(move |item| {
+                        let mut point = point.clone();
+                        point.apply(key, item, true).map(|()| point)
+                    })
+                })
+                .collect::<Result<_, _>>()
+                .map_err(SpecError::general)?;
+        }
+        points.into_iter().map(Point::finish).collect()
     }
 
     /// Validate the spec end to end: lower it at both scales and run every
@@ -363,7 +415,7 @@ impl Spec {
 mod tests {
     use super::*;
     use crate::spec::parse;
-    use orthrus_types::{NetworkKind, ProtocolKind};
+    use orthrus_sim::FaultPlan;
 
     const SWEEP_DOC: &str = "\
 kind = sweep\n\
@@ -385,6 +437,63 @@ protocol = orthrus, iss\n\
 [full_scale]\n\
 replicas = 8, 16\n\
 transactions = 500\n";
+
+    /// Each arm of the key table sets the field its key names.
+    #[test]
+    fn every_key_sets_its_scenario_field() {
+        let doc = "kind = scenario\nname = all\n[scenario]\n\
+            protocol = ladon\nnetwork = wan\nreplicas = 7\nclients = 3\nseed = 11\n\
+            batch_size = 12\nbatch_timeout_ms = 13\nview_change_timeout_ms = 14\n\
+            max_inflight_blocks = 15\naccounts = 16\ntransactions = 17\n\
+            payment_share = 0.18\nmulti_payer_share = 0.19\nshared_objects = 20\n\
+            zipf_exponent = 0.21\npayload_bytes = 22\ninitial_balance = 23\n\
+            max_transfer = 24\nsubmission_window_ms = 25\nmax_sim_time_ms = 26\n\
+            stop = all_confirmed\nstragglers = 1x2.5\ncrashes = 2@27\n\
+            crash_recover = 3@28..29\nselfish = 4\ncrash_count = 1\ncrash_at_ms = 30\n\
+            selfish_count = 1\nlabel = All\nx = 31\n";
+        let points = parse(doc).expect("parse").lower(SpecScale::Reduced);
+        let workload = WorkloadConfig {
+            num_accounts: 16,
+            num_transactions: 17,
+            payment_share: 0.18,
+            multi_payer_share: 0.19,
+            num_shared_objects: 20,
+            zipf_exponent: 0.21,
+            payload_bytes: 22,
+            initial_balance: 23,
+            max_transfer: 24,
+            ..WorkloadConfig::default()
+        };
+        let (r, ms) = (ReplicaId::new, SimTime::from_millis);
+        let faults = FaultPlan::none()
+            .with_straggler(r(1), 2.5)
+            .with_crash(r(2), ms(27))
+            .with_crash_recover(r(3), ms(28), ms(29))
+            .with_selfish(r(4))
+            .with_crash(r(1), ms(30))
+            .with_selfish(r(6));
+        let mut scenario = Scenario::new(ProtocolKind::Ladon, NetworkKind::Wan, 7)
+            .with_workload(workload)
+            .with_faults(faults)
+            .with_num_clients(3)
+            .with_seed(11)
+            .with_batch_size(12)
+            .with_batch_timeout(Duration::from_millis(13))
+            .with_view_change_timeout(Duration::from_millis(14))
+            .with_max_inflight_blocks(15)
+            .with_submission_window(Duration::from_millis(25))
+            .with_max_sim_time(Duration::from_millis(26));
+        scenario.stop = vec![StopCondition::AllConfirmed];
+        let label = "All".to_string();
+        assert_eq!(
+            points,
+            Ok(vec![LoweredPoint {
+                label,
+                x: 31.0,
+                scenario
+            }])
+        );
+    }
 
     #[test]
     fn sweep_lowering_orders_first_axis_outermost() {
@@ -499,8 +608,8 @@ payment_share_pct = 0, 40, 100\n";
 
     #[test]
     fn oversized_axis_counts_are_rejected_not_truncated() {
-        // The [base] path parses `replicas` as u32 and rejects overflow; the
-        // axis path must do the same instead of wrapping 2^32 + 4 to 4.
+        // An axis item goes through the same key arm as a base entry, so
+        // 2^32 + 4 replicas fails to parse instead of wrapping to 4.
         let doc = "\
 kind = sweep\n\
 name = overflow\n\
@@ -511,9 +620,9 @@ network = lan\n\
 \n\
 [axes]\n\
 replicas = 4294967300\n";
-        let spec = parse(doc).expect("parse");
-        let err = spec.lower(SpecScale::Reduced).expect_err("must reject");
-        assert!(err.to_string().contains("does not fit"), "{err}");
+        let err = parse(doc).expect_err("must reject");
+        assert_eq!(err.line, Some(9));
+        assert!(err.to_string().contains("replica count"), "{err}");
     }
 
     #[test]
@@ -529,16 +638,9 @@ replicas = 4\n\
 transactions = 100\n\
 accounts = 32\n\
 crash_recover = 2@300..1800\n";
-        let spec = parse(doc).expect("parse");
-        let points = spec.lower(SpecScale::Reduced).expect("lower");
-        assert_eq!(points.len(), 1);
-        let scenario = &points[0].scenario;
-        assert_eq!(scenario.faults.crash_recoveries.len(), 1);
-        let spec_fault = scenario.faults.crash_recoveries[0];
-        assert_eq!(spec_fault.replica.value(), 2);
-        assert_eq!(spec_fault.crash_at, SimTime::from_millis(300));
-        assert_eq!(spec_fault.recover_at, SimTime::from_millis(1800));
-        assert!(scenario.validate().is_ok());
+        // The windows themselves are checked by
+        // `spec.rs::crash_recover_stanza_parses_and_round_trips`.
+        assert_eq!(parse(doc).expect("parse").lint(), Ok(1));
         // An inverted window is caught by scenario validation through lint.
         let bad = doc.replace("2@300..1800", "2@1800..300");
         let err = parse(&bad).expect("parse").lint().expect_err("must fail");

@@ -15,7 +15,7 @@
 
 use crate::policy::GlobalOrderingPolicy;
 use orthrus_types::{BlockId, SharedBlock};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 /// Global ordering driven by a dedicated ordering instance's decisions.
 #[derive(Debug, Default, Clone)]
@@ -26,6 +26,14 @@ pub struct DqbftOrdering {
     decisions: VecDeque<BlockId>,
     /// Ids already confirmed (to drop duplicates).
     confirmed: HashSet<BlockId>,
+    /// Delivered ids the ordering instance has not decided yet, keyed by
+    /// their delivery mark, so whoever leads the ordering instance proposes
+    /// them in delivery order.
+    undecided: BTreeMap<u64, BlockId>,
+    /// The delivery mark of each id in `undecided`.
+    undecided_marks: HashMap<BlockId, u64>,
+    /// The delivery mark the next undecided id gets.
+    next_mark: u64,
 }
 
 impl DqbftOrdering {
@@ -54,9 +62,21 @@ impl DqbftOrdering {
         out
     }
 
-    /// Number of ordering decisions not yet matched with data.
-    pub fn undecided_data(&self) -> usize {
-        self.delivered.len()
+    /// Delivered ids not decided yet, in delivery order, whose delivery
+    /// mark is at least `from`.
+    pub fn undecided_from(&self, from: u64) -> impl Iterator<Item = BlockId> + '_ {
+        self.undecided.range(from..).map(|(_, &id)| id)
+    }
+
+    /// The delivery mark the next undecided id gets: every id listed so far
+    /// has a lower one.
+    pub fn next_mark(&self) -> u64 {
+        self.next_mark
+    }
+
+    /// Is `id` delivered and still waiting for the ordering instance?
+    pub fn is_undecided(&self, id: BlockId) -> bool {
+        self.undecided_marks.contains_key(&id)
     }
 }
 
@@ -66,6 +86,11 @@ impl GlobalOrderingPolicy for DqbftOrdering {
         if self.confirmed.contains(&id) {
             return Vec::new();
         }
+        if !self.decisions.contains(&id) && !self.undecided_marks.contains_key(&id) {
+            self.undecided.insert(self.next_mark, id);
+            self.undecided_marks.insert(id, self.next_mark);
+            self.next_mark += 1;
+        }
         self.delivered.entry(id).or_insert(block);
         self.drain()
     }
@@ -73,6 +98,9 @@ impl GlobalOrderingPolicy for DqbftOrdering {
     fn on_order_decision(&mut self, id: BlockId) -> Vec<SharedBlock> {
         if self.confirmed.contains(&id) || self.decisions.contains(&id) {
             return Vec::new();
+        }
+        if let Some(mark) = self.undecided_marks.remove(&id) {
+            self.undecided.remove(&mark);
         }
         self.decisions.push_back(id);
         self.drain()
@@ -99,18 +127,23 @@ mod tests {
         let id = b.id();
         assert!(ord.on_deliver(b).is_empty());
         assert_eq!(ord.pending(), 1);
+        assert!(ord.is_undecided(id));
         let confirmed = ord.on_order_decision(id);
         assert_eq!(confirmed.len(), 1);
         assert_eq!(ord.pending(), 0);
+        assert!(ord.on_deliver(block(0, 0, 0)).is_empty());
+        assert!(!ord.is_undecided(id), "a confirmed block stays decided");
     }
 
     #[test]
     fn decision_before_data_also_works() {
         let mut ord = DqbftOrdering::new();
         let b = block(1, 3, 0);
-        assert!(ord.on_order_decision(b.id()).is_empty());
+        let id = b.id();
+        assert!(ord.on_order_decision(id).is_empty());
         let confirmed = ord.on_deliver(b);
         assert_eq!(confirmed.len(), 1);
+        assert!(!ord.is_undecided(id), "decided before its data arrived");
     }
 
     #[test]
@@ -129,6 +162,23 @@ mod tests {
         confirmed.extend(ord.on_order_decision(b.id()));
         let ids: Vec<BlockId> = confirmed.iter().map(|b| b.id()).collect();
         assert_eq!(ids, vec![c.id(), a.id(), b.id()]);
+    }
+
+    #[test]
+    fn undecided_ids_keep_delivery_order_and_marks() {
+        let mut ord = DqbftOrdering::new();
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| block(i, 0, 0));
+        for blk in [&a, &b, &c] {
+            ord.on_deliver(blk.clone());
+        }
+        ord.on_deliver(b.clone());
+        ord.on_order_decision(b.id());
+        let ids: Vec<BlockId> = ord.undecided_from(0).collect();
+        assert_eq!(ids, vec![a.id(), c.id()]);
+        let mark = ord.next_mark();
+        ord.on_deliver(d.clone());
+        let ids: Vec<BlockId> = ord.undecided_from(mark).collect();
+        assert_eq!(ids, vec![d.id()], "only ids delivered after the mark");
     }
 
     #[test]

@@ -82,11 +82,6 @@ impl LadonOrdering {
         }
         bar
     }
-
-    /// Number of instances that have delivered at least one block.
-    pub fn instances_started(&self) -> usize {
-        self.last_delivered.iter().filter(|l| l.is_some()).count()
-    }
 }
 
 impl GlobalOrderingPolicy for LadonOrdering {
@@ -149,7 +144,6 @@ mod tests {
                 instance: InstanceId::new(0)
             }
         );
-        assert_eq!(ord.instances_started(), 0);
     }
 
     #[test]

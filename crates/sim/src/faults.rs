@@ -25,16 +25,6 @@ pub struct StragglerSpec {
     pub factor: f64,
 }
 
-impl StragglerSpec {
-    /// The paper's standard straggler: the given replica is 10× slower.
-    pub fn paper_default(replica: ReplicaId) -> Self {
-        Self {
-            replica,
-            factor: 10.0,
-        }
-    }
-}
-
 /// A crash fault: the replica stops sending and receiving at `at`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashSpec {
@@ -85,7 +75,10 @@ impl FaultPlan {
     /// 0, unless stated otherwise).
     pub fn one_straggler(replica: ReplicaId) -> Self {
         Self {
-            stragglers: vec![StragglerSpec::paper_default(replica)],
+            stragglers: vec![StragglerSpec {
+                replica,
+                factor: 10.0,
+            }],
             ..Self::default()
         }
     }

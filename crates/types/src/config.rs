@@ -40,15 +40,22 @@ impl ProtocolKind {
         ProtocolKind::Ladon,
     ];
 
-    /// Does this protocol order the global log with a pre-determined
-    /// (sequence-number interleaved) schedule? Those are the protocols the
-    /// paper groups as "pre-determined Multi-BFT" and that suffer most from
-    /// stragglers.
-    pub fn is_predetermined(self) -> bool {
-        matches!(
-            self,
-            ProtocolKind::Iss | ProtocolKind::MirBft | ProtocolKind::Rcc
-        )
+    /// Stable lower-case name (the value of the `protocol` key in `.orth`
+    /// specs).
+    pub fn name(self) -> &'static str {
+        match self {
+            ProtocolKind::Orthrus => "orthrus",
+            ProtocolKind::Iss => "iss",
+            ProtocolKind::MirBft => "mir",
+            ProtocolKind::Rcc => "rcc",
+            ProtocolKind::Dqbft => "dqbft",
+            ProtocolKind::Ladon => "ladon",
+        }
+    }
+
+    /// The protocol with the given [`ProtocolKind::name`].
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|p| p.name() == name)
     }
 
     /// Short label used by the benchmark harness output (matches the paper's
@@ -99,10 +106,6 @@ pub struct ProtocolConfig {
     pub num_instances: u32,
     /// Maximum number of transactions per block (paper: 4096).
     pub batch_size: usize,
-    /// Client payload per transaction in bytes (paper: 500).
-    pub payload_bytes: u32,
-    /// Number of sequence numbers assigned to each instance per epoch.
-    pub epoch_length: u64,
     /// How long a leader waits for a full batch before proposing whatever its
     /// bucket holds (possibly a no-op block).
     pub batch_timeout: Duration,
@@ -111,9 +114,6 @@ pub struct ProtocolConfig {
     /// Interval, in sequence numbers, between PBFT checkpoints inside an
     /// instance.
     pub checkpoint_interval: u64,
-    /// Per-message processing cost charged by the simulation for signature
-    /// verification and bookkeeping at a replica.
-    pub processing_delay: Duration,
     /// Number of client (load-generator) actors in the deployment. Logical
     /// client `c` is served by actor `c mod num_client_actors`; replicas use
     /// the same mapping to route replies.
@@ -130,12 +130,9 @@ impl Default for ProtocolConfig {
             num_replicas: 4,
             num_instances: 4,
             batch_size: 4096,
-            payload_bytes: 500,
-            epoch_length: 4,
             batch_timeout: Duration::from_millis(50),
             view_change_timeout: Duration::from_secs(10),
             checkpoint_interval: 4,
-            processing_delay: Duration::from_micros(30),
             num_client_actors: 4,
             max_inflight_blocks: 4,
         }
@@ -203,9 +200,6 @@ impl ProtocolConfig {
         if self.batch_size == 0 {
             return Err(OrthrusError::Config("batch size must be positive".into()));
         }
-        if self.epoch_length == 0 {
-            return Err(OrthrusError::Config("epoch length must be positive".into()));
-        }
         if self.max_inflight_blocks == 0 {
             return Err(OrthrusError::Config(
                 "max_inflight_blocks must be at least 1 (a leader needs one slot in flight)".into(),
@@ -214,15 +208,8 @@ impl ProtocolConfig {
         Ok(())
     }
 
-    /// Replica that initially leads `instance` (view 0): with `m <= n` the
-    /// leader of instance `i` is replica `i`.
-    #[inline]
-    pub fn initial_leader(&self, instance: crate::ids::InstanceId) -> crate::ids::ReplicaId {
-        crate::ids::ReplicaId::new(instance.value() % self.num_replicas)
-    }
-
     /// Leader of `instance` in `view`: rotates round-robin over replicas,
-    /// starting from the initial leader.
+    /// starting in view 0 from replica `instance mod n`.
     #[inline]
     pub fn leader_for_view(
         &self,
@@ -273,9 +260,6 @@ mod tests {
         c.batch_size = 0;
         assert!(c.validate().is_err());
         c = ProtocolConfig::for_replicas(8);
-        c.epoch_length = 0;
-        assert!(c.validate().is_err());
-        c = ProtocolConfig::for_replicas(8);
         c.num_instances = 0;
         assert!(c.validate().is_err());
         c = ProtocolConfig::for_replicas(8);
@@ -296,7 +280,6 @@ mod tests {
     fn leader_rotation() {
         let c = ProtocolConfig::for_replicas(4);
         let i2 = InstanceId::new(2);
-        assert_eq!(c.initial_leader(i2).value(), 2);
         assert_eq!(c.leader_for_view(i2, View::new(0)).value(), 2);
         assert_eq!(c.leader_for_view(i2, View::new(1)).value(), 3);
         assert_eq!(c.leader_for_view(i2, View::new(2)).value(), 0);
@@ -304,14 +287,12 @@ mod tests {
     }
 
     #[test]
-    fn protocol_kind_grouping() {
-        assert!(ProtocolKind::Iss.is_predetermined());
-        assert!(ProtocolKind::MirBft.is_predetermined());
-        assert!(ProtocolKind::Rcc.is_predetermined());
-        assert!(!ProtocolKind::Orthrus.is_predetermined());
-        assert!(!ProtocolKind::Ladon.is_predetermined());
-        assert!(!ProtocolKind::Dqbft.is_predetermined());
-        assert_eq!(ProtocolKind::ALL.len(), 6);
+    fn protocol_names_round_trip() {
+        for protocol in ProtocolKind::ALL {
+            assert_eq!(ProtocolKind::from_name(protocol.name()), Some(protocol));
+        }
+        assert_eq!(ProtocolKind::MirBft.name(), "mir");
+        assert_eq!(ProtocolKind::from_name("Orthrus"), None);
     }
 
     #[test]

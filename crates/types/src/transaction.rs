@@ -236,11 +236,6 @@ impl Transaction {
         self.ops.iter().filter(|o| o.is_shared()).map(|o| o.key)
     }
 
-    /// All object keys touched by this transaction.
-    pub fn involved_keys(&self) -> impl Iterator<Item = ObjectKey> + '_ {
-        self.ops.iter().map(|o| o.key)
-    }
-
     /// Number of distinct payers.
     pub fn payer_count(&self) -> usize {
         let mut payers: Vec<ObjectKey> = self.payers().collect();

@@ -73,16 +73,6 @@ fn load_spec(arg: &str) -> Result<Spec, String> {
     }
 }
 
-fn x_label(spec: &Spec) -> String {
-    match spec {
-        Spec::Sweep(sweep) => sweep
-            .x_axis
-            .map(|axis| axis.name().to_string())
-            .unwrap_or_else(|| "replicas".to_string()),
-        Spec::Scenario(_) => "replicas".to_string(),
-    }
-}
-
 fn cmd_list() -> ExitCode {
     println!("{:<34} {:<9} {:>7}  title", "name", "kind", "points");
     for entry in registry::ENTRIES {
@@ -205,18 +195,18 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
     let threads = threads.unwrap_or_else(sweep_threads);
-    let label = x_label(&spec);
+    let label = spec.x_axis().unwrap_or("replicas");
     let title = spec.title().unwrap_or_else(|| spec.name());
     harness::print_header(
         &format!("{title} ({scale:?} scale, {threads} thread(s))"),
-        &label,
+        label,
     );
     let measured: Vec<MeasuredPoint> = harness::measure_sweep_with_threads(&points, threads);
     for point in &measured {
         harness::print_row(point);
     }
     if let Some(path) = json_path {
-        let doc = harness::series_json(spec.name(), &label, &measured);
+        let doc = harness::series_json(spec.name(), label, &measured);
         if let Err(err) = std::fs::write(path, doc) {
             eprintln!("error: could not write {path}: {err}");
             return ExitCode::FAILURE;

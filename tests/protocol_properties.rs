@@ -119,24 +119,27 @@ fn selfish_replicas_do_not_stop_confirmation() {
 
 #[test]
 fn crash_fault_triggers_view_change_and_recovery() {
-    // The leader of instance 0 crashes shortly after the run starts; its
-    // instance recovers through a view change and the workload still
-    // completes. The view-change timeout is shortened so the test stays
-    // fast.
-    let mut scenario = base_scenario(ProtocolKind::Orthrus, 200, 8);
-    scenario.config.view_change_timeout = Duration::from_secs(2);
-    scenario.faults = FaultPlan::none().with_crash(ReplicaId::new(0), SimTime::from_millis(200));
-    scenario.max_sim_time = Duration::from_secs(120);
-    let outcome = run(&scenario);
-    assert!(
-        outcome.view_changes > 0,
-        "expected at least one view change, got none"
-    );
-    assert_eq!(
-        outcome.confirmed, outcome.submitted,
-        "workload did not complete after the crash: {}/{}",
-        outcome.confirmed, outcome.submitted
-    );
+    // Replica 0 crashes shortly after the run starts. It leads instance 0
+    // and, under DQBFT, the ordering instance too. Its instances recover
+    // through a view change and the workload still completes. The
+    // view-change timeout is shortened so the test stays fast.
+    for protocol in ProtocolKind::ALL {
+        let mut scenario = base_scenario(protocol, 200, 8);
+        scenario.config.view_change_timeout = Duration::from_secs(2);
+        scenario.faults =
+            FaultPlan::none().with_crash(ReplicaId::new(0), SimTime::from_millis(200));
+        scenario.max_sim_time = Duration::from_secs(120);
+        let outcome = run(&scenario);
+        assert!(
+            outcome.view_changes > 0,
+            "{protocol}: expected at least one view change, got none"
+        );
+        assert_eq!(
+            outcome.confirmed, outcome.submitted,
+            "{protocol}: workload did not complete after the crash: {}/{}",
+            outcome.confirmed, outcome.submitted
+        );
+    }
 }
 
 #[test]

@@ -14,7 +14,7 @@
 
 use orthrus::prelude::*;
 use orthrus_core::run_scenarios;
-use orthrus_lab::{parse, registry, serialize, Axis, AxisKey, AxisValues, Params, Spec, SpecScale};
+use orthrus_lab::{parse, registry, serialize, SpecScale};
 use orthrus_types::rng::{Rng, StdRng};
 
 // ----------------------------------------------------------------------
@@ -88,183 +88,247 @@ fn quickstart_spec_matches_the_quickstart_example() {
 }
 
 // ----------------------------------------------------------------------
+// Lowering pin
+// ----------------------------------------------------------------------
+
+/// FNV-1a over each point's label, the bits of its x and every `Scenario`
+/// field a spec key can set. `ProtocolConfig` fields no key reaches are left
+/// out, so the pin does not move when such a field is added or removed.
+fn lowering_digest(points: &[orthrus_lab::LoweredPoint]) -> u64 {
+    let mut text = String::new();
+    for p in points {
+        let (s, c) = (&p.scenario, &p.scenario.config);
+        let config = (c.num_replicas, c.num_instances, c.batch_size);
+        let timing = (
+            c.batch_timeout,
+            c.view_change_timeout,
+            c.max_inflight_blocks,
+        );
+        let run = (s.num_clients, s.seed, s.submission_window, s.max_sim_time);
+        text.push_str(&format!(
+            "{}|{}|{:?}|{:?}|{config:?}|{timing:?}|{run:?}|{:?}|{:?}|{:?}\n",
+            p.label,
+            p.x.to_bits(),
+            s.protocol,
+            s.network,
+            s.workload,
+            s.stop,
+            s.faults
+        ));
+    }
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `spec reduced-digest full-digest`, one line per registry spec and then
+/// per benchmark workload, recorded before the key table replaced the typed
+/// parameter model.
+const LOWERING_PINS: &str = "\
+quickstart 9b364204156a4631 9b364204156a4631
+fig3_smoke 4e24816105a07d18 4e24816105a07d18
+fig3ab_wan_no_straggler fb6513b0c7b79817 5e9949d3720a68ed
+fig3cd_wan_straggler 74372514f363cabd b1adf3f3a8e2eb07
+fig4ab_lan_no_straggler 2bd42def24947dd7 52a4d033e871713d
+fig4cd_lan_straggler 9c8c5746465777d7 eae784aef8ecec8d
+fig5_payment_share_no_straggler 6f3b80ad5d7f0cde 60ffecf84b2b6566
+fig5_payment_share_straggler 3a9325c34b847780 a8fa909b072a0006
+fig6_latency_breakdown 3bcb24720d354e41 8a4cffbaacdeed05
+fig7_fault_timeline 510802e13491ffbc 48bd0d02488325da
+fig8_undetectable_faults 43175a0e9adae8ee ea0766e2140f2242
+ablation_fast_path f402199dc34932ab e3ba1a465e5d6905
+ablation_global_ordering 7e65238c6d0b3424 299acac5287048de
+ablation_multi_payer ff536e9d692b9e01 0bbdaadf5ea92d21
+ablation_hot_account 8886d4b6cd839fe5 f6027c306c5ba772
+ablation_inflight a61452c9f2a49f13 efa9799b5af62aa6
+recovery_smoke c5dcb837160fec39 c5dcb837160fec39
+recovery_protocols b55237a2946973a1 93427ec36f04fb2d
+lan_contracts_sat cc751744894ebfc7 cc751744894ebfc7
+lan_payments_sat f84a233d34647e8c f84a233d34647e8c
+smoke aa170d78a72d9cc1 aa170d78a72d9cc1
+wan_fanout_n32 ef8ec2c1c46ebdec ef8ec2c1c46ebdec
+wan_straggler_n16 013941d7dc445a1c 013941d7dc445a1c
+";
+
+/// Every registry spec and every benchmark workload (read only) lowers, at
+/// both scales, to the points it lowered to when the pins were recorded.
+#[test]
+fn lowering_matches_the_pinned_digests() {
+    let workloads = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("benchmark/workloads");
+    let mut files: Vec<_> = std::fs::read_dir(workloads)
+        .expect("benchmark/workloads")
+        .map(|entry| entry.expect("dir entry").path())
+        .collect();
+    files.sort();
+    let registry = registry::ENTRIES
+        .iter()
+        .map(|entry| (entry.name.to_string(), entry.source.to_string()));
+    let benchmark = files.iter().map(|path| {
+        let name = path.file_stem().and_then(|s| s.to_str()).expect("stem");
+        (
+            name.to_string(),
+            std::fs::read_to_string(path).expect("spec"),
+        )
+    });
+    let mut actual = String::new();
+    for (name, text) in registry.chain(benchmark) {
+        let spec = parse(&text).unwrap_or_else(|err| panic!("{name}: {err}"));
+        let [reduced, full] = [SpecScale::Reduced, SpecScale::Full].map(|scale| {
+            let points = spec.lower(scale);
+            lowering_digest(&points.unwrap_or_else(|err| panic!("{name}: {err}")))
+        });
+        actual.push_str(&format!("{name} {reduced:016x} {full:016x}\n"));
+    }
+    assert_eq!(actual, LOWERING_PINS, "lowering moved; now:\n{actual}");
+}
+
+// ----------------------------------------------------------------------
 // Round-trip property (seeded loop)
 // ----------------------------------------------------------------------
 
-fn random_params(rng: &mut StdRng, protocol_required: bool) -> Params {
-    let mut params = Params::default();
-    let protocols = ProtocolKind::ALL;
-    if protocol_required || rng.gen_bool(0.7) {
-        params.protocol = Some(protocols[rng.gen_range(0..6) as usize]);
-    }
-    params.network = Some(if rng.gen_bool(0.5) {
-        NetworkKind::Lan
-    } else {
-        NetworkKind::Wan
-    });
-    params.replicas = Some(rng.gen_range(4..64) as u32);
-    if rng.gen_bool(0.5) {
-        params.clients = Some(rng.gen_range(1..16));
-    }
-    if rng.gen_bool(0.5) {
-        params.seed = Some(rng.gen_range(0..u64::MAX / 2));
-    }
-    if rng.gen_bool(0.5) {
-        params.batch_size = Some(rng.gen_range(1..5000) as usize);
-    }
-    if rng.gen_bool(0.4) {
-        params.batch_timeout_ms = Some(rng.gen_range(1..1000));
-    }
-    if rng.gen_bool(0.3) {
-        params.view_change_timeout_ms = Some(rng.gen_range(1000..20000));
-    }
-    if rng.gen_bool(0.3) {
-        params.max_inflight_blocks = Some(rng.gen_range(1..32));
-    }
-    if rng.gen_bool(0.6) {
-        params.accounts = Some(rng.gen_range(2..100_000));
-    }
-    if rng.gen_bool(0.6) {
-        params.transactions = Some(rng.gen_range(1..500_000) as usize);
-    }
-    if rng.gen_bool(0.6) {
-        params.payment_share = Some(rng.gen_range(0.0..1.0));
-    }
-    if rng.gen_bool(0.4) {
-        params.multi_payer_share = Some(rng.gen_range(0.0..1.0));
-    }
-    if rng.gen_bool(0.4) {
-        params.shared_objects = Some(rng.gen_range(0..1000));
-    }
-    if rng.gen_bool(0.4) {
-        params.zipf_exponent = Some(rng.gen_range(0.0..2.0));
-    }
-    if rng.gen_bool(0.3) {
-        params.payload_bytes = Some(rng.gen_range(1..4096) as u32);
-    }
-    if rng.gen_bool(0.2) {
-        params.initial_balance = Some(rng.gen_range(1..10_000_000));
-    }
-    if rng.gen_bool(0.2) {
-        params.max_transfer = Some(rng.gen_range(1..1000));
-    }
-    if rng.gen_bool(0.4) {
-        params.submission_window_ms = Some(rng.gen_range(1..60_000));
-    }
-    if rng.gen_bool(0.4) {
-        params.max_sim_time_ms = Some(rng.gen_range(1..600_000));
-    }
-    if rng.gen_bool(0.4) {
-        let all = StopCondition::DEFAULT;
-        let count = rng.gen_range(1..=3) as usize;
-        params.stop = Some(all[..count].to_vec());
-    }
-    if rng.gen_bool(0.4) {
-        let count = rng.gen_range(1..=3);
-        params.stragglers = Some(
-            (0..count)
-                .map(|_| (rng.gen_range(0..32) as u32, rng.gen_range(0.5..20.0)))
-                .collect(),
-        );
-    }
-    if rng.gen_bool(0.3) {
-        let count = rng.gen_range(1..=3);
-        params.crashes = Some(
-            (0..count)
-                .map(|_| (rng.gen_range(0..32) as u32, rng.gen_range(0..60_000)))
-                .collect(),
-        );
-    }
-    if rng.gen_bool(0.3) {
-        let count = rng.gen_range(1..=3);
-        params.selfish = Some((0..count).map(|_| rng.gen_range(0..32) as u32).collect());
-    }
-    if rng.gen_bool(0.2) {
-        params.crash_count = Some(rng.gen_range(0..5) as u32);
-    }
-    if rng.gen_bool(0.2) {
-        params.crash_at_ms = Some(rng.gen_range(0..30_000));
-    }
-    if rng.gen_bool(0.2) {
-        params.selfish_count = Some(rng.gen_range(0..5) as u32);
-    }
-    if rng.gen_bool(0.3) {
-        params.label = Some(format!("series_{}", rng.gen_range(0..100)));
-    }
-    if rng.gen_bool(0.3) {
-        params.x = Some(rng.gen_range(0.0..128.0));
-    }
-    params
-}
+/// Every key a `[scenario]` / `[base]` section takes.
+const BASE_KEYS: &str = "protocol network replicas clients seed batch_size batch_timeout_ms \
+    view_change_timeout_ms max_inflight_blocks accounts transactions payment_share \
+    multi_payer_share shared_objects zipf_exponent payload_bytes initial_balance max_transfer \
+    submission_window_ms max_sim_time_ms stop stragglers crashes crash_recover selfish \
+    crash_count crash_at_ms selfish_count label x";
 
-fn random_axis(rng: &mut StdRng, key: AxisKey) -> Axis {
-    let count = rng.gen_range(1..=5) as usize;
-    let values = match key {
-        AxisKey::Protocol => AxisValues::Protocols(
-            (0..count)
-                .map(|_| ProtocolKind::ALL[rng.gen_range(0..6) as usize])
-                .collect(),
-        ),
-        AxisKey::ZipfExponent => {
-            AxisValues::Floats((0..count).map(|_| rng.gen_range(0.0..2.0)).collect())
-        }
-        _ => AxisValues::Ints((0..count).map(|_| rng.gen_range(0..200)).collect()),
+/// Every key an `[axes]` section takes.
+const AXIS_KEYS: &str = "protocol replicas seed payment_share_pct multi_payer_pct crash_count \
+    selfish_count zipf_exponent max_inflight_blocks";
+
+/// A random valid value (or axis item) for `key`.
+fn random_value(rng: &mut StdRng, key: &str) -> String {
+    let list = |rng: &mut StdRng, item: &dyn Fn(&mut StdRng) -> String| {
+        let count = rng.gen_range(1..=3);
+        let items: Vec<String> = (0..count).map(|_| item(rng)).collect();
+        items.join(", ")
     };
-    Axis { key, values }
+    match key {
+        "protocol" => ProtocolKind::ALL[rng.gen_range(0..6) as usize]
+            .name()
+            .to_string(),
+        "network" => ["lan", "wan"][rng.gen_range(0..2) as usize].to_string(),
+        "replicas" => rng.gen_range(4..64).to_string(),
+        "clients" => rng.gen_range(1..16).to_string(),
+        "seed" => rng.gen_range(0..u64::MAX / 2).to_string(),
+        "batch_size" => rng.gen_range(1..5000).to_string(),
+        "payment_share" | "multi_payer_share" => rng.gen_range(0.0..1.0).to_string(),
+        "payment_share_pct" | "multi_payer_pct" => rng.gen_range(0..=100).to_string(),
+        "zipf_exponent" => rng.gen_range(0.0..2.0).to_string(),
+        "x" => rng.gen_range(0.0..128.0).to_string(),
+        "crash_count" | "selfish_count" => rng.gen_range(0..4).to_string(),
+        "stop" => {
+            let names: Vec<&str> = StopCondition::DEFAULT[..rng.gen_range(1..=3) as usize]
+                .iter()
+                .map(|c| c.name())
+                .collect();
+            names.join(", ")
+        }
+        "stragglers" => list(rng, &|rng| {
+            format!("{}x{}", rng.gen_range(0..32), rng.gen_range(0.5..20.0))
+        }),
+        "crashes" => list(rng, &|rng| {
+            format!("{}@{}", rng.gen_range(0..32), rng.gen_range(0..60_000))
+        }),
+        "crash_recover" => list(rng, &|rng| {
+            let crash = rng.gen_range(0..30_000);
+            let recover = crash + rng.gen_range(1..30_000);
+            format!("{}@{crash}..{recover}", rng.gen_range(0..32))
+        }),
+        "selfish" => list(rng, &|rng| rng.gen_range(0..32).to_string()),
+        "label" => format!("series_{}", rng.gen_range(0..100)),
+        _ => rng.gen_range(1..100_000).to_string(),
+    }
 }
 
+/// The words of `keys` in a random order, keeping `network` and `replicas`
+/// (no point lowers without them) and each other word with probability `keep`.
+fn random_subset(rng: &mut StdRng, keys: &'static str, keep: f64) -> Vec<&'static str> {
+    let mut keys: Vec<&str> = keys.split_whitespace().collect();
+    for i in (1..keys.len()).rev() {
+        let j = rng.gen_range(0..(i as u64 + 1)) as usize;
+        keys.swap(i, j);
+    }
+    keys.retain(|key| matches!(*key, "network" | "replicas") || rng.gen_bool(keep));
+    keys
+}
+
+/// Specs written from random valid entries of every key, in random order,
+/// survive `parse ∘ serialize` exactly and lower to the same points.
 #[test]
 fn randomized_specs_round_trip_exactly() {
+    let mut lowered = 0;
     for seed in 0u64..200 {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x0A7B_5EED);
-        let spec = if rng.gen_bool(0.5) {
-            Spec::Scenario(orthrus_lab::ScenarioSpec {
-                name: format!("spec_{seed}"),
-                title: rng
-                    .gen_bool(0.5)
-                    .then(|| format!("Random spec #{seed} — with punctuation, commas")),
-                params: random_params(&mut rng, false),
-            })
-        } else {
-            // Pick a random non-empty subset of axes, in random-but-unique
-            // order.
-            let mut keys = AxisKey::ALL.to_vec();
-            // Fisher-Yates with the deterministic rng.
-            for i in (1..keys.len()).rev() {
-                let j = rng.gen_range(0..(i as u64 + 1)) as usize;
-                keys.swap(i, j);
+        let sweep = rng.gen_bool(0.5);
+        let mut text = format!(
+            "kind = {}\nname = spec_{seed}\n",
+            if sweep { "sweep" } else { "scenario" }
+        );
+        if rng.gen_bool(0.5) {
+            text.push_str(&format!(
+                "title = Random spec #{seed} — with punctuation, commas\n"
+            ));
+        }
+        let axes = if sweep {
+            let mut axes = random_subset(&mut rng, AXIS_KEYS, 1.0);
+            axes.truncate(rng.gen_range(1..=4) as usize);
+            if let Some(x_axis) = axes.iter().find(|&&key| key != "protocol") {
+                text.push_str(&format!("x_axis = {x_axis}\n"));
             }
-            let axis_count = rng.gen_range(1..=4) as usize;
-            let axes: Vec<Axis> = keys[..axis_count]
-                .iter()
-                .map(|&key| random_axis(&mut rng, key))
-                .collect();
-            let x_axis = axes.iter().map(|a| a.key).find(|&k| k != AxisKey::Protocol);
-            let full_scale = if rng.gen_bool(0.5) {
-                vec![
-                    (
-                        "transactions".to_string(),
-                        format!("{}", rng.gen_range(1..1_000_000)),
-                    ),
-                    ("replicas".to_string(), "8, 16, 32".to_string()),
-                ]
-            } else {
-                Vec::new()
-            };
-            Spec::Sweep(orthrus_lab::SweepSpec {
-                name: format!("sweep_{seed}"),
-                title: rng.gen_bool(0.5).then(|| format!("Random sweep #{seed}")),
-                x_axis,
-                base: random_params(&mut rng, false),
-                axes,
-                full_scale,
-            })
+            axes
+        } else {
+            Vec::new()
         };
-        let text = serialize(&spec);
-        let reparsed = parse(&text)
-            .unwrap_or_else(|err| panic!("seed {seed}: canonical form rejected: {err}\n{text}"));
+        text.push_str(if sweep {
+            "\n[base]\n"
+        } else {
+            "\n[scenario]\n"
+        });
+        for key in random_subset(&mut rng, BASE_KEYS, 0.4) {
+            let value = random_value(&mut rng, key);
+            text.push_str(&format!("{key} = {value}\n"));
+        }
+        if sweep {
+            text.push_str("\n[axes]\n");
+            for key in &axes {
+                let items = if *key == "seed" && rng.gen_bool(0.5) {
+                    let start = rng.gen_range(0..100);
+                    format!("{start}..={}", start + rng.gen_range(0..4))
+                } else {
+                    let count = rng.gen_range(1..=4);
+                    let items: Vec<String> =
+                        (0..count).map(|_| random_value(&mut rng, key)).collect();
+                    items.join(", ")
+                };
+                text.push_str(&format!("{key} = {items}\n"));
+            }
+            if rng.gen_bool(0.5) {
+                text.push_str("\n[full_scale]\n");
+                text.push_str(&format!("transactions = {}\n", rng.gen_range(1..1_000_000)));
+                let key = axes[rng.gen_range(0..axes.len() as u64) as usize];
+                text.push_str(&format!("{key} = {}\n", random_value(&mut rng, key)));
+            }
+        }
+
+        let spec = parse(&text).unwrap_or_else(|err| panic!("seed {seed}: {err}\n{text}"));
+        let canonical = serialize(&spec);
+        let reparsed = parse(&canonical).unwrap_or_else(|err| {
+            panic!("seed {seed}: canonical form rejected: {err}\n{canonical}")
+        });
         assert_eq!(spec, reparsed, "seed {seed}: round trip drifted\n{text}");
+        for scale in [SpecScale::Reduced, SpecScale::Full] {
+            let points = spec.lower(scale);
+            assert_eq!(
+                points,
+                reparsed.lower(scale),
+                "seed {seed}: lowering drifted"
+            );
+            lowered += usize::from(points.is_ok());
+        }
     }
+    assert!(lowered > 100, "only {lowered} of 400 lowerings succeeded");
 }
 
 /// Keys that went with what they selected — the calendar queue, the windowed
