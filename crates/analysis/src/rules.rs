@@ -145,9 +145,10 @@ const DETERMINISTIC_CRATES: [&str; 7] = [
 
 /// Files on engine-dispatch / actor-handler paths, where a panic tears down
 /// the whole run (the `panic-path` scope).
-const PANIC_PATH_FILES: [&str; 3] = [
+const PANIC_PATH_FILES: [&str; 4] = [
     "crates/sim/src/engine.rs",
     "crates/core/src/replica.rs",
+    "crates/core/src/replica/recovery.rs",
     "crates/core/src/client.rs",
 ];
 

@@ -2,8 +2,8 @@
 //! the `orthrus analyze` gate reproduces locally as plain `cargo test`.
 //!
 //! Also proves the gate has teeth — an injected hash-map iteration in
-//! `crates/sim` must fail the pass — and round-trips the full workspace
-//! report through the `--json` diagnostic shape.
+//! `crates/sim` must fail the pass — and that two walks of the workspace
+//! emit the same `--json` report, byte for byte.
 
 use orthrus_analysis::{analyze_source, analyze_workspace, find_workspace_root, Report};
 
@@ -70,11 +70,6 @@ fn injected_hashmap_iteration_in_sim_fails_the_pass() {
 }
 
 #[test]
-fn workspace_report_round_trips_through_json() {
-    let report = workspace_report();
-    let json = report.to_json();
-    let parsed = Report::from_json(&json).expect("workspace report parses back");
-    assert_eq!(parsed, report, "JSON round-trip must be lossless");
-    // And the serialization is a fixed point: same object ⇒ same bytes.
-    assert_eq!(parsed.to_json(), json);
+fn workspace_report_json_is_deterministic() {
+    assert_eq!(workspace_report().to_json(), workspace_report().to_json());
 }

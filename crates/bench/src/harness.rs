@@ -148,20 +148,51 @@ pub fn measure_sweep_with_threads(points: &[LoweredPoint], threads: usize) -> Ve
     })
 }
 
+/// Write to stdout, the one writer every line of `orthrus` output goes
+/// through. A reader that goes away early (`orthrus list | head -1`) ends
+/// the process quietly with status 0, as for any Unix filter; another write
+/// error is reported on stderr and exits with status 1.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::{ErrorKind, Write as _};
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(err) if err.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(err) => {
+            eprintln!("error: writing to stdout: {err}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::harness::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::harness::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Print the header of a figure table.
 pub fn print_header(figure: &str, x_label: &str) {
-    println!();
-    println!("=== {figure} ===");
-    println!(
+    crate::outln!();
+    crate::outln!("=== {figure} ===");
+    crate::outln!(
         "{:<10} {:>12} {:>16} {:>14} {:>10}",
-        "protocol", x_label, "throughput ktps", "latency s", "global %"
+        "protocol",
+        x_label,
+        "throughput ktps",
+        "latency s",
+        "global %"
     );
 }
 
 /// Print one row of a figure table.
 pub fn print_row(point: &MeasuredPoint) {
     let o = &point.outcome;
-    println!(
+    crate::outln!(
         "{:<10} {:>12.2} {:>16.3} {:>14.3} {:>9.1}%",
         point.label,
         point.x,

@@ -36,7 +36,7 @@ pub mod runner;
 pub use client::ClientNode;
 pub use messages::{NetMessage, ReplyStatus};
 pub use partition::{Bucket, Partitioner};
-pub use replica::{CheckpointAnchor, ReplicaNode, StateTransfer};
+pub use replica::{ReplicaNode, StateTransfer};
 pub use runner::{
     build_simulation, parallel_map, run_scenario, run_scenarios, run_scenarios_with_threads,
     sweep_threads, Scenario, ScenarioOutcome, StopCondition,

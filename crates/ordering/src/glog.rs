@@ -7,11 +7,10 @@
 //!
 //! # Retention
 //!
-//! The log distinguishes the *order* (every block id ever confirmed, in
-//! global order — a few words per entry, kept for agreement checks and
-//! duplicate suppression) from the *retained payloads* (the `Arc<Block>`
-//! handles). Executed payloads below the stable-checkpoint frontier are
-//! released by [`GlobalLog::truncate_before`], so a long run holds payload
+//! The log keeps the id of every block ever confirmed (a few words per
+//! entry, for duplicate suppression) but releases the *payloads* (the
+//! `Arc<Block>` handles) of executed blocks below the stable-checkpoint
+//! frontier in [`GlobalLog::truncate_before`], so a long run holds payload
 //! memory proportional to the in-flight window, not the full history.
 
 use orthrus_types::{BlockId, FxHashSet, SharedBlock, SystemState};
@@ -26,8 +25,7 @@ pub struct GlobalLog {
     /// Global position of the first retained payload (number of truncated
     /// entries).
     base: usize,
-    /// Every confirmed block id in global order (compact; never truncated).
-    order: Vec<BlockId>,
+    /// Every confirmed block id (compact; never truncated).
     ids: FxHashSet<BlockId>,
     /// Global position of the first entry not yet consumed by the execution
     /// module.
@@ -47,7 +45,6 @@ impl GlobalLog {
     /// layer's abort path may try to re-append during recovery).
     pub fn append(&mut self, block: SharedBlock) {
         if self.ids.insert(block.id()) {
-            self.order.push(block.id());
             self.retained_bytes += block.wire_bytes();
             self.blocks.push_back(block);
         }
@@ -55,12 +52,12 @@ impl GlobalLog {
 
     /// Number of blocks ever appended (truncated entries included).
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.base + self.blocks.len()
     }
 
     /// Is the log empty?
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.len() == 0
     }
 
     /// Number of block payloads currently retained (not yet released by
@@ -74,19 +71,9 @@ impl GlobalLog {
         self.retained_bytes
     }
 
-    /// Has `id` been globally confirmed?
-    pub fn contains(&self, id: BlockId) -> bool {
-        self.ids.contains(&id)
-    }
-
     /// The first appended-but-not-yet-executed block, if any.
     pub fn first_pending(&self) -> Option<&SharedBlock> {
         self.blocks.get(self.cursor - self.base)
-    }
-
-    /// Position of the execution cursor.
-    pub fn cursor(&self) -> usize {
-        self.cursor
     }
 
     /// Pop the next block for execution, advancing the cursor. Returns a
@@ -103,8 +90,8 @@ impl GlobalLog {
     /// the first unexecuted or uncovered entry stops it — so the retained
     /// window stays contiguous and the cursor always points into it.
     ///
-    /// The compact id order is never truncated: duplicate suppression and
-    /// cross-replica agreement checks keep working over the full history.
+    /// The confirmed-id set is never truncated: duplicate suppression keeps
+    /// working over the full history.
     pub fn truncate_before(&mut self, stable: &SystemState) {
         while self.base < self.cursor {
             let Some(front) = self.blocks.front() else {
@@ -120,27 +107,6 @@ impl GlobalLog {
             self.blocks.pop_front();
             self.base += 1;
         }
-    }
-
-    /// The global position assigned to `id`, if confirmed.
-    pub fn position_of(&self, id: BlockId) -> Option<usize> {
-        if !self.ids.contains(&id) {
-            return None;
-        }
-        self.order.iter().position(|b| *b == id)
-    }
-
-    /// Iterate over the *retained* confirmed blocks in global order
-    /// (truncated payloads are gone; use [`GlobalLog::order`] for the full
-    /// history of ids).
-    pub fn iter(&self) -> impl Iterator<Item = &SharedBlock> {
-        self.blocks.iter()
-    }
-
-    /// Block ids in global order, truncated entries included (useful for
-    /// cross-replica agreement checks).
-    pub fn order(&self) -> Vec<BlockId> {
-        self.order.clone()
     }
 }
 
@@ -170,9 +136,11 @@ mod tests {
         glog.append(block(1, 0));
         glog.append(block(0, 0)); // duplicate
         assert_eq!(glog.len(), 2);
-        assert!(glog.contains(BlockId::new(InstanceId::new(0), SeqNum::new(0))));
+        let order: Vec<BlockId> = std::iter::from_fn(|| glog.pop_pending())
+            .map(|b| b.id())
+            .collect();
         assert_eq!(
-            glog.order(),
+            order,
             vec![
                 BlockId::new(InstanceId::new(0), SeqNum::new(0)),
                 BlockId::new(InstanceId::new(1), SeqNum::new(0)),
@@ -193,27 +161,11 @@ mod tests {
             glog.pop_pending().unwrap().header.instance,
             InstanceId::new(0)
         );
-        assert_eq!(glog.cursor(), 1);
         assert_eq!(
             glog.pop_pending().unwrap().header.instance,
             InstanceId::new(1)
         );
         assert!(glog.pop_pending().is_none());
-    }
-
-    #[test]
-    fn position_lookup() {
-        let mut glog = GlobalLog::new();
-        glog.append(block(0, 0));
-        glog.append(block(3, 7));
-        assert_eq!(
-            glog.position_of(BlockId::new(InstanceId::new(3), SeqNum::new(7))),
-            Some(1)
-        );
-        assert_eq!(
-            glog.position_of(BlockId::new(InstanceId::new(9), SeqNum::new(9))),
-            None
-        );
     }
 
     #[test]
@@ -254,9 +206,8 @@ mod tests {
         assert_eq!(glog.retained_len(), 0);
         assert_eq!(glog.retained_bytes(), 0);
 
-        // History survives truncation: order, len and dedup are intact.
+        // History survives truncation: len and dedup are intact.
         assert_eq!(glog.len(), 3);
-        assert_eq!(glog.order().len(), 3);
         glog.append(block(0, 0)); // duplicate of a truncated entry
         assert_eq!(glog.len(), 3);
 

@@ -10,7 +10,7 @@
 use crate::actions::SbAction;
 use crate::messages::SbMessage;
 use crate::pbft::{PbftConfig, PbftInstance};
-use orthrus_types::{InstanceId, ReplicaId, SharedBlock, SimTime, StableCheckpoint};
+use orthrus_types::{InstanceId, ReplicaId, SharedBlock, StableCheckpoint};
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -80,13 +80,13 @@ impl LocalCluster {
 
     /// Have `replica` propose `block` as leader.
     pub fn propose(&mut self, replica: ReplicaId, block: SharedBlock) {
-        let actions = self.instances[replica.as_usize()].propose(block, SimTime::ZERO);
+        let actions = self.instances[replica.as_usize()].propose(block);
         self.enqueue_actions(replica, actions);
     }
 
     /// Have `replica`'s failure detector fire (vote for a view change).
     pub fn timeout(&mut self, replica: ReplicaId) {
-        let actions = self.instances[replica.as_usize()].on_timeout(SimTime::ZERO);
+        let actions = self.instances[replica.as_usize()].on_timeout();
         self.enqueue_actions(replica, actions);
     }
 
@@ -122,11 +122,8 @@ impl LocalCluster {
                 if to == env.from || self.silenced.contains(&to) {
                     continue;
                 }
-                let actions = self.instances[to.as_usize()].handle_message(
-                    env.from,
-                    env.msg.clone(),
-                    SimTime::ZERO,
-                );
+                let actions =
+                    self.instances[to.as_usize()].handle_message(env.from, env.msg.clone());
                 self.enqueue_actions(to, actions);
             }
         }

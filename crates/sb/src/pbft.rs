@@ -24,8 +24,8 @@ use crate::actions::{ActionSink, SbAction};
 use crate::messages::{PreparedProof, SbMessage};
 use crate::slots::SlotList;
 use orthrus_types::{
-    CheckpointProof, Digest, InstanceId, ReplicaId, SeqNum, SharedBlock, SimTime, StableCheckpoint,
-    View, VoteSet,
+    CheckpointProof, Digest, InstanceId, ReplicaId, SeqNum, SharedBlock, StableCheckpoint, View,
+    VoteSet,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -114,7 +114,6 @@ pub struct PbftInstance {
     checkpoint_votes: BTreeMap<SeqNum, Vec<(ReplicaId, Digest)>>,
     stable_checkpoint: Option<StableCheckpoint>,
     view_change_votes: BTreeMap<View, BTreeMap<ReplicaId, Vec<PreparedProof>>>,
-    last_progress: SimTime,
 }
 
 impl PbftInstance {
@@ -132,7 +131,6 @@ impl PbftInstance {
             checkpoint_votes: BTreeMap::new(),
             stable_checkpoint: None,
             view_change_votes: BTreeMap::new(),
-            last_progress: SimTime::ZERO,
         }
     }
 
@@ -207,12 +205,6 @@ impl PbftInstance {
         self.cfg.me = me;
     }
 
-    /// Virtual time of the last delivery or view change, used by the hosting
-    /// replica's failure detector.
-    pub fn last_progress(&self) -> SimTime {
-        self.last_progress
-    }
-
     /// Rolling digest over the delivered prefix (checkpoint material).
     pub fn delivery_digest(&self) -> Digest {
         self.delivered_digest
@@ -227,7 +219,7 @@ impl PbftInstance {
     /// returned by [`Self::next_propose_sn`]. The handle is shared: the slot
     /// buffer keeps one reference and the broadcast moves the other, so no
     /// transaction payload is copied on the leader's hot path.
-    pub fn propose(&mut self, block: SharedBlock, now: SimTime) -> Vec<SbAction> {
+    pub fn propose(&mut self, block: SharedBlock) -> Vec<SbAction> {
         let mut sink = ActionSink::new();
         if !self.is_leader() {
             return sink.into_vec();
@@ -250,7 +242,7 @@ impl PbftInstance {
         let commit = slot.enter_commit(quorum, me);
         sink.broadcast(SbMessage::PrePrepare { block });
         self.broadcast_commit(sn, commit, &mut sink);
-        self.try_deliver(now, &mut sink);
+        self.try_deliver(&mut sink);
         sink.into_vec()
     }
 
@@ -259,12 +251,7 @@ impl PbftInstance {
     // ------------------------------------------------------------------
 
     /// Handle a PBFT message addressed to this instance.
-    pub fn handle_message(
-        &mut self,
-        from: ReplicaId,
-        msg: SbMessage,
-        now: SimTime,
-    ) -> Vec<SbAction> {
+    pub fn handle_message(&mut self, from: ReplicaId, msg: SbMessage) -> Vec<SbAction> {
         let mut sink = ActionSink::new();
         // Ids come off the wire: one outside `0..n` names no replica, so it
         // must neither count toward a quorum nor size a vote set.
@@ -276,21 +263,21 @@ impl PbftInstance {
             return sink.into_vec();
         }
         match msg {
-            SbMessage::PrePrepare { block } => self.on_pre_prepare(from, block, now, &mut sink),
+            SbMessage::PrePrepare { block } => self.on_pre_prepare(from, block, &mut sink),
             SbMessage::Prepare {
                 view,
                 sn,
                 digest,
                 voter,
                 ..
-            } => self.on_prepare(voter, view, sn, digest, now, &mut sink),
+            } => self.on_prepare(voter, view, sn, digest, &mut sink),
             SbMessage::Commit {
                 view,
                 sn,
                 digest,
                 voter,
                 ..
-            } => self.on_commit(voter, view, sn, digest, now, &mut sink),
+            } => self.on_commit(voter, view, sn, digest, &mut sink),
             SbMessage::Checkpoint {
                 sn, digest, voter, ..
             } => self.on_checkpoint(voter, sn, digest, &mut sink),
@@ -299,22 +286,22 @@ impl PbftInstance {
                 prepared,
                 voter,
                 ..
-            } => self.on_view_change(voter, new_view, prepared, now, &mut sink),
+            } => self.on_view_change(voter, new_view, prepared, &mut sink),
             SbMessage::NewView {
                 new_view,
                 reproposals,
                 ..
-            } => self.on_new_view(from, new_view, reproposals, now, &mut sink),
+            } => self.on_new_view(from, new_view, reproposals, &mut sink),
         }
         sink.into_vec()
     }
 
     /// The hosting replica's failure detector suspects the current leader:
     /// vote to move to the next view.
-    pub fn on_timeout(&mut self, now: SimTime) -> Vec<SbAction> {
+    pub fn on_timeout(&mut self) -> Vec<SbAction> {
         let mut sink = ActionSink::new();
         let target = self.view.next();
-        self.start_view_change(target, now, &mut sink);
+        self.start_view_change(target, &mut sink);
         sink.into_vec()
     }
 
@@ -322,13 +309,7 @@ impl PbftInstance {
     // Normal case
     // ------------------------------------------------------------------
 
-    fn on_pre_prepare(
-        &mut self,
-        from: ReplicaId,
-        block: SharedBlock,
-        now: SimTime,
-        sink: &mut ActionSink,
-    ) {
+    fn on_pre_prepare(&mut self, from: ReplicaId, block: SharedBlock, sink: &mut ActionSink) {
         if self.in_view_change {
             return;
         }
@@ -369,7 +350,7 @@ impl PbftInstance {
         }
         self.broadcast_commit(sn, commit, sink);
         if sn == self.next_delivery {
-            self.try_deliver(now, sink);
+            self.try_deliver(sink);
         }
     }
 
@@ -379,7 +360,6 @@ impl PbftInstance {
         view: View,
         sn: SeqNum,
         digest: Digest,
-        now: SimTime,
         sink: &mut ActionSink,
     ) {
         if view != self.view || self.in_view_change || sn < self.next_delivery {
@@ -397,7 +377,7 @@ impl PbftInstance {
         let commit = slot.enter_commit(quorum, me);
         self.broadcast_commit(sn, commit, sink);
         if sn == self.next_delivery {
-            self.try_deliver(now, sink);
+            self.try_deliver(sink);
         }
     }
 
@@ -407,7 +387,6 @@ impl PbftInstance {
         view: View,
         sn: SeqNum,
         digest: Digest,
-        now: SimTime,
         sink: &mut ActionSink,
     ) {
         if view != self.view || self.in_view_change || sn < self.next_delivery {
@@ -422,7 +401,7 @@ impl PbftInstance {
         let commit = slot.enter_commit(quorum, me);
         self.broadcast_commit(sn, commit, sink);
         if sn == self.next_delivery {
-            self.try_deliver(now, sink);
+            self.try_deliver(sink);
         }
     }
 
@@ -447,7 +426,7 @@ impl PbftInstance {
     /// here, and checkpoint garbage collection only removes slots. A vote for
     /// any other sequence number therefore cannot make anything deliverable,
     /// so the vote handlers call this only for `sn == next_delivery`.
-    fn try_deliver(&mut self, now: SimTime, sink: &mut ActionSink) {
+    fn try_deliver(&mut self, sink: &mut ActionSink) {
         let quorum = self.cfg.quorum();
         loop {
             let sn = self.next_delivery;
@@ -469,7 +448,6 @@ impl PbftInstance {
             if self.next_propose < self.next_delivery {
                 self.next_propose = self.next_delivery;
             }
-            self.last_progress = now;
             sink.deliver(block);
             self.maybe_checkpoint(sink);
         }
@@ -571,7 +549,7 @@ impl PbftInstance {
             .collect()
     }
 
-    fn start_view_change(&mut self, target: View, now: SimTime, sink: &mut ActionSink) {
+    fn start_view_change(&mut self, target: View, sink: &mut ActionSink) {
         if target <= self.view && self.in_view_change {
             return;
         }
@@ -582,7 +560,6 @@ impl PbftInstance {
         };
         self.view = target;
         self.in_view_change = true;
-        self.last_progress = now;
         let prepared = self.prepared_proofs();
         let me = self.cfg.me;
         sink.broadcast(SbMessage::ViewChange {
@@ -592,7 +569,7 @@ impl PbftInstance {
             prepared: prepared.clone(),
             voter: me,
         });
-        self.record_view_change_vote(me, target, prepared, now, sink);
+        self.record_view_change_vote(me, target, prepared, sink);
     }
 
     fn on_view_change(
@@ -600,14 +577,13 @@ impl PbftInstance {
         voter: ReplicaId,
         new_view: View,
         prepared: Vec<PreparedProof>,
-        now: SimTime,
         sink: &mut ActionSink,
     ) {
         if new_view < self.view || (new_view == self.view && !self.in_view_change) {
             // Stale: we are already past that view.
             return;
         }
-        self.record_view_change_vote(voter, new_view, prepared, now, sink);
+        self.record_view_change_vote(voter, new_view, prepared, sink);
 
         // Join the view change once f + 1 replicas vouch for it, even if our
         // own timer has not fired (standard PBFT liveness amplification).
@@ -633,7 +609,7 @@ impl PbftInstance {
                 prepared: prepared.clone(),
                 voter: me,
             });
-            self.record_view_change_vote(me, new_view, prepared, now, sink);
+            self.record_view_change_vote(me, new_view, prepared, sink);
         }
     }
 
@@ -642,7 +618,6 @@ impl PbftInstance {
         voter: ReplicaId,
         new_view: View,
         prepared: Vec<PreparedProof>,
-        now: SimTime,
         sink: &mut ActionSink,
     ) {
         let votes = self.view_change_votes.entry(new_view).or_default();
@@ -677,7 +652,7 @@ impl PbftInstance {
                 supporters,
                 reproposals: reproposals.clone(),
             });
-            self.enter_new_view(new_view, reproposals, now, sink);
+            self.enter_new_view(new_view, reproposals, sink);
         }
     }
 
@@ -686,7 +661,6 @@ impl PbftInstance {
         from: ReplicaId,
         new_view: View,
         reproposals: Vec<SharedBlock>,
-        now: SimTime,
         sink: &mut ActionSink,
     ) {
         if new_view < self.view || (new_view == self.view && !self.in_view_change) {
@@ -695,19 +669,17 @@ impl PbftInstance {
         if from != self.cfg.leader_of(new_view) {
             return;
         }
-        self.enter_new_view(new_view, reproposals, now, sink);
+        self.enter_new_view(new_view, reproposals, sink);
     }
 
     fn enter_new_view(
         &mut self,
         new_view: View,
         reproposals: Vec<SharedBlock>,
-        now: SimTime,
         sink: &mut ActionSink,
     ) {
         self.view = new_view;
         self.in_view_change = false;
-        self.last_progress = now;
         // Vote bookkeeping for views at or below the one now entered is below
         // the low-water mark of the view-change protocol: stale votes are
         // ignored on arrival, so retaining the tallies only leaks memory.
@@ -778,7 +750,7 @@ impl PbftInstance {
                 });
             }
         }
-        self.try_deliver(now, sink);
+        self.try_deliver(sink);
     }
 }
 
@@ -859,18 +831,16 @@ mod tests {
                 .count()
         };
         // Leader's pre-prepare + our own prepare: one short of the quorum of 3.
-        let now = SimTime::ZERO;
-        let actions =
-            backup.handle_message(ReplicaId::new(0), SbMessage::PrePrepare { block }, now);
+        let actions = backup.handle_message(ReplicaId::new(0), SbMessage::PrePrepare { block });
         assert_eq!(commits(&actions), 0);
         // Neither a vote claiming an id ≥ n nor one relayed by such a sender
         // completes it.
-        let actions = backup.handle_message(ReplicaId::new(2), prepare(n + 5), now);
+        let actions = backup.handle_message(ReplicaId::new(2), prepare(n + 5));
         assert!(actions.is_empty(), "{actions:?}");
-        let actions = backup.handle_message(ReplicaId::new(n + 5), prepare(2), now);
+        let actions = backup.handle_message(ReplicaId::new(n + 5), prepare(2));
         assert!(actions.is_empty(), "{actions:?}");
         // A real third attestation does.
-        let actions = backup.handle_message(ReplicaId::new(2), prepare(2), now);
+        let actions = backup.handle_message(ReplicaId::new(2), prepare(2));
         assert_eq!(commits(&actions), 1);
     }
 
@@ -878,16 +848,16 @@ mod tests {
     fn leader_cannot_propose_wrong_sequence() {
         let mut leader = PbftInstance::new(cfg(0, 4));
         let wrong_sn = make_block(0, 5, 0, 0, 1);
-        assert!(leader.propose(wrong_sn, SimTime::ZERO).is_empty());
+        assert!(leader.propose(wrong_sn).is_empty());
         let wrong_instance = make_block(1, 0, 0, 0, 1);
-        assert!(leader.propose(wrong_instance, SimTime::ZERO).is_empty());
+        assert!(leader.propose(wrong_instance).is_empty());
     }
 
     #[test]
     fn backup_cannot_propose() {
         let mut backup = PbftInstance::new(cfg(1, 4));
         let block = make_block(0, 0, 0, 1, 1);
-        assert!(backup.propose(block, SimTime::ZERO).is_empty());
+        assert!(backup.propose(block).is_empty());
         assert!(!backup.is_leader());
     }
 
@@ -1102,13 +1072,12 @@ mod tests {
     }
 
     #[test]
-    fn progress_timestamp_advances_on_delivery() {
+    fn flooded_proposal_delivers_at_the_leader() {
         let mut leader = PbftInstance::new(cfg(0, 4));
         let mut backups: Vec<PbftInstance> = (1..4).map(|i| PbftInstance::new(cfg(i, 4))).collect();
         let block = make_block(0, 0, 0, 0, 1);
-        let t1 = SimTime::from_millis(500);
         let mut all_msgs: Vec<(ReplicaId, SbMessage)> = Vec::new();
-        for a in leader.propose(block, t1) {
+        for a in leader.propose(block) {
             if let SbAction::Broadcast { msg } = a {
                 all_msgs.push((ReplicaId::new(0), msg));
             }
@@ -1119,14 +1088,13 @@ mod tests {
                 if inst.config().me == from {
                     continue;
                 }
-                for a in inst.handle_message(from, msg.clone(), t1) {
+                for a in inst.handle_message(from, msg.clone()) {
                     if let SbAction::Broadcast { msg } = a {
                         all_msgs.push((inst.config().me, msg));
                     }
                 }
             }
         }
-        assert_eq!(leader.last_progress(), t1);
         assert_eq!(leader.delivered_count(), 1);
     }
 }

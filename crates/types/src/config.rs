@@ -207,25 +207,11 @@ impl ProtocolConfig {
         }
         Ok(())
     }
-
-    /// Leader of `instance` in `view`: rotates round-robin over replicas,
-    /// starting in view 0 from replica `instance mod n`.
-    #[inline]
-    pub fn leader_for_view(
-        &self,
-        instance: crate::ids::InstanceId,
-        view: crate::ids::View,
-    ) -> crate::ids::ReplicaId {
-        let base = u64::from(instance.value());
-        let v = view.value();
-        crate::ids::ReplicaId::new(((base + v) % u64::from(self.num_replicas)) as u32)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{InstanceId, View};
 
     #[test]
     fn default_is_valid() {
@@ -274,16 +260,6 @@ mod tests {
         let mut c = ProtocolConfig::for_replicas(16);
         c.max_inflight_blocks = 16;
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn leader_rotation() {
-        let c = ProtocolConfig::for_replicas(4);
-        let i2 = InstanceId::new(2);
-        assert_eq!(c.leader_for_view(i2, View::new(0)).value(), 2);
-        assert_eq!(c.leader_for_view(i2, View::new(1)).value(), 3);
-        assert_eq!(c.leader_for_view(i2, View::new(2)).value(), 0);
-        assert_eq!(c.leader_for_view(i2, View::new(6)).value(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The common error type shared across the workspace.
 
 use crate::block::BlockId;
-use crate::ids::{InstanceId, ObjectKey, ReplicaId, SeqNum, TxId};
+use crate::ids::{ObjectKey, TxId};
 use std::fmt;
 
 /// Convenient result alias using [`OrthrusError`].
@@ -31,10 +31,6 @@ pub enum OrthrusError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A message referenced an unknown replica.
-    UnknownReplica(ReplicaId),
-    /// A message referenced an unknown SB instance.
-    UnknownInstance(InstanceId),
     /// An object involved in execution does not exist in the store.
     UnknownObject(ObjectKey),
     /// A debit exceeded the account's spendable balance.
@@ -54,20 +50,8 @@ pub enum OrthrusError {
         /// Human-readable description of the mismatch.
         reason: String,
     },
-    /// A sequence number was outside the epoch assigned to an instance.
-    SequenceOutOfEpoch {
-        /// The instance involved.
-        instance: InstanceId,
-        /// The offending sequence number.
-        sn: SeqNum,
-    },
     /// Invalid protocol or scenario configuration.
     Config(String),
-    /// The simulation reached its event or time budget before completing.
-    SimulationBudgetExhausted {
-        /// Description of the exhausted budget.
-        reason: String,
-    },
 }
 
 impl fmt::Display for OrthrusError {
@@ -82,8 +66,6 @@ impl fmt::Display for OrthrusError {
             OrthrusError::InvalidBlock { id, reason } => {
                 write!(f, "invalid block {id}: {reason}")
             }
-            OrthrusError::UnknownReplica(r) => write!(f, "unknown replica {r}"),
-            OrthrusError::UnknownInstance(i) => write!(f, "unknown instance {i}"),
             OrthrusError::UnknownObject(o) => write!(f, "unknown object {o}"),
             OrthrusError::InsufficientBalance { object, have, need } => {
                 write!(
@@ -94,16 +76,7 @@ impl fmt::Display for OrthrusError {
             OrthrusError::TypeMismatch { object, reason } => {
                 write!(f, "type mismatch on {object}: {reason}")
             }
-            OrthrusError::SequenceOutOfEpoch { instance, sn } => {
-                write!(
-                    f,
-                    "sequence number {sn} outside current epoch of {instance}"
-                )
-            }
             OrthrusError::Config(reason) => write!(f, "invalid configuration: {reason}"),
-            OrthrusError::SimulationBudgetExhausted { reason } => {
-                write!(f, "simulation budget exhausted: {reason}")
-            }
         }
     }
 }

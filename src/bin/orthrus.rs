@@ -34,6 +34,7 @@
 //! sweep pool (how many points run at once). Results do not depend on it.
 
 use orthrus_bench::harness::{self, MeasuredPoint};
+use orthrus_bench::outln;
 use orthrus_core::sweep_threads;
 use orthrus_lab::{parse, registry, serialize, Spec, SpecScale};
 use std::process::ExitCode;
@@ -74,7 +75,7 @@ fn load_spec(arg: &str) -> Result<Spec, String> {
 }
 
 fn cmd_list() -> ExitCode {
-    println!("{:<34} {:<9} {:>7}  title", "name", "kind", "points");
+    outln!("{:<34} {:<9} {:>7}  title", "name", "kind", "points");
     for entry in registry::ENTRIES {
         match entry.spec() {
             Ok(spec) => {
@@ -82,7 +83,7 @@ fn cmd_list() -> ExitCode {
                     .lower(SpecScale::Reduced)
                     .map(|p| p.len().to_string())
                     .unwrap_or_else(|_| "?".to_string());
-                println!(
+                outln!(
                     "{:<34} {:<9} {:>7}  {}",
                     entry.name,
                     spec.kind(),
@@ -107,14 +108,14 @@ fn cmd_show(arg: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    print!("{}", serialize(&spec));
+    harness::write_stdout(format_args!("{}", serialize(&spec)));
     for scale in [SpecScale::Reduced, SpecScale::Full] {
         match spec.lower(scale) {
             Ok(points) => {
-                println!("\n# {scale:?} grid: {} point(s)", points.len());
+                outln!("\n# {scale:?} grid: {} point(s)", points.len());
                 for point in &points {
                     let s = &point.scenario;
-                    println!(
+                    outln!(
                         "#   {:<8} x={:<8} {} {} replicas, {} txs, seed {}",
                         point.label,
                         point.x,
@@ -211,7 +212,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             eprintln!("error: could not write {path}: {err}");
             return ExitCode::FAILURE;
         }
-        println!("(series written to {path})");
+        outln!("(series written to {path})");
     }
     ExitCode::SUCCESS
 }
@@ -245,7 +246,7 @@ fn cmd_lint(files: &[String]) -> ExitCode {
             }
         }
         match spec.lint() {
-            Ok(points) => println!("ok   {name}: {points} point(s)"),
+            Ok(points) => outln!("ok   {name}: {points} point(s)"),
             Err(err) => {
                 eprintln!("FAIL {name}: {err}");
                 failed = true;
@@ -258,7 +259,7 @@ fn cmd_lint(files: &[String]) -> ExitCode {
     for file in files {
         check(file, load_spec(file));
     }
-    println!("linted {checked} spec(s)");
+    outln!("linted {checked} spec(s)");
     if failed {
         ExitCode::FAILURE
     } else {
@@ -307,7 +308,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             eprintln!("error: could not write {path}: {err}");
             return ExitCode::FAILURE;
         }
-        println!("(report written to {path})");
+        outln!("(report written to {path})");
     }
     for violation in &report.violations {
         eprintln!("{violation}");
@@ -318,7 +319,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         .iter()
         .filter(|u| u.has_safety)
         .count();
-    println!(
+    outln!(
         "analyzed {} file(s): {} violation(s), {} suppression(s), \
          {unsafe_justified}/{unsafe_total} unsafe site(s) justified",
         report.files_scanned,

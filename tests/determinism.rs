@@ -221,13 +221,70 @@ fn sweeps_are_deterministic_across_thread_counts() {
     }
 }
 
+/// `scenario(23)` under each protocol with replica 2 crashed from 150 ms to
+/// 2 s, as recorded before state transfer carried one `Replicated` value:
+/// final state digest (the same on all four replicas), average latency in
+/// µs, the time replica 2 installed its first transfer in µs, and the
+/// report's events / messages / bytes. The bytes include every transfer's
+/// wire-size estimate, so a change to what a transfer carries moves them.
+const CRASH_RECOVER_TRACES: [(ProtocolKind, u64, u64, u64, [u64; 3]); 6] = [
+    (
+        ProtocolKind::Orthrus,
+        10894949751509401007,
+        581_896,
+        2_000_904,
+        [13_639, 12_719, 2_998_836],
+    ),
+    (
+        ProtocolKind::Iss,
+        15558174543928616697,
+        1_252_841,
+        2_000_933,
+        [14_623, 13_813, 3_146_884],
+    ),
+    (
+        ProtocolKind::Rcc,
+        15558174543928616697,
+        1_252_841,
+        2_000_933,
+        [14_623, 13_813, 3_146_884],
+    ),
+    (
+        ProtocolKind::MirBft,
+        15558174543928616697,
+        1_252_841,
+        2_000_933,
+        [14_623, 13_813, 3_146_884],
+    ),
+    (
+        ProtocolKind::Dqbft,
+        14518047840997176881,
+        221_570,
+        2_001_751,
+        [6_549, 5_730, 2_065_116],
+    ),
+    (
+        ProtocolKind::Ladon,
+        16979927604646481563,
+        1_180_110,
+        2_000_920,
+        [13_730, 12_810, 3_007_572],
+    ),
+];
+
 /// Crash-recovery determinism: for every protocol, a replica that crashes
 /// mid-run and rejoins via state transfer must (a) not stop the workload
 /// from completing, (b) reconverge to the exact state digest of its peers,
-/// and (c) leave the whole trace reproducible run over run.
+/// and (c) reproduce the pinned trace, run over run.
 #[test]
 fn crash_recovered_replica_reconverges_for_every_protocol() {
-    for protocol in ProtocolKind::ALL {
+    assert_eq!(
+        CRASH_RECOVER_TRACES.map(|(protocol, ..)| protocol),
+        ProtocolKind::ALL
+    );
+    for (protocol, digest, latency_us, recovered_us, [events, messages, bytes]) in
+        CRASH_RECOVER_TRACES
+    {
         let make = || {
             let mut s = scenario(23);
             s.protocol = protocol;
@@ -244,18 +301,29 @@ fn crash_recovered_replica_reconverges_for_every_protocol() {
             "{protocol} must complete despite the crash-recover fault"
         );
         assert_eq!(
-            first.recoveries.len(),
-            1,
-            "{protocol}: replica 2 must complete recovery"
+            first.recoveries,
+            vec![(ReplicaId::new(2), SimTime::from_micros(recovered_us))],
+            "{protocol}: replica 2 must recover at the pinned time"
         );
-        assert_eq!(first.recoveries[0].0, ReplicaId::new(2));
-        assert!(first.recoveries[0].1 >= SimTime::from_millis(2_000));
         let digests: Vec<u64> = first.state_digests.iter().map(|(_, d)| d.0).collect();
-        assert_eq!(digests.len(), 4);
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "{protocol}: recovered replica diverged: {:?}",
-            first.state_digests
+        assert_eq!(
+            digests,
+            vec![digest; 4],
+            "{protocol}: recovered replica diverged or the digest moved"
+        );
+        assert_eq!(
+            first.avg_latency,
+            Duration::from_micros(latency_us),
+            "{protocol} latency trace moved"
+        );
+        assert_eq!(
+            (
+                first.report.events_processed,
+                first.report.messages_sent,
+                first.report.bytes_sent
+            ),
+            (events, messages, bytes),
+            "{protocol} crash-recover report moved"
         );
         let second = make();
         assert_eq!(
