@@ -32,17 +32,12 @@ mod recovery;
 
 pub use recovery::StateTransfer;
 
-/// Timer tag base: leader batch timer (try to propose in every instance we
-/// lead).
+/// Timer tag: leader batch timer (try to propose in every instance we lead).
 const TIMER_BATCH: u64 = 1;
-/// Timer tag base: failure detector sweep.
+/// Timer tag: failure detector sweep.
 const TIMER_FAILURE_DETECTOR: u64 = 2;
-/// Timer tag base: crash-recovery sync round (only armed while syncing).
+/// Timer tag: crash-recovery sync round (only armed while syncing).
 const TIMER_RECOVERY_SYNC: u64 = 3;
-/// Timer tags carry a restart epoch in their upper bits so a timer armed
-/// before a crash cannot fire into the state installed after recovery:
-/// `tag = epoch * TIMER_EPOCH_STRIDE + base`.
-const TIMER_EPOCH_STRIDE: u64 = 8;
 /// Number of sequence numbers assigned to each instance per epoch (the
 /// `epoch` stamped on every proposed block).
 const EPOCH_LENGTH: u64 = 4;
@@ -160,8 +155,6 @@ pub struct ReplicaNode {
     sync_round: u64,
     /// Virtual time the first state transfer was installed after a restart.
     recovered_at: Option<SimTime>,
-    /// Restart epoch carried in timer tags (see `TIMER_EPOCH_STRIDE`).
-    timer_epoch: u64,
     /// Virtual time each block entered the glog's pending region, keyed by
     /// block id. Entries are removed when the block executes; the delta feeds
     /// the per-run glog-wait statistics (how long global ordering stalls
@@ -235,7 +228,6 @@ impl ReplicaNode {
             sync_advanced: false,
             sync_round: 0,
             recovered_at: None,
-            timer_epoch: 0,
             glog_appended_at: FxHashMap::default(),
             config,
         }
@@ -780,15 +772,11 @@ impl ReplicaNode {
         }
     }
 
-    fn tag(&self, base: u64) -> u64 {
-        self.timer_epoch * TIMER_EPOCH_STRIDE + base
-    }
-
     fn arm_protocol_timers(&mut self, ctx: &mut Context<'_, NetMessage>) {
-        ctx.set_timer(self.config.batch_timeout, self.tag(TIMER_BATCH));
+        ctx.set_timer(self.config.batch_timeout, TIMER_BATCH);
         let sweep =
             Duration::from_micros((self.config.view_change_timeout.as_micros() / 4).max(1_000));
-        ctx.set_timer(sweep, self.tag(TIMER_FAILURE_DETECTOR));
+        ctx.set_timer(sweep, TIMER_FAILURE_DETECTOR);
     }
 }
 
@@ -823,34 +811,28 @@ impl Actor<NetMessage> for ReplicaNode {
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, NetMessage>) {
-        // Timers armed before a crash carry a stale epoch: ignore them so
-        // they cannot fire into post-recovery state (or double-schedule the
-        // protocol timers).
-        if tag / TIMER_EPOCH_STRIDE != self.timer_epoch {
-            return;
-        }
-        match tag % TIMER_EPOCH_STRIDE {
+        match tag {
             TIMER_BATCH => {
                 self.try_propose_all(ctx);
-                ctx.set_timer(self.config.batch_timeout, self.tag(TIMER_BATCH));
+                ctx.set_timer(self.config.batch_timeout, TIMER_BATCH);
             }
             TIMER_FAILURE_DETECTOR => {
                 self.on_failure_detector_sweep(ctx);
                 let sweep = Duration::from_micros(
                     (self.config.view_change_timeout.as_micros() / 4).max(1_000),
                 );
-                ctx.set_timer(sweep, self.tag(TIMER_FAILURE_DETECTOR));
+                ctx.set_timer(sweep, TIMER_FAILURE_DETECTOR);
             }
             TIMER_RECOVERY_SYNC => self.run_sync_round(ctx),
             _ => {}
         }
     }
 
-    /// Crash-recover restart: forget that any timer chain exists (stale
-    /// epochs are ignored on arrival), mark the local state stale and start
-    /// the state-transfer sync loop.
+    /// Crash-recover restart: the engine has dropped every timer armed
+    /// before the crash, so mark the local state stale and start the
+    /// state-transfer sync loop, which re-arms the protocol timers once a
+    /// transfer installs.
     fn on_recover(&mut self, ctx: &mut Context<'_, NetMessage>) {
-        self.timer_epoch += 1;
         self.recovering = true;
         self.syncing = true;
         self.sync_advanced = false;
@@ -931,18 +913,5 @@ mod tests {
         assert_eq!(node.peak_retained_entries(), 0);
         assert_eq!(node.peak_retained_bytes(), 0);
         assert!(node.recovered_at().is_none());
-    }
-
-    #[test]
-    fn timer_tags_carry_the_restart_epoch() {
-        let mut node = replica(0, ProtocolKind::Orthrus);
-        let t0 = node.tag(TIMER_BATCH);
-        assert_eq!(t0 % TIMER_EPOCH_STRIDE, TIMER_BATCH);
-        assert_eq!(t0 / TIMER_EPOCH_STRIDE, 0);
-        node.timer_epoch += 1;
-        let t1 = node.tag(TIMER_BATCH);
-        assert_eq!(t1 % TIMER_EPOCH_STRIDE, TIMER_BATCH);
-        assert_eq!(t1 / TIMER_EPOCH_STRIDE, 1);
-        assert_ne!(t0, t1, "stale-epoch timers must not collide");
     }
 }

@@ -172,13 +172,12 @@ impl ReplicaNode {
             // The loop had already concluded; this late install re-opens it
             // so the next round can re-verify convergence.
             self.syncing = true;
-            ctx.set_timer(self.sync_round_delay(), self.tag(TIMER_RECOVERY_SYNC));
+            ctx.set_timer(self.sync_round_delay(), TIMER_RECOVERY_SYNC);
         }
         if self.recovering {
             self.recovering = false;
             self.recovered_at = Some(ctx.now());
-            // Restart the protocol timers under the current restart epoch
-            // (the pre-crash timers are dead: their epoch no longer matches).
+            // The restart dropped the pre-crash timer chains: start them anew.
             self.arm_protocol_timers(ctx);
         }
         self.sample_retention();
@@ -258,7 +257,7 @@ impl ReplicaNode {
             },
         );
         let delay = self.sync_round_delay();
-        ctx.set_timer(delay, self.tag(TIMER_RECOVERY_SYNC));
+        ctx.set_timer(delay, TIMER_RECOVERY_SYNC);
     }
 }
 

@@ -127,8 +127,6 @@ pub struct Scenario {
     pub workload: WorkloadConfig,
     /// Fault plan (crashes, stragglers, selfish replicas).
     pub faults: FaultPlan,
-    /// Number of client / load-generator actors.
-    pub num_clients: u64,
     /// The window over which client submissions are spread (open loop).
     pub submission_window: Duration,
     /// Hard limit on simulated time.
@@ -154,7 +152,6 @@ impl Scenario {
             config: ProtocolConfig::for_replicas(num_replicas),
             workload: WorkloadConfig::small(),
             faults: FaultPlan::none(),
-            num_clients: 4,
             submission_window: Duration::from_secs(2),
             max_sim_time: Duration::from_secs(120),
             seed: 42,
@@ -196,9 +193,10 @@ impl Scenario {
         self
     }
 
-    /// Override the number of client / load-generator actors.
+    /// Override the number of client / load-generator actors
+    /// (`ProtocolConfig::num_client_actors`).
     pub fn with_num_clients(mut self, num_clients: u64) -> Self {
-        self.num_clients = num_clients;
+        self.config.num_client_actors = num_clients;
         self
     }
 
@@ -279,9 +277,9 @@ impl Scenario {
         self.config.validate()?;
         self.effective_workload().validate()?;
         self.faults.validate(self.config.num_replicas)?;
-        if self.num_clients == 0 {
+        if self.config.num_client_actors == 0 {
             return Err(OrthrusError::Config(
-                "num_clients must be at least 1 (someone has to submit the workload)".into(),
+                "num_client_actors must be at least 1 (someone has to submit the workload)".into(),
             ));
         }
         if self.submission_window <= Duration::ZERO {
@@ -401,12 +399,9 @@ pub fn build_simulation(scenario: &Scenario) -> Result<(Simulation<NetMessage>, 
     let table = Arc::new(TxTable::new(&workload.txs_per_client));
     *sim.stats_mut() = StatsCollector::with_table(Arc::clone(&table));
 
-    // Replicas must agree with the runner on the logical-client → client-actor
-    // mapping so they can route replies.
-    let num_clients = scenario.num_clients;
-    let mut config = scenario.config.clone();
-    config.num_client_actors = num_clients;
-
+    // Replicas and clients share one config, so they agree with the runner on
+    // the logical-client → client-actor mapping that routes replies.
+    let config = &scenario.config;
     for r in 0..config.num_replicas {
         let replica = ReplicaId::new(r);
         let mut node = ReplicaNode::new(
@@ -430,7 +425,7 @@ pub fn build_simulation(scenario: &Scenario) -> Result<(Simulation<NetMessage>, 
     let submitted = workload.transactions.len();
     let total = submitted.max(1);
     let window_us = scenario.submission_window.as_micros();
-    let mut sizes = vec![0; num_clients as usize];
+    let mut sizes = vec![0; config.num_client_actors as usize];
     for (client, &count) in workload.txs_per_client.iter().enumerate() {
         sizes[config.client_actor_of(ClientId::new(client as u64)).value() as usize] +=
             count as usize;
@@ -776,10 +771,20 @@ mod tests {
         assert_eq!(s.config.batch_size, 128);
         assert_eq!(s.config.batch_timeout, Duration::from_millis(25));
         assert_eq!(s.config.view_change_timeout, Duration::from_secs(5));
-        assert_eq!(s.num_clients, 6);
+        assert_eq!(s.config.num_client_actors, 6);
         assert_eq!(s.submission_window, Duration::from_secs(1));
         assert_eq!(s.stop, vec![StopCondition::AllConfirmed]);
         assert!(s.validate().is_ok());
+    }
+
+    /// The config's client-actor count is the one the run builds: nothing
+    /// overrides a scenario that sets the field directly.
+    #[test]
+    fn config_sets_the_client_actor_count() {
+        let mut s = tiny_scenario(ProtocolKind::Orthrus);
+        s.config.num_client_actors = 3;
+        let (sim, _) = build_simulation(&s).expect("valid scenario");
+        assert_eq!(sim.actor_count(), 4 + 3);
     }
 
     /// The workload seed derives from the scenario seed at build time, so a
@@ -818,7 +823,7 @@ mod tests {
         let cases: Vec<(Scenario, &str)> = vec![
             (
                 tiny_scenario(ProtocolKind::Orthrus).with_num_clients(0),
-                "num_clients",
+                "num_client_actors",
             ),
             (
                 tiny_scenario(ProtocolKind::Orthrus)
@@ -959,7 +964,7 @@ mod tests {
             text.contains("#1"),
             "error does not locate the scenario: {text}"
         );
-        assert!(text.contains("num_clients"), "{text}");
+        assert!(text.contains("num_client_actors"), "{text}");
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl<'a> Point<'a> {
                 });
             }
             "replicas" => self.replicas = Some(num(value, "replica count")?),
-            "clients" => s.num_clients = num(value, "client count")?,
+            "clients" => s.config.num_client_actors = num(value, "client count")?,
             "seed" => s.seed = num(value, "seed")?,
             "batch_size" => s.config.batch_size = num(value, "batch size")?,
             "batch_timeout_ms" => {

@@ -45,21 +45,6 @@ pub enum SbAction {
     },
 }
 
-impl SbAction {
-    /// Convenience accessor: the delivered block, if this is a delivery.
-    pub fn as_delivery(&self) -> Option<&SharedBlock> {
-        match self {
-            SbAction::Deliver { block } => Some(block),
-            _ => None,
-        }
-    }
-
-    /// Is this an outgoing-network action (a broadcast)?
-    pub fn is_network(&self) -> bool {
-        matches!(self, SbAction::Broadcast { .. })
-    }
-}
-
 /// Helper for accumulating actions inside the instance implementation.
 #[derive(Debug, Default)]
 pub(crate) struct ActionSink {
@@ -120,27 +105,24 @@ mod tests {
                 voters: vec![ReplicaId::new(0), ReplicaId::new(1), ReplicaId::new(2)],
             },
         };
+        let preprepare = SbMessage::PrePrepare { block: block() };
+        let delivered = block();
         let mut sink = ActionSink::new();
-        sink.broadcast(SbMessage::PrePrepare { block: block() });
-        sink.deliver(block());
+        sink.broadcast(preprepare.clone());
+        sink.deliver(delivered.clone());
         sink.view_changed(View::new(1), ReplicaId::new(1));
         sink.stable_checkpoint(checkpoint.clone());
-        let actions = sink.into_vec();
-        assert_eq!(actions.len(), 4);
-        assert!(actions[0].is_network());
-        assert!(actions[1].as_delivery().is_some());
-        assert!(!actions[2].is_network());
-        assert_eq!(actions[3], SbAction::StableCheckpoint { checkpoint });
-    }
-
-    #[test]
-    fn delivery_accessor() {
-        let d = SbAction::Deliver { block: block() };
-        assert!(d.as_delivery().is_some());
-        let v = SbAction::ViewChanged {
-            view: View::new(1),
-            leader: ReplicaId::new(0),
-        };
-        assert!(v.as_delivery().is_none());
+        assert_eq!(
+            sink.into_vec(),
+            vec![
+                SbAction::Broadcast { msg: preprepare },
+                SbAction::Deliver { block: delivered },
+                SbAction::ViewChanged {
+                    view: View::new(1),
+                    leader: ReplicaId::new(1),
+                },
+                SbAction::StableCheckpoint { checkpoint },
+            ]
+        );
     }
 }

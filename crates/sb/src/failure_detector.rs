@@ -7,7 +7,8 @@
 //!
 //! [`ProgressTracker`] implements the *timing* half of that policy on the
 //! hosting replica: it remembers, per instance, when progress was last
-//! observed and when a suspicion timer should next fire. The protocol half
+//! observed and since when progress has been expected; the host's periodic
+//! sweep asks it whom to suspect. The protocol half
 //! (what counts as progress, censorship detection) lives with the hosting
 //! replica, which calls [`ProgressTracker::record_progress`] whenever an
 //! instance delivers a block or completes a view change, and
@@ -43,11 +44,6 @@ impl ProgressTracker {
             timeout,
             entries: FxHashMap::default(),
         }
-    }
-
-    /// The configured suspicion timeout.
-    pub fn timeout(&self) -> Duration {
-        self.timeout
     }
 
     /// Record that `instance` made progress at `now` (delivered a block or
@@ -89,18 +85,6 @@ impl ProgressTracker {
         let reference = entry.last_progress.max(entry.expecting_since);
         now.saturating_since(reference) >= self.timeout
     }
-
-    /// Earliest future time at which [`Self::should_suspect`] could become
-    /// true for `instance`, or `None` when no suspicion is pending. The host
-    /// uses this to arm its timer.
-    pub fn next_deadline(&self, instance: InstanceId) -> Option<SimTime> {
-        let entry = self.entries.get(&instance)?;
-        if !entry.expecting {
-            return None;
-        }
-        let reference = entry.last_progress.max(entry.expecting_since);
-        Some(reference + self.timeout)
-    }
 }
 
 #[cfg(test)]
@@ -115,7 +99,6 @@ mod tests {
     fn no_expectation_means_no_suspicion() {
         let tracker = ProgressTracker::new(Duration::from_secs(10));
         assert!(!tracker.should_suspect(InstanceId::new(0), at(100)));
-        assert_eq!(tracker.next_deadline(InstanceId::new(0)), None);
     }
 
     #[test]
@@ -125,7 +108,6 @@ mod tests {
         tracker.record_expectation(i, at(5));
         assert!(!tracker.should_suspect(i, at(14)));
         assert!(tracker.should_suspect(i, at(15)));
-        assert_eq!(tracker.next_deadline(i), Some(at(15)));
     }
 
     #[test]
@@ -145,7 +127,6 @@ mod tests {
         tracker.record_expectation(i, at(0));
         tracker.clear_expectation(i);
         assert!(!tracker.should_suspect(i, at(100)));
-        assert_eq!(tracker.next_deadline(i), None);
     }
 
     #[test]

@@ -8,10 +8,6 @@ use orthrus_types::rng::StdRng;
 use orthrus_types::{Duration, SimTime};
 use std::any::Any;
 
-/// Handle of a pending timer, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TimerId(pub u64);
-
 /// A buffered outbound transmission: a unicast to one node, or a coalesced
 /// multicast the engine carries through its queue as a *single* event.
 #[derive(Debug, PartialEq)]
@@ -37,15 +33,17 @@ pub trait Actor<M>: Any {
     /// Called when a message from `from` is delivered to this actor.
     fn on_message(&mut self, from: NodeId, msg: M, ctx: &mut Context<'_, M>);
 
-    /// Called when a timer set by this actor fires (and was not cancelled).
-    /// `tag` is the value passed to [`Context::set_timer`].
+    /// Called when a timer set by this actor fires. `tag` is the value passed
+    /// to [`Context::set_timer`].
     fn on_timer(&mut self, _tag: u64, _ctx: &mut Context<'_, M>) {}
 
     /// Called when the actor restarts after a crash-recover fault (the
     /// `recover_at` instant of its `CrashRecoverSpec`). Everything delivered
-    /// during the crash window was dropped; a recovering protocol node
-    /// typically re-arms its timers and requests a state transfer from its
-    /// peers here. The default does nothing.
+    /// during the crash window was dropped, and the engine has forgotten
+    /// every timer armed before the restart: none of them fires, even one
+    /// due after `recover_at`. A recovering protocol node typically re-arms
+    /// its timers and requests a state transfer from its peers here. The
+    /// default does nothing.
     fn on_recover(&mut self, _ctx: &mut Context<'_, M>) {}
 
     /// Up-cast for post-simulation inspection (the engine exposes actors as
@@ -54,7 +52,7 @@ pub trait Actor<M>: Any {
 }
 
 /// Everything an actor may do while handling an event: read the clock, send
-/// messages, set and cancel timers, draw randomness and record metrics.
+/// messages, set timers, draw randomness and record metrics.
 ///
 /// Sends and timers are buffered and applied by the engine after the handler
 /// returns, which keeps handlers free of re-entrancy concerns.
@@ -64,9 +62,7 @@ pub struct Context<'a, M> {
     pub(crate) rng: &'a mut StdRng,
     pub(crate) stats: &'a mut StatsCollector,
     pub(crate) outbox: &'a mut Vec<Outbound<M>>,
-    pub(crate) timer_requests: &'a mut Vec<(Duration, u64, TimerId)>,
-    pub(crate) cancel_requests: &'a mut Vec<u64>,
-    pub(crate) next_timer_id: &'a mut u64,
+    pub(crate) timer_requests: &'a mut Vec<(Duration, u64)>,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -110,20 +106,10 @@ impl<'a, M> Context<'a, M> {
         }
     }
 
-    /// Arm a timer that fires after `delay` with the given `tag`. Returns a
-    /// handle that can be used to cancel it.
-    pub fn set_timer(&mut self, delay: Duration, tag: u64) -> TimerId {
-        let id = TimerId(*self.next_timer_id);
-        *self.next_timer_id += 1;
-        self.timer_requests.push((delay, tag, id));
-        id
-    }
-
-    /// Cancel a previously armed timer. Cancelling an already-fired timer is
-    /// a no-op (the engine checks the timer is still armed, so stale handles
-    /// leave no bookkeeping behind).
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.cancel_requests.push(id.0);
+    /// Arm a timer that fires after `delay` with the given `tag`, unless the
+    /// node restarts first (see [`Actor::on_recover`]).
+    pub fn set_timer(&mut self, delay: Duration, tag: u64) {
+        self.timer_requests.push((delay, tag));
     }
 
     /// Deterministic per-node random number generator.
@@ -149,23 +135,19 @@ mod tests {
         StdRng,
         StatsCollector,
         Vec<Outbound<u64>>,
-        Vec<(Duration, u64, TimerId)>,
-        Vec<u64>,
-        u64,
+        Vec<(Duration, u64)>,
     ) {
         (
             StdRng::seed_from_u64(1),
             StatsCollector::new(),
             Vec::new(),
             Vec::new(),
-            Vec::new(),
-            0,
         )
     }
 
     #[test]
     fn context_buffers_sends_and_timers() {
-        let (mut rng, mut stats, mut outbox, mut timers, mut cancels, mut next) = make_parts();
+        let (mut rng, mut stats, mut outbox, mut timers) = make_parts();
         let mut ctx = Context {
             now: SimTime::from_millis(10),
             self_id: NodeId::replica(0),
@@ -173,16 +155,13 @@ mod tests {
             stats: &mut stats,
             outbox: &mut outbox,
             timer_requests: &mut timers,
-            cancel_requests: &mut cancels,
-            next_timer_id: &mut next,
         };
         assert_eq!(ctx.now(), SimTime::from_millis(10));
         assert_eq!(ctx.id(), NodeId::replica(0));
         ctx.send(NodeId::replica(1), 42u64);
         ctx.multicast([NodeId::replica(2), NodeId::replica(3)], 7u64);
-        let t1 = ctx.set_timer(Duration::from_millis(5), 99);
-        let t2 = ctx.set_timer(Duration::from_millis(6), 100);
-        ctx.cancel_timer(t1);
+        ctx.set_timer(Duration::from_millis(5), 99);
+        ctx.set_timer(Duration::from_millis(6), 100);
         let _: u32 = ctx.rng().gen();
         ctx.stats().block_delivered();
 
@@ -192,16 +171,19 @@ mod tests {
             outbox[1],
             Outbound::Many(vec![NodeId::replica(2), NodeId::replica(3)], 7)
         );
-        assert_eq!(timers.len(), 2);
-        assert_ne!(t1, t2);
-        assert_eq!(cancels, vec![t1.0]);
+        assert_eq!(
+            timers,
+            vec![
+                (Duration::from_millis(5), 99),
+                (Duration::from_millis(6), 100)
+            ]
+        );
         assert_eq!(stats.blocks_delivered, 1);
-        assert_eq!(next, 2);
     }
 
     #[test]
     fn multicast_collapses_degenerate_fanouts() {
-        let (mut rng, mut stats, mut outbox, mut timers, mut cancels, mut next) = make_parts();
+        let (mut rng, mut stats, mut outbox, mut timers) = make_parts();
         let mut ctx = Context {
             now: SimTime::ZERO,
             self_id: NodeId::replica(0),
@@ -209,8 +191,6 @@ mod tests {
             stats: &mut stats,
             outbox: &mut outbox,
             timer_requests: &mut timers,
-            cancel_requests: &mut cancels,
-            next_timer_id: &mut next,
         };
         ctx.multicast([], 1u64);
         ctx.multicast([NodeId::replica(5)], 2u64);

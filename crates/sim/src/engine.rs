@@ -13,7 +13,7 @@
 //! replicas.
 //!
 //! Multicasts are *coalesced*: an `n`-way [`Context::multicast`] occupies a
-//! single [`EngineEvent::DeliverBatch`] queue entry carrying one message and
+//! single `EngineEvent::DeliverBatch` queue entry carrying one message and
 //! a per-recipient delivery plan (NIC serialization is still charged once per
 //! copy, and per-link latency is sampled in deterministic recipient order at
 //! send time). The batch dispatches each recipient exactly at its arrival
@@ -29,15 +29,20 @@
 //! would have. Runs remain fully deterministic for a given seed and
 //! configuration — only the (arbitrary) tie-break between simultaneous
 //! events differs between the two delivery strategies.
+//!
+//! A crash-recover restart forgets the node's timers: every timer event
+//! carries the incarnation of the node that armed it, the restart bumps the
+//! incarnation, and a timer from an older one still pops (and counts) but
+//! reaches no handler.
 
-use crate::actor::{Actor, Context, Outbound, TimerId};
+use crate::actor::{Actor, Context, Outbound};
 use crate::event::EventQueue;
 use crate::faults::FaultPlan;
 use crate::network::NetworkConfig;
 use crate::node::{NodeId, Payload};
 use crate::stats::StatsCollector;
 use orthrus_types::rng::StdRng;
-use orthrus_types::{Duration, FxHashSet, SimTime};
+use orthrus_types::{Duration, SimTime};
 use std::hash::{Hash, Hasher};
 
 /// Internal events moved through the queue.
@@ -59,13 +64,14 @@ enum EngineEvent<M> {
         plan: Vec<(SimTime, NodeId)>,
         next: usize,
     },
+    /// A timer armed by `node` while it was in `incarnation`.
     Timer {
         node: NodeId,
-        id: TimerId,
+        incarnation: u64,
         tag: u64,
     },
-    /// A crash-recover fault's restart instant: fire the actor's
-    /// `on_recover` hook.
+    /// A crash-recover fault's restart instant: start the node's next
+    /// incarnation and fire the actor's `on_recover` hook.
     Recover {
         node: NodeId,
     },
@@ -101,10 +107,8 @@ struct NodeState<M> {
     rng: StdRng,
     /// When the node's NIC finishes serializing what it has already sent.
     nic_free: SimTime,
-    /// Per-node timer-id allocator. Ids are only ever compared within one
-    /// node (the timer sets key on `(owner, id)`), so a node's ids do not
-    /// depend on how its events interleave with other nodes'.
-    timer_seq: u64,
+    /// Restarts so far. A timer fires only in the incarnation that armed it.
+    incarnation: u64,
 }
 
 /// The registered nodes: one dense table per node kind, indexed by the id's
@@ -166,18 +170,11 @@ pub struct Simulation<M> {
     network: NetworkConfig,
     faults: FaultPlan,
     stats: StatsCollector,
-    /// Timers scheduled but not yet popped, keyed `(owner, per-node id)`.
-    /// Entries leave on pop, so the set is bounded by in-flight timers.
-    armed_timers: FxHashSet<(NodeId, u64)>,
-    /// Armed timers that were cancelled. Entries leave when the timer's event
-    /// pops (even if the node crashed meanwhile), so long runs do not leak.
-    cancelled_timers: FxHashSet<(NodeId, u64)>,
     /// What the running handler buffered through its [`Context`]. Each
-    /// `invoke` drains all three, so they are empty between invocations and
-    /// only their capacity carries over.
+    /// `invoke` drains both, so they are empty between invocations and only
+    /// their capacity carries over.
     outbox: Vec<Outbound<M>>,
-    timer_requests: Vec<(Duration, u64, TimerId)>,
-    cancel_requests: Vec<u64>,
+    timer_requests: Vec<(Duration, u64)>,
     /// Emptied plans of finished [`EngineEvent::DeliverBatch`]es, reused by
     /// the next multicasts; never longer than the peak number of batches
     /// that were in flight at once.
@@ -217,11 +214,8 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
             network,
             faults,
             stats: StatsCollector::new(),
-            armed_timers: FxHashSet::default(),
-            cancelled_timers: FxHashSet::default(),
             outbox: Vec::new(),
             timer_requests: Vec::new(),
-            cancel_requests: Vec::new(),
             plan_pool: Vec::new(),
             now: SimTime::ZERO,
             seed,
@@ -252,8 +246,9 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
     /// Register an actor. Its `on_start` handler runs at the current virtual
     /// time once the simulation is (next) run. If the fault plan gives the
     /// node a crash-recover window, its restart (`on_recover`) is scheduled
-    /// at the window's `recover_at`. Nodes live in per-kind tables indexed by
-    /// id, so number each kind densely from 0.
+    /// at the window's `recover_at`, and no timer armed before then fires
+    /// after it. Nodes live in per-kind tables indexed by id, so number each
+    /// kind densely from 0.
     pub fn add_actor(&mut self, id: NodeId, actor: Box<dyn Actor<M>>) {
         let mut hasher = orthrus_types::crypto::FnvHasher::default();
         id.hash(&mut hasher);
@@ -263,7 +258,7 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
             // orthrus: allow(ambient-rng): per-node stream derived from the scenario seed XOR a stable node-id hash.
             rng: StdRng::seed_from_u64(node_seed),
             nic_free: SimTime::ZERO,
-            timer_seq: 0,
+            incarnation: 0,
         };
         self.nodes.insert(id, state);
         self.queue
@@ -380,17 +375,22 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
                 plan,
                 next,
             } => self.dispatch_batch(from, msg, plan, next),
-            EngineEvent::Timer { node, id, tag } => {
-                // Retire the timer's bookkeeping unconditionally — before the
-                // crash check inside `invoke` — so cancelled timers of
-                // crashed nodes do not leak their tombstones.
-                self.armed_timers.remove(&(node, id.0));
-                if self.cancelled_timers.remove(&(node, id.0)) {
-                    return;
+            EngineEvent::Timer {
+                node,
+                incarnation,
+                tag,
+            } => {
+                let current = self.nodes.get(node).map(|state| state.incarnation);
+                if current == Some(incarnation) {
+                    self.invoke(node, Invocation::Timer { tag });
                 }
-                self.invoke(node, Invocation::Timer { tag });
             }
-            EngineEvent::Recover { node } => self.invoke(node, Invocation::Recover),
+            EngineEvent::Recover { node } => {
+                if let Some(state) = self.nodes.get_mut(node) {
+                    state.incarnation += 1;
+                }
+                self.invoke(node, Invocation::Recover);
+            }
         }
     }
 
@@ -436,9 +436,8 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
         }
     }
 
-    /// Run one actor handler and apply everything it buffered: timers first
-    /// (so a timer set and cancelled in the same handler resolves), then
-    /// cancellations, then outbound messages through the network model.
+    /// Run one actor handler and apply everything it buffered: timers first,
+    /// then outbound messages through the network model.
     fn invoke(&mut self, node: NodeId, invocation: Invocation<M>) {
         if self.node_crashed(node, self.now) {
             return;
@@ -455,8 +454,6 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
                 stats: &mut self.stats,
                 outbox: &mut self.outbox,
                 timer_requests: &mut self.timer_requests,
-                cancel_requests: &mut self.cancel_requests,
-                next_timer_id: &mut state.timer_seq,
             };
             match invocation {
                 Invocation::Start => state.actor.on_start(&mut ctx),
@@ -466,19 +463,16 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
             }
         }
 
-        // Apply buffered timer requests.
-        for (delay, tag, id) in self.timer_requests.drain(..) {
-            self.armed_timers.insert((node, id.0));
-            self.queue
-                .schedule(self.now + delay, EngineEvent::Timer { node, id, tag });
-        }
-        // Apply buffered cancellations. Only a still-armed timer leaves a
-        // tombstone; cancelling an already-fired handle is a true no-op, so
-        // neither set can grow without bound.
-        for id in self.cancel_requests.drain(..) {
-            if self.armed_timers.remove(&(node, id)) {
-                self.cancelled_timers.insert((node, id));
-            }
+        let incarnation = state.incarnation;
+        for (delay, tag) in self.timer_requests.drain(..) {
+            self.queue.schedule(
+                self.now + delay,
+                EngineEvent::Timer {
+                    node,
+                    incarnation,
+                    tag,
+                },
+            );
         }
         // Run buffered sends through the network model in send order: each
         // charges the wire counters, takes its NIC slot(s), draws its link
@@ -843,110 +837,60 @@ mod tests {
         assert!(final_report.events_processed >= report.events_processed);
     }
 
-    /// Actor used to test timers and cancellation.
+    /// Arms a 10 ms and a 20 ms timer at start and a 1 ms one on recovery,
+    /// and records the tag of every timer that reaches it.
     struct TimerUser {
         fired: Vec<u64>,
-        cancel_second: bool,
     }
 
     impl Actor<Ping> for TimerUser {
         fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
             ctx.set_timer(Duration::from_millis(10), 1);
-            let second = ctx.set_timer(Duration::from_millis(20), 2);
-            if self.cancel_second {
-                ctx.cancel_timer(second);
-            }
+            ctx.set_timer(Duration::from_millis(20), 2);
         }
         fn on_message(&mut self, _from: NodeId, _msg: Ping, _ctx: &mut Context<'_, Ping>) {}
         fn on_timer(&mut self, tag: u64, _ctx: &mut Context<'_, Ping>) {
             self.fired.push(tag);
         }
+        fn on_recover(&mut self, ctx: &mut Context<'_, Ping>) {
+            ctx.set_timer(Duration::from_millis(1), 3);
+        }
         fn as_any(&self) -> &dyn Any {
             self
         }
     }
 
-    #[test]
-    fn timers_fire_and_cancel() {
-        let mut sim: Simulation<Ping> = Simulation::new(NetworkConfig::lan(), 3);
+    fn run_timer_user(faults: FaultPlan) -> (Vec<u64>, SimulationReport) {
+        let mut sim: Simulation<Ping> = Simulation::with_faults(NetworkConfig::lan(), faults, 3);
         let n = NodeId::replica(0);
-        sim.add_actor(
-            n,
-            Box::new(TimerUser {
-                fired: Vec::new(),
-                cancel_second: true,
-            }),
-        );
-        sim.run_to_completion();
+        sim.add_actor(n, Box::new(TimerUser { fired: Vec::new() }));
+        let report = sim.run_to_completion();
         let state: &TimerUser = sim.actor_as(n).unwrap();
-        assert_eq!(state.fired, vec![1]);
-    }
-
-    /// Regression test for the cancelled-timer leak: tombstones must not
-    /// survive the timer's pop, cancelling an already-fired timer must not
-    /// create one, and crashed nodes must not pin theirs forever.
-    struct TimerChurner {
-        stale: Option<TimerId>,
-        churns: u32,
-    }
-
-    impl Actor<Ping> for TimerChurner {
-        fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
-            // A timer that fires, whose handle we cancel *afterwards*.
-            self.stale = Some(ctx.set_timer(Duration::from_millis(1), 1));
-            // Set-and-cancel churn within one handler.
-            for i in 0..self.churns {
-                let id = ctx.set_timer(Duration::from_millis(5 + u64::from(i)), 100 + u64::from(i));
-                ctx.cancel_timer(id);
-            }
-        }
-        fn on_message(&mut self, _from: NodeId, _msg: Ping, _ctx: &mut Context<'_, Ping>) {}
-        fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, Ping>) {
-            if tag == 1 {
-                // Cancel the handle of the timer that just fired: a no-op
-                // that must leave no tombstone behind.
-                ctx.cancel_timer(self.stale.expect("set in on_start"));
-            }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
+        (state.fired.clone(), report)
     }
 
     #[test]
-    fn cancelled_timer_bookkeeping_does_not_leak() {
-        let mut sim: Simulation<Ping> = Simulation::new(NetworkConfig::lan(), 5);
-        sim.add_actor(
-            NodeId::replica(0),
-            Box::new(TimerChurner {
-                stale: None,
-                churns: 200,
-            }),
-        );
-        // A node that cancels a timer and then crashes before it would fire:
-        // the pop must still clear the tombstone.
-        struct CancelThenCrash;
-        impl Actor<Ping> for CancelThenCrash {
-            fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
-                let id = ctx.set_timer(Duration::from_secs(2), 9);
-                ctx.cancel_timer(id);
-            }
-            fn on_message(&mut self, _f: NodeId, _m: Ping, _c: &mut Context<'_, Ping>) {}
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
-        let faults = FaultPlan::none().with_crash(ReplicaId::new(1), SimTime::from_secs(1));
-        let mut crash_sim: Simulation<Ping> =
-            Simulation::with_faults(NetworkConfig::lan(), faults, 6);
-        crash_sim.add_actor(NodeId::replica(1), Box::new(CancelThenCrash));
+    fn timers_fire() {
+        let (fired, report) = run_timer_user(FaultPlan::none());
+        assert_eq!(fired, vec![1, 2]);
+        assert_eq!(report.end_time, SimTime::from_millis(20));
+    }
 
-        sim.run_to_completion();
-        crash_sim.run_to_completion();
-        assert!(sim.cancelled_timers.is_empty(), "tombstones leaked");
-        assert!(sim.armed_timers.is_empty(), "armed set leaked");
-        assert!(crash_sim.cancelled_timers.is_empty(), "crash leaked");
-        assert!(crash_sim.armed_timers.is_empty(), "crash leaked armed");
+    #[test]
+    fn restart_forgets_timers_armed_before_the_crash() {
+        // Down from 5 to 15 ms: the 10 ms timer pops while the node is down
+        // and the 20 ms one after it restarted; only the timer armed by
+        // `on_recover` (due at 16 ms) reaches the actor.
+        let faults = FaultPlan::none().with_crash_recover(
+            ReplicaId::new(0),
+            SimTime::from_millis(5),
+            SimTime::from_millis(15),
+        );
+        let (fired, report) = run_timer_user(faults);
+        assert_eq!(fired, vec![3]);
+        // Start, recover and all three timer pops are still counted.
+        assert_eq!(report.events_processed, 5);
+        assert_eq!(report.end_time, SimTime::from_millis(20));
     }
 
     #[test]
@@ -1157,13 +1101,15 @@ mod tests {
     /// A gossip actor that drives every queue-facing path of the engine at
     /// once: coalesced broadcasts whose remainders re-schedule across other
     /// nodes' events, short timers, 1 µs self-sends, and a timer armed in one
-    /// handler and cancelled in a later one.
+    /// handler and disowned in a later one.
     struct Stormer {
         peers: Vec<NodeId>,
         arrivals: Vec<(NodeId, SimTime)>,
         rebroadcasts: u32,
         ticks: u32,
-        long_timer: Option<TimerId>,
+        /// Whether the 50 ms timer is still wanted; the first message
+        /// clears it, so the timer pops but does nothing.
+        long_timer_armed: bool,
         rng_draws: Vec<u32>,
     }
 
@@ -1174,7 +1120,7 @@ mod tests {
                 arrivals: Vec::new(),
                 rebroadcasts: 0,
                 ticks: 0,
-                long_timer: None,
+                long_timer_armed: false,
                 rng_draws: Vec::new(),
             })
         }
@@ -1191,16 +1137,15 @@ mod tests {
             );
             // Fires before any peer's broadcast can arrive.
             ctx.set_timer(Duration::from_micros(100), 1);
-            // Cancelled by the first message.
-            self.long_timer = Some(ctx.set_timer(Duration::from_millis(50), 2));
+            // Disowned by the first message.
+            ctx.set_timer(Duration::from_millis(50), 2);
+            self.long_timer_armed = true;
         }
 
         fn on_message(&mut self, from: NodeId, msg: Ping, ctx: &mut Context<'_, Ping>) {
             self.arrivals.push((from, ctx.now()));
             self.rng_draws.push(orthrus_types::rng::Rng::gen(ctx.rng()));
-            if let Some(id) = self.long_timer.take() {
-                ctx.cancel_timer(id);
-            }
+            self.long_timer_armed = false;
             if msg.hops < 2 && self.rebroadcasts < 4 {
                 self.rebroadcasts += 1;
                 ctx.multicast(
@@ -1214,7 +1159,10 @@ mod tests {
         }
 
         fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, Ping>) {
-            assert_eq!(tag, 1, "the long timer must always be cancelled");
+            if tag == 2 {
+                assert!(!self.long_timer_armed, "the long timer must be disowned");
+                return;
+            }
             self.ticks += 1;
             // A self-send lands 1 µs (loopback) plus processing later.
             ctx.send(ctx.id(), Ping { hops: 9, bytes: 8 });
@@ -1270,7 +1218,7 @@ mod tests {
 
     /// The oracle for the send path and `dispatch_batch`: these values depend
     /// on the exact order of RNG draws, NIC updates and `schedule` calls
-    /// (coalesced remainders, self-sends, set-then-cancel timers), under a
+    /// (coalesced remainders, self-sends, disowned timers), under a
     /// straggler, across a crash-recover window, and across a deadline pause.
     /// They are what the serial walk produced on the last commit that also
     /// had the windowed engine, which the deleted differential tests held
@@ -1321,11 +1269,6 @@ mod tests {
                 (end, storm_fingerprint(&sim, nodes)),
                 pinned,
                 "storm {i} moved"
-            );
-            assert!(sim.armed_timers.is_empty(), "storm {i} leaked armed timers");
-            assert!(
-                sim.cancelled_timers.is_empty(),
-                "storm {i} leaked tombstones"
             );
         }
     }

@@ -207,26 +207,6 @@ impl FaultPlan {
         }
         Ok(())
     }
-
-    /// Number of replicas that are faulty in any way at `now`.
-    pub fn faulty_count(&self, now: SimTime) -> usize {
-        let mut faulty: Vec<ReplicaId> = self
-            .crashes
-            .iter()
-            .filter(|c| now >= c.at)
-            .map(|c| c.replica)
-            .chain(
-                self.crash_recoveries
-                    .iter()
-                    .filter(|c| now >= c.crash_at && now < c.recover_at)
-                    .map(|c| c.replica),
-            )
-            .chain(self.selfish.iter().copied())
-            .collect();
-        faulty.sort_unstable();
-        faulty.dedup();
-        faulty.len()
-    }
 }
 
 #[cfg(test)]
@@ -243,7 +223,6 @@ mod tests {
         assert!(!plan.is_crashed(r(0), SimTime::from_secs(100)));
         assert_eq!(plan.slowdown(r(0)), 1.0);
         assert!(!plan.is_selfish(r(0)));
-        assert_eq!(plan.faulty_count(SimTime::from_secs(100)), 0);
     }
 
     #[test]
@@ -275,7 +254,6 @@ mod tests {
         let plan = FaultPlan::none().with_selfish(r(4)).with_selfish(r(5));
         assert!(plan.is_selfish(r(4)));
         assert!(!plan.is_selfish(r(0)));
-        assert_eq!(plan.faulty_count(SimTime::ZERO), 2);
     }
 
     #[test]
@@ -319,8 +297,6 @@ mod tests {
         assert!(plan.is_crashed(r(2), SimTime::from_millis(8_999)));
         assert!(!plan.is_crashed(r(2), SimTime::from_secs(9)));
         assert!(!plan.is_crashed(r(2), SimTime::from_secs(100)));
-        assert_eq!(plan.faulty_count(SimTime::from_secs(6)), 1);
-        assert_eq!(plan.faulty_count(SimTime::from_secs(10)), 0);
         assert_eq!(
             plan.recovery_of(r(2)).unwrap().recover_at,
             SimTime::from_secs(9)
@@ -355,13 +331,5 @@ mod tests {
             .with_crash_recover(r(1), SimTime::from_secs(1), SimTime::from_secs(2))
             .with_crash_recover(r(1), SimTime::from_secs(4), SimTime::from_secs(5));
         assert!(twice.validate(4).is_err());
-    }
-
-    #[test]
-    fn faulty_count_deduplicates() {
-        let plan = FaultPlan::none()
-            .with_crash(r(1), SimTime::ZERO)
-            .with_selfish(r(1));
-        assert_eq!(plan.faulty_count(SimTime::from_secs(1)), 1);
     }
 }

@@ -36,7 +36,7 @@ pub mod network;
 pub mod node;
 pub mod stats;
 
-pub use actor::{Actor, Context, TimerId};
+pub use actor::{Actor, Context};
 pub use engine::{QueueKind, Simulation, SimulationReport};
 pub use event::EventQueue;
 pub use faults::{CrashRecoverSpec, FaultPlan, StragglerSpec};

@@ -73,9 +73,6 @@ pub struct NetworkConfig {
     /// (signature checks, marshalling). Multiplied by a straggler's slowdown
     /// factor.
     pub processing_per_message: Duration,
-    /// Delay for a client co-located request/response hop (client ↔ nearest
-    /// replica in the same region).
-    pub client_access: Duration,
 }
 
 impl NetworkConfig {
@@ -86,7 +83,6 @@ impl NetworkConfig {
             bandwidth_bps: 1_000_000_000,
             jitter: 0.05,
             processing_per_message: Duration::from_micros(30),
-            client_access: Duration::from_millis(5),
         }
     }
 
@@ -97,7 +93,6 @@ impl NetworkConfig {
             bandwidth_bps: 1_000_000_000,
             jitter: 0.05,
             processing_per_message: Duration::from_micros(30),
-            client_access: Duration::from_micros(500),
         }
     }
 

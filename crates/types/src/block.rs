@@ -12,12 +12,12 @@
 //! Blocks travel through the message fabric as [`SharedBlock`]
 //! (`Arc<Block>`): broadcasting to `n - 1` replicas, buffering in PBFT slots,
 //! and inserting into partial/global logs all share one allocation instead of
-//! deep-copying the transaction batch. The batch itself holds
-//! [`SharedTx`](crate::transaction::SharedTx) handles, so a transaction's
-//! payload exists once per process no matter how many buckets, blocks and
-//! logs reference it. Blocks are immutable after construction; the header
-//! digest is computed once and memoized (tamper checks in [`Block::verify`]
-//! deliberately bypass the memo and recompute from the contents).
+//! deep-copying the transaction batch. The batch itself holds [`SharedTx`]
+//! handles, so a transaction's payload exists once per process no matter how
+//! many buckets, blocks and logs reference it. Blocks are immutable after
+//! construction; the header digest is computed once and memoized (tamper
+//! checks in [`Block::verify`] deliberately bypass the memo and recompute
+//! from the contents).
 
 use crate::crypto::{Digest, KeyPair, Signature};
 use crate::ids::{Epoch, InstanceId, Rank, ReplicaId, SeqNum, View};

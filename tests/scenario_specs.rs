@@ -104,7 +104,12 @@ fn lowering_digest(points: &[orthrus_lab::LoweredPoint]) -> u64 {
             c.view_change_timeout,
             c.max_inflight_blocks,
         );
-        let run = (s.num_clients, s.seed, s.submission_window, s.max_sim_time);
+        let run = (
+            c.num_client_actors,
+            s.seed,
+            s.submission_window,
+            s.max_sim_time,
+        );
         text.push_str(&format!(
             "{}|{}|{:?}|{:?}|{config:?}|{timing:?}|{run:?}|{:?}|{:?}|{:?}\n",
             p.label,
@@ -429,7 +434,7 @@ fn frozen_paper_scenario(
     scenario.config.batch_timeout = Duration::from_millis(50);
     scenario.submission_window = Duration::from_secs(5);
     scenario.max_sim_time = Duration::from_secs(600);
-    scenario.num_clients = 8;
+    scenario.config.num_client_actors = 8;
     if straggler {
         scenario.faults = FaultPlan::one_straggler(ReplicaId::new(0));
     }
