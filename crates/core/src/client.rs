@@ -8,6 +8,16 @@
 //! client is identified by the transaction id, the actor only models the
 //! submission point and reply counting.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "actor handler: a panic here tears down the whole run instead of failing one message"
+)]
+
 use crate::messages::NetMessage;
 use orthrus_sim::{Actor, Context, NodeId};
 use orthrus_types::{Duration, ProtocolConfig, SharedTx, TxId, TxMap, TxSet, TxTable, VoteSet};

@@ -11,6 +11,16 @@
 //! Everything a replica replicates sits in one `Replicated` value; crash
 //! recovery ships a clone of it to a restarted peer (the `recovery` module).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "actor handler (and, through `replica::recovery`, state transfer): a panic here tears down the whole run instead of failing one message"
+)]
+
 use crate::messages::{NetMessage, ReplyStatus};
 use crate::partition::{Bucket, Partitioner};
 use orthrus_execution::{Executor, ObjectStore, TxOutcome};
@@ -155,10 +165,12 @@ pub struct ReplicaNode {
     sync_round: u64,
     /// Virtual time the first state transfer was installed after a restart.
     recovered_at: Option<SimTime>,
-    /// Virtual time each block entered the glog's pending region, keyed by
-    /// block id. Entries are removed when the block executes; the delta feeds
-    /// the per-run glog-wait statistics (how long global ordering stalls
-    /// behind partial-log execution under §V-C's alignment rule).
+    /// Virtual time each data block was delivered by its SB instance, keyed
+    /// by block id. Entries are removed when the block executes from the
+    /// glog; the delta feeds the per-run glog-wait statistics: how long a
+    /// partially ordered block waits at the global-ordering barrier (its
+    /// rank, a pre-determined slot or a DQBFT decision) and, under Orthrus,
+    /// on §V-C's alignment rule.
     glog_appended_at: FxHashMap<BlockId, SimTime>,
 }
 
@@ -487,6 +499,7 @@ impl ReplicaNode {
             .get_mut(instance)
             .insert(Arc::clone(&block));
         let id = block.id();
+        self.glog_appended_at.insert(id, ctx.now());
         let confirmed = self.state.policy.on_deliver(block);
         if self
             .state
@@ -545,11 +558,7 @@ impl ReplicaNode {
         confirmed: Vec<SharedBlock>,
         ctx: &mut Context<'_, NetMessage>,
     ) {
-        let now = ctx.now();
         for block in confirmed {
-            // `or_insert` (not overwrite): duplicate global confirmations of
-            // the same block must not reset the wait clock.
-            self.glog_appended_at.entry(block.id()).or_insert(now);
             self.state.glog.append(block);
         }
         self.process_global_log(ctx);

@@ -69,15 +69,16 @@ impl EscrowLog {
 
     /// Total amount currently reserved against a specific account: a scan
     /// of the log (only tests and diagnostics ask).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a sum over the matching reservations is commutative — visit order cannot reach the result"
+    )]
     pub fn reserved_for(&self, object: ObjectKey) -> Amount {
-        let mut total = 0;
-        // orthrus: allow(nondet-iter): a sum over the matching reservations is commutative — visit order cannot reach the result.
-        for (&(key, _), amount) in self.entries.iter() {
-            if key == object {
-                total += amount;
-            }
-        }
-        total
+        self.entries
+            .iter()
+            .filter(|((key, _), _)| *key == object)
+            .map(|(_, amount)| amount)
+            .sum()
     }
 
     /// Drop a reservation, returning its amount if it existed.

@@ -16,7 +16,15 @@
 //! through [`executor::Executor::process_glog_tx`]'s calling layer instead of
 //! using the fast path.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::iter_over_hash_type,
+        reason = "unit tests run outside any simulation: they may time, thread and iterate freely"
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod escrow;

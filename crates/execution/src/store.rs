@@ -285,12 +285,14 @@ impl ObjectStore {
     /// Recompute [`ObjectStore::digest`] from scratch by walking every
     /// object. Used by tests and benches to pin the incremental accumulator
     /// against a full rescan.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a wrapping sum of entry digests is commutative — visit order cannot reach the result"
+    )]
     pub fn rescan_digest(&self) -> Digest {
-        let mut acc = 0u64;
-        // orthrus: allow(nondet-iter): a wrapping sum of entry digests is commutative — visit order cannot reach the result.
-        for (key, state) in self.objects.iter() {
-            acc = acc.wrapping_add(ObjectState::entry_digest(*key, state));
-        }
+        let acc = self.objects.iter().fold(0u64, |acc, (key, state)| {
+            acc.wrapping_add(ObjectState::entry_digest(*key, state))
+        });
         Digest::of(&(acc, self.objects.len() as u64))
     }
 

@@ -8,6 +8,11 @@
 //! outcome, every balance, the commit and abort counts and the total supply
 //! must agree.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "a test outside any simulation: its fixed seeds and iteration feed no digest"
+)]
 use orthrus_execution::{Executor, ObjectStore, TxOutcome};
 use orthrus_types::rng::{Rng, StdRng};
 use orthrus_types::{

@@ -8,6 +8,10 @@
 //! per-instance write counters. Copy-on-write snapshots taken mid-sequence
 //! must still match the model as it was when they were taken.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test outside any simulation: its fixed seeds and iteration feed no digest"
+)]
 use orthrus_execution::{EscrowLog, ObjectState, ObjectStore};
 use orthrus_types::rng::{Rng, StdRng};
 use orthrus_types::{

@@ -48,7 +48,6 @@
 //! assert_eq!(outcome.confirmed, outcome.submitted);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod lower;

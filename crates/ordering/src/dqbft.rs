@@ -14,24 +14,24 @@
 //! Orthrus/Ladon but ahead of the pre-determined protocols under stragglers.
 
 use crate::policy::GlobalOrderingPolicy;
-use orthrus_types::{BlockId, SharedBlock};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use orthrus_types::{BlockId, FxHashMap, FxHashSet, SharedBlock};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Global ordering driven by a dedicated ordering instance's decisions.
 #[derive(Debug, Default, Clone)]
 pub struct DqbftOrdering {
     /// Data blocks delivered but not yet confirmed, keyed by id.
-    delivered: HashMap<BlockId, SharedBlock>,
+    delivered: FxHashMap<BlockId, SharedBlock>,
     /// Decided ids waiting for their data (or for earlier decisions).
     decisions: VecDeque<BlockId>,
     /// Ids already confirmed (to drop duplicates).
-    confirmed: HashSet<BlockId>,
+    confirmed: FxHashSet<BlockId>,
     /// Delivered ids the ordering instance has not decided yet, keyed by
     /// their delivery mark, so whoever leads the ordering instance proposes
     /// them in delivery order.
     undecided: BTreeMap<u64, BlockId>,
     /// The delivery mark of each id in `undecided`.
-    undecided_marks: HashMap<BlockId, u64>,
+    undecided_marks: FxHashMap<BlockId, u64>,
     /// The delivery mark the next undecided id gets.
     next_mark: u64,
 }
@@ -108,10 +108,6 @@ impl GlobalOrderingPolicy for DqbftOrdering {
 
     fn pending(&self) -> usize {
         self.delivered.len() + self.decisions.len()
-    }
-
-    fn name(&self) -> &'static str {
-        "dqbft"
     }
 }
 

@@ -122,10 +122,6 @@ impl GlobalOrderingPolicy for LadonOrdering {
     fn pending(&self) -> usize {
         self.waiting.len()
     }
-
-    fn name(&self) -> &'static str {
-        "ladon"
-    }
 }
 
 #[cfg(test)]

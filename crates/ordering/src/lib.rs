@@ -13,7 +13,15 @@
 //! * [`ladon`] — Ladon's rank-based dynamic ordering, also used by Orthrus
 //!   for contract transactions.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::iter_over_hash_type,
+        reason = "unit tests run outside any simulation: they may time, thread and iterate freely"
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod dqbft;

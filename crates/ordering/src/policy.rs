@@ -37,9 +37,6 @@ pub trait GlobalOrderingPolicy {
     /// Number of blocks delivered but not yet globally confirmed (waiting for
     /// a gap to fill). Used by the metrics and by back-pressure heuristics.
     fn pending(&self) -> usize;
-
-    /// Human-readable name for reports.
-    fn name(&self) -> &'static str;
 }
 
 #[cfg(test)]

@@ -65,10 +65,6 @@ impl GlobalOrderingPolicy for PredeterminedOrdering {
     fn pending(&self) -> usize {
         self.buffer.len()
     }
-
-    fn name(&self) -> &'static str {
-        "predetermined"
-    }
 }
 
 #[cfg(test)]

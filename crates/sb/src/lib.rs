@@ -23,7 +23,15 @@
 //!   replica should suspect an instance's leader;
 //! * [`cluster`] — an in-memory cluster harness for protocol-level tests.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::iter_over_hash_type,
+        reason = "unit tests run outside any simulation: they may time, thread and iterate freely"
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod actions;

@@ -130,7 +130,10 @@ mod tests {
     use super::*;
     use orthrus_types::rng::Rng;
 
-    #[allow(clippy::type_complexity)]
+    #[allow(
+        clippy::type_complexity,
+        reason = "one tuple of the buffers a `Context` borrows, spelled out"
+    )]
     fn make_parts() -> (
         StdRng,
         StatsCollector,

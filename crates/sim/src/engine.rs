@@ -35,6 +35,16 @@
 //! incarnation, and a timer from an older one still pops (and counts) but
 //! reaches no handler.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    reason = "event dispatch: a panic here tears down the whole run instead of failing one event"
+)]
+
 use crate::actor::{Actor, Context, Outbound};
 use crate::event::EventQueue;
 use crate::faults::FaultPlan;
@@ -85,7 +95,7 @@ enum Invocation<M> {
     Recover,
 }
 
-/// Summary of a completed (or budget-limited) simulation run.
+/// Summary of a completed (or deadline-limited) simulation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulationReport {
     /// Virtual time when the run stopped.
@@ -182,7 +192,6 @@ pub struct Simulation<M> {
     now: SimTime,
     seed: u64,
     events_processed: u64,
-    max_events: u64,
 }
 
 /// Compile shim for the frozen `benchmark/` crate: the type of
@@ -220,7 +229,6 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
             now: SimTime::ZERO,
             seed,
             events_processed: 0,
-            max_events: u64::MAX,
         }
     }
 
@@ -237,12 +245,6 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
         Self::with_faults(network, faults, seed)
     }
 
-    /// Limit the total number of events the engine will dispatch (a safety
-    /// valve against protocol livelock in tests).
-    pub fn set_max_events(&mut self, max: u64) {
-        self.max_events = max;
-    }
-
     /// Register an actor. Its `on_start` handler runs at the current virtual
     /// time once the simulation is (next) run. If the fault plan gives the
     /// node a crash-recover window, its restart (`on_recover`) is scheduled
@@ -253,9 +255,12 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
         let mut hasher = orthrus_types::crypto::FnvHasher::default();
         id.hash(&mut hasher);
         let node_seed = self.seed ^ hasher.finish();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-node stream derived from the scenario seed XOR a stable node-id hash"
+        )]
         let state = NodeState {
             actor,
-            // orthrus: allow(ambient-rng): per-node stream derived from the scenario seed XOR a stable node-id hash.
             rng: StdRng::seed_from_u64(node_seed),
             nic_free: SimTime::ZERO,
             incarnation: 0,
@@ -316,15 +321,10 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
     /// Run until the event queue drains or virtual time would exceed
     /// `deadline`, whichever comes first.
     pub fn run_until(&mut self, deadline: SimTime) -> SimulationReport {
-        while self.events_processed < self.max_events {
-            match self.queue.pop_before(deadline) {
-                Ok((time, event)) => {
-                    self.now = self.now.max(time);
-                    self.dispatch(event);
-                    self.events_processed += 1;
-                }
-                Err(_) => break,
-            }
+        while let Ok((time, event)) = self.queue.pop_before(deadline) {
+            self.now = self.now.max(time);
+            self.dispatch(event);
+            self.events_processed += 1;
         }
         // Even if no event landed exactly on the deadline, the run covers the
         // full interval (unless the caller asked for "run forever", in which
@@ -408,9 +408,8 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
             due_end += 1;
         }
         // The pop that got us here counts as one event; tied arrivals beyond
-        // the first still count individually so `events_processed` (and the
-        // `max_events` livelock budget) track actor invocations, comparable
-        // to the per-recipient path.
+        // the first still count individually so `events_processed` tracks
+        // actor invocations, comparable to the per-recipient path.
         self.events_processed += (due_end - start).saturating_sub(1) as u64;
         // Every due recipient but the plan's last gets a clone; the message
         // itself moves into the last delivery or the re-scheduled remainder.
@@ -891,41 +890,6 @@ mod tests {
         // Start, recover and all three timer pops are still counted.
         assert_eq!(report.events_processed, 5);
         assert_eq!(report.end_time, SimTime::from_millis(20));
-    }
-
-    #[test]
-    fn max_events_limits_livelock() {
-        // Two actors that ping each other forever.
-        struct Forever {
-            peer: NodeId,
-        }
-        impl Actor<Ping> for Forever {
-            fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
-                ctx.send(self.peer, Ping { hops: 0, bytes: 8 });
-            }
-            fn on_message(&mut self, from: NodeId, msg: Ping, ctx: &mut Context<'_, Ping>) {
-                ctx.send(from, msg);
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-        }
-        let mut sim: Simulation<Ping> = Simulation::new(NetworkConfig::lan(), 5);
-        sim.set_max_events(500);
-        sim.add_actor(
-            NodeId::replica(0),
-            Box::new(Forever {
-                peer: NodeId::replica(1),
-            }),
-        );
-        sim.add_actor(
-            NodeId::replica(1),
-            Box::new(Forever {
-                peer: NodeId::replica(0),
-            }),
-        );
-        let report = sim.run_to_completion();
-        assert_eq!(report.events_processed, 500);
     }
 
     #[test]

@@ -25,7 +25,15 @@
 //! scenario seed, and simultaneous events are ordered by insertion sequence,
 //! so a given (scenario, seed) pair always produces the same trace.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::iter_over_hash_type,
+        reason = "unit tests run outside any simulation: they may time, thread and iterate freely"
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod actor;
@@ -35,6 +43,9 @@ pub mod faults;
 pub mod network;
 pub mod node;
 pub mod stats;
+
+#[cfg(test)]
+mod lint_teeth;
 
 pub use actor::{Actor, Context};
 pub use engine::{QueueKind, Simulation, SimulationReport};

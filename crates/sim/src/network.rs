@@ -169,7 +169,10 @@ mod tests {
     use orthrus_types::rng::StdRng;
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
+    #[allow(
+        clippy::needless_range_loop,
+        reason = "indexing both ways is the symmetry being checked"
+    )]
     fn wan_matrix_is_symmetric_and_plausible() {
         for i in 0..4 {
             for j in 0..4 {

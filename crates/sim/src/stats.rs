@@ -150,9 +150,9 @@ pub struct StatsCollector {
     pub messages_sent: u64,
     /// Total protocol bytes sent (filled in by the engine).
     pub bytes_sent: u64,
-    /// Sum of sim-time (µs) executed global-log occurrences spent waiting on
-    /// their global rank: from the block's append to the replica's glog until
-    /// the replica popped it for execution (the HYDRA bottleneck metric).
+    /// Sum of sim-time (µs) data blocks spent at the global-ordering
+    /// barrier: from their SB instance's delivery until the replica executed
+    /// them from the glog (the bottleneck HYDRA, arXiv:2511.05843, removes).
     pub glog_wait_total_us: u64,
     /// Number of glog-wait samples behind [`Self::glog_wait_total_us`].
     pub glog_wait_count: u64,
@@ -215,8 +215,9 @@ impl StatsCollector {
         self.view_changes += 1;
     }
 
-    /// Record how long an executed glog occurrence waited on its global rank
-    /// (sim-time from glog append to execution pop).
+    /// Record how long a data block waited at the global-ordering barrier
+    /// (sim-time from its instance's delivery to its execution from the
+    /// glog).
     pub fn glog_wait(&mut self, wait: Duration) {
         let us = wait.as_micros();
         self.glog_wait_total_us += us;

@@ -11,7 +11,6 @@
 //! output determinism regardless of hasher choice; these aliases only make
 //! lookups cheap.
 
-use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier from the Fx construction (the golden-ratio constant used by
@@ -87,10 +86,18 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with the deterministic Fx hasher.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned std map: seedless, so its layout repeats run to run"
+)]
+pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed with the deterministic Fx hasher.
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one sanctioned std set: seedless, so its layout repeats run to run"
+)]
+pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -32,7 +32,15 @@
 //!   run-to-run stable, unlike `std`'s keyed SipHash).
 //! * [`error`] — the common error type.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::iter_over_hash_type,
+        reason = "unit tests run outside any simulation: they may time, thread and iterate freely"
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod block;

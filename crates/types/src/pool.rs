@@ -10,6 +10,10 @@
 //! re-exports it under its historical path.
 
 /// Worker count actually used for a request of `threads` over `items` items.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the deterministic pool sizes itself to the machine; results do not depend on its width"
+)]
 fn effective_threads(threads: usize, items: usize) -> usize {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -24,6 +28,10 @@ fn effective_threads(threads: usize, items: usize) -> usize {
 /// the shared cursor: one claim and one result slot per chunk keeps the
 /// coordination cost negligible even for tens of thousands of small items,
 /// while chunks are small enough for uneven costs to balance.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the deterministic pool: the one place workers are spawned; results come back in input order"
+)]
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,

@@ -2,10 +2,10 @@
 //!
 //! The simulator runs on logical time; real (wall) time must never influence
 //! behavior, only *observability* — phase timings reported alongside a
-//! run's statistics. Every such site goes through
-//! [`ProfTimer`] so the static analyzer's `wall-clock` rule has exactly one
-//! suppression in the whole deterministic workspace (this file), and a
-//! grep for `Instant::now` outside `crates/bench` lands here.
+//! run's statistics. Every such site goes through [`ProfTimer`], so the
+//! `Instant::now` entry of `clippy.toml`'s `disallowed-methods` has one
+//! waiver in the deterministic crates: the `#[expect]` on
+//! [`ProfTimer::started`].
 //!
 //! A disabled timer ([`ProfTimer::maybe`] with `false`, or
 //! [`ProfTimer::off`]) never reads the clock at all, so profiling is
@@ -21,8 +21,11 @@ pub struct ProfTimer(Option<std::time::Instant>);
 impl ProfTimer {
     /// A running timer, started now.
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the single sanctioned profiling doorway — readings feed stats/reporting only, never control flow or state"
+    )]
     pub fn started() -> Self {
-        // orthrus: allow(wall-clock): the single sanctioned profiling doorway — readings feed stats/reporting only, never control flow or state.
         ProfTimer(Some(std::time::Instant::now()))
     }
 

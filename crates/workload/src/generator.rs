@@ -188,7 +188,10 @@ pub struct Workload {
 impl Workload {
     /// Generate the workload described by `config`.
     pub fn generate(config: WorkloadConfig) -> Self {
-        // orthrus: allow(ambient-rng): seeded directly from the scenario's workload seed — the sanctioned provenance.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "seeded directly from the scenario's workload seed — the sanctioned provenance"
+        )]
         let mut rng = StdRng::seed_from_u64(config.seed);
         let popularity = Zipf::new(config.num_accounts as usize, config.zipf_exponent);
 

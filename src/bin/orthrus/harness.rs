@@ -127,6 +127,10 @@ impl MeasuredPoint {
 /// Panics on an invalid scenario: callers validate their grids first (the
 /// CLI does, and registry specs are pinned by the spec lint), so an invalid
 /// point here is a bug, not input.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the CLI's measurement harness: wall time is reported next to a point, never fed into it"
+)]
 fn measure(label: &str, x: f64, scenario: &Scenario) -> MeasuredPoint {
     let wall = Instant::now();
     let outcome = run_scenario(scenario).expect("sweep scenario must validate");
@@ -165,7 +169,6 @@ pub fn write_stdout(args: std::fmt::Arguments<'_>) {
 }
 
 /// `println!` through [`write_stdout`].
-#[macro_export]
 macro_rules! outln {
     () => {
         $crate::harness::write_stdout(format_args!("\n"))
@@ -174,12 +177,13 @@ macro_rules! outln {
         $crate::harness::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
     };
 }
+pub(crate) use outln;
 
 /// Print the header of a figure table.
 pub fn print_header(figure: &str, x_label: &str) {
-    crate::outln!();
-    crate::outln!("=== {figure} ===");
-    crate::outln!(
+    outln!();
+    outln!("=== {figure} ===");
+    outln!(
         "{:<10} {:>12} {:>16} {:>14} {:>10}",
         "protocol",
         x_label,
@@ -192,7 +196,7 @@ pub fn print_header(figure: &str, x_label: &str) {
 /// Print one row of a figure table.
 pub fn print_row(point: &MeasuredPoint) {
     let o = &point.outcome;
-    crate::outln!(
+    outln!(
         "{:<10} {:>12.2} {:>16.3} {:>14.3} {:>9.1}%",
         point.label,
         point.x,

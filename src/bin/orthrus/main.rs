@@ -18,13 +18,6 @@
 //!     Parse, round-trip and lower every registry spec (and any extra
 //!     files), validating each resulting scenario. Exits non-zero on the
 //!     first failure.
-//!
-//! orthrus analyze [--json PATH]
-//!     Run the in-tree determinism & safety static analyzer
-//!     (orthrus-analysis) over the workspace sources: nondeterministic
-//!     hash-map iteration, stray wall-clock/RNG/thread use, unsafe without
-//!     SAFETY:, and panic paths in the engine. Exits non-zero on any
-//!     unsuppressed violation.
 //! ```
 //!
 //! Specs are resolved against the built-in registry first; anything
@@ -32,9 +25,13 @@
 //! `--full` applies the spec's `[full_scale]` overrides (the paper's
 //! scale); `--threads` (or `ORTHRUS_SWEEP_THREADS`) sets the width of the
 //! sweep pool (how many points run at once). Results do not depend on it.
+//!
+//! [`harness`] is the CLI's wall-clock code: it times, prints and
+//! serializes the sweep points.
 
-use orthrus_bench::harness::{self, MeasuredPoint};
-use orthrus_bench::outln;
+mod harness;
+
+use harness::{outln, MeasuredPoint};
 use orthrus_core::sweep_threads;
 use orthrus_lab::{parse, registry, serialize, Spec, SpecScale};
 use std::process::ExitCode;
@@ -42,9 +39,8 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  orthrus list\n  orthrus show <name|file.orth>\n  orthrus run <name|file.orth> \
-         [--threads N] [--json PATH] [--full]\n  orthrus lint [files...]\n  orthrus analyze \
-         [--json PATH]\n\n--full applies the spec's [full_scale] overrides (the paper's scale).\n\
-         --threads N (default: ORTHRUS_SWEEP_THREADS, else the host's cores) sets how many sweep \
+         [--threads N] [--json PATH] [--full]\n  orthrus lint [files...]\n\n--full applies the \
+         spec's [full_scale] overrides (the paper's scale).\n--threads N (default: ORTHRUS_SWEEP_THREADS, else the host's cores) sets how many sweep \
          points run\nat once; results do not depend on it."
     );
     ExitCode::from(2)
@@ -267,72 +263,6 @@ fn cmd_lint(files: &[String]) -> ExitCode {
     }
 }
 
-fn cmd_analyze(args: &[String]) -> ExitCode {
-    let mut json_path: Option<&str> = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--json" => match iter.next() {
-                Some(path) => json_path = Some(path),
-                None => {
-                    eprintln!("error: --json needs a path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("error: unexpected argument {other:?}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let cwd = match std::env::current_dir() {
-        Ok(cwd) => cwd,
-        Err(err) => {
-            eprintln!("error: cannot determine working directory: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(root) = orthrus_analysis::find_workspace_root(&cwd) else {
-        eprintln!("error: no workspace root (Cargo.toml + crates/) above {cwd:?}");
-        return ExitCode::FAILURE;
-    };
-    let report = match orthrus_analysis::analyze_workspace(&root) {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!("error: analysis walk failed: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(path) = json_path {
-        if let Err(err) = std::fs::write(path, report.to_json()) {
-            eprintln!("error: could not write {path}: {err}");
-            return ExitCode::FAILURE;
-        }
-        outln!("(report written to {path})");
-    }
-    for violation in &report.violations {
-        eprintln!("{violation}");
-    }
-    let unsafe_total = report.unsafe_inventory.len();
-    let unsafe_justified = report
-        .unsafe_inventory
-        .iter()
-        .filter(|u| u.has_safety)
-        .count();
-    outln!(
-        "analyzed {} file(s): {} violation(s), {} suppression(s), \
-         {unsafe_justified}/{unsafe_total} unsafe site(s) justified",
-        report.files_scanned,
-        report.violations.len(),
-        report.suppressions.len(),
-    );
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -340,7 +270,6 @@ fn main() -> ExitCode {
         Some("show") if args.len() == 2 => cmd_show(&args[1]),
         Some("run") => cmd_run(&args[1..]),
         Some("lint") => cmd_lint(&args[1..]),
-        Some("analyze") => cmd_analyze(&args[1..]),
         _ => usage(),
     }
 }

@@ -82,7 +82,6 @@
 //! orthrus lint                               # parse + validate all specs
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use orthrus_core as core;

@@ -437,7 +437,7 @@ fn checkpoint_truncation_is_memory_only_for_every_protocol() {
 
 /// Every protocol, fault-free and under the paper's straggler, completes
 /// the workload, reproduces its trace run over run, and records how long
-/// globally ordered blocks waited for their rank.
+/// delivered data blocks waited at the global-ordering barrier.
 #[test]
 fn determinism_holds_for_every_protocol() {
     for protocol in ProtocolKind::ALL {

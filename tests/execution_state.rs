@@ -12,6 +12,10 @@
 //! * at the scenario level, Orthrus runs conserve token supply and the
 //!   per-instance write counters expose a hot-account workload's skew.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test outside any simulation: its fixed seeds and iteration feed no digest"
+)]
 use orthrus::prelude::*;
 use orthrus_types::rng::{Rng, StdRng};
 use orthrus_types::{

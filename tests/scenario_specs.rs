@@ -12,6 +12,10 @@
 //!   runs on `run_scenarios`' env-configured pool, so CI pins it at
 //!   `ORTHRUS_SWEEP_THREADS ∈ {1, 4}`.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "a test outside any simulation: its fixed seeds and iteration feed no digest"
+)]
 use orthrus::prelude::*;
 use orthrus_core::run_scenarios;
 use orthrus_lab::{parse, registry, serialize, SpecScale};
