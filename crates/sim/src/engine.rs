@@ -1,7 +1,7 @@
 //! The discrete-event simulation engine.
 //!
 //! The engine owns the actors, the virtual clock, the event queue, the
-//! network model and the fault plan. It repeatedly pops the earliest event,
+//! network model and the fault plan. It repeatedly takes the earliest event,
 //! advances the clock to its timestamp and dispatches it to the target actor;
 //! messages the actor sends in response are run through the network model
 //! (processing delay → NIC serialization with a per-sender queue →
@@ -16,14 +16,22 @@
 //! single `EngineEvent::DeliverBatch` queue entry carrying one message and
 //! a per-recipient delivery plan (NIC serialization is still charged once per
 //! copy, and per-link latency is sampled in deterministic recipient order at
-//! send time). The batch dispatches each recipient exactly at its arrival
-//! time and re-schedules itself for the next one, so the queue holds one
-//! entry per in-flight broadcast instead of `n` — at 128 replicas this
-//! shrinks the peak queue by roughly the fan-out.
+//! send time). The queue holds one entry per in-flight broadcast instead of
+//! `n` — at 128 replicas this shrinks the peak queue by roughly the fan-out.
+//!
+//! A due batch is not popped but *held* (see `event.rs`): its key stays at
+//! the heap top and its payload in its queue slot while the engine delivers
+//! every recipient whose arrival time has come, one clone of the message
+//! each. Nothing the handlers schedule can displace it, because it is due
+//! no earlier than now and takes a later sequence number. The entry is then
+//! re-keyed to the next arrival with a fresh sequence number, one sift down
+//! from the top, or released after the last recipient. The fresh sequence
+//! number is taken after the handlers ran, so an event a handler scheduled
+//! for the instant of the batch's next arrival runs before that arrival.
 //!
 //! Coalescing preserves every per-recipient *arrival time* and the relative
 //! order of a batch's own deliveries, but not the interleaving with
-//! unrelated events at the exact same timestamp: the rescheduled remainder
+//! unrelated events at the exact same timestamp: the re-keyed remainder
 //! carries a fresh insertion sequence, so a tie against another sender's
 //! message may dispatch in a different order than the per-recipient path
 //! would have. Runs remain fully deterministic for a given seed and
@@ -321,10 +329,16 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
     /// Run until the event queue drains or virtual time would exceed
     /// `deadline`, whichever comes first.
     pub fn run_until(&mut self, deadline: SimTime) -> SimulationReport {
-        while let Ok((time, event)) = self.queue.pop_before(deadline) {
+        let is_batch = |event: &EngineEvent<M>| matches!(event, EngineEvent::DeliverBatch { .. });
+        while let Ok((time, popped)) = self.queue.pop_or_hold_before(deadline, is_batch) {
             self.now = self.now.max(time);
-            self.dispatch(event);
-            self.events_processed += 1;
+            match popped {
+                Some(event) => {
+                    self.dispatch(event);
+                    self.events_processed += 1;
+                }
+                None => self.deliver_held_batch(),
+            }
         }
         // Even if no event landed exactly on the deadline, the run covers the
         // full interval (unless the caller asked for "run forever", in which
@@ -369,12 +383,8 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
             EngineEvent::Deliver { from, to, msg } => {
                 self.invoke(to, Invocation::Message { from, msg });
             }
-            EngineEvent::DeliverBatch {
-                from,
-                msg,
-                plan,
-                next,
-            } => self.dispatch_batch(from, msg, plan, next),
+            // Held in the queue and delivered in place, never popped.
+            EngineEvent::DeliverBatch { .. } => {}
             EngineEvent::Timer {
                 node,
                 incarnation,
@@ -394,44 +404,38 @@ impl<M: Payload + Clone + 'static> Simulation<M> {
         }
     }
 
-    /// Deliver the due prefix of a coalesced multicast, then re-schedule the
-    /// remainder as the same single queue entry.
-    fn dispatch_batch(
-        &mut self,
-        from: NodeId,
-        msg: M,
-        mut plan: Vec<(SimTime, NodeId)>,
-        start: usize,
-    ) {
-        let mut due_end = start;
-        while due_end < plan.len() && plan[due_end].0 <= self.now {
-            due_end += 1;
-        }
-        // The pop that got us here counts as one event; tied arrivals beyond
-        // the first still count individually so `events_processed` tracks
-        // actor invocations, comparable to the per-recipient path.
-        self.events_processed += (due_end - start).saturating_sub(1) as u64;
-        // Every due recipient but the plan's last gets a clone; the message
-        // itself moves into the last delivery or the re-scheduled remainder.
-        for &(_, to) in &plan[start..due_end.min(plan.len() - 1)] {
-            let msg = msg.clone();
-            self.invoke(to, Invocation::Message { from, msg });
-        }
-        if due_end == plan.len() {
-            let (_, to) = plan[due_end - 1];
-            self.invoke(to, Invocation::Message { from, msg });
-            plan.clear();
-            self.plan_pool.push(plan);
-        } else {
-            self.queue.schedule(
-                plan[due_end].0,
-                EngineEvent::DeliverBatch {
-                    from,
-                    msg,
-                    plan,
-                    next: due_end,
-                },
-            );
+    /// Deliver the due prefix of the held coalesced multicast, one clone of
+    /// the message per recipient, then re-key its queue entry to the next
+    /// arrival or, once every recipient has it, release the entry. Each
+    /// delivery counts as one event, so `events_processed` tracks actor
+    /// invocations as the per-recipient path would.
+    fn deliver_held_batch(&mut self) {
+        loop {
+            let Some(EngineEvent::DeliverBatch {
+                from,
+                msg,
+                plan,
+                next,
+            }) = self.queue.held_mut()
+            else {
+                return;
+            };
+            match plan.get(*next) {
+                Some(&(at, to)) if at <= self.now => {
+                    *next += 1;
+                    let (from, msg) = (*from, msg.clone());
+                    self.invoke(to, Invocation::Message { from, msg });
+                    self.events_processed += 1;
+                }
+                Some(&(at, _)) => return self.queue.rekey(at),
+                None => {
+                    if let Some(EngineEvent::DeliverBatch { mut plan, .. }) = self.queue.release() {
+                        plan.clear();
+                        self.plan_pool.push(plan);
+                    }
+                    return;
+                }
+            }
         }
     }
 
@@ -1063,7 +1067,7 @@ mod tests {
     }
 
     /// A gossip actor that drives every queue-facing path of the engine at
-    /// once: coalesced broadcasts whose remainders re-schedule across other
+    /// once: coalesced broadcasts whose remainders are re-keyed across other
     /// nodes' events, short timers, 1 µs self-sends, and a timer armed in one
     /// handler and disowned in a later one.
     struct Stormer {
@@ -1180,9 +1184,9 @@ mod tests {
         ]
     }
 
-    /// The oracle for the send path and `dispatch_batch`: these values depend
-    /// on the exact order of RNG draws, NIC updates and `schedule` calls
-    /// (coalesced remainders, self-sends, disowned timers), under a
+    /// The oracle for the send path and `deliver_held_batch`: these values
+    /// depend on the exact order of RNG draws, NIC updates, `schedule` calls
+    /// and re-keys (coalesced remainders, self-sends, disowned timers), under a
     /// straggler, across a crash-recover window, and across a deadline pause.
     /// They are what the serial walk produced on the last commit that also
     /// had the windowed engine, which the deleted differential tests held
@@ -1235,5 +1239,107 @@ mod tests {
                 "storm {i} moved"
             );
         }
+    }
+
+    /// Every dispatch the [`Echo`]s saw, in order: `(node, kind, µs)`.
+    type EchoLog = std::rc::Rc<std::cell::RefCell<Vec<(u32, char, u64)>>>;
+
+    /// A batch recipient that answers its delivery while the batch still has
+    /// recipients to go: a zero-delay timer, a 1 µs self-message, a timer due
+    /// exactly when the batch's next recipients arrive, and two timers hours
+    /// ahead that stay queued (and unlogged) until the end.
+    struct Echo {
+        log: EchoLog,
+        /// How long after this node's arrival the batch's next recipients
+        /// arrive, if any do.
+        gap: Option<Duration>,
+    }
+
+    impl Actor<Ping> for Echo {
+        fn on_start(&mut self, ctx: &mut Context<'_, Ping>) {
+            if ctx.id() == NodeId::replica(0) {
+                let peers = (1..=8).map(NodeId::replica);
+                ctx.multicast(peers, Ping { hops: 0, bytes: 8 });
+            }
+        }
+
+        fn on_message(&mut self, _from: NodeId, msg: Ping, ctx: &mut Context<'_, Ping>) {
+            let node = ctx.id().as_replica().unwrap().value();
+            let kind = if msg.hops == 0 { 'm' } else { 's' };
+            self.log
+                .borrow_mut()
+                .push((node, kind, ctx.now().as_micros()));
+            if msg.hops == 0 {
+                ctx.set_timer(Duration::ZERO, 0);
+                ctx.send(ctx.id(), Ping { hops: 1, bytes: 8 });
+                if let Some(gap) = self.gap {
+                    ctx.set_timer(gap, 1);
+                }
+                ctx.set_timer(Duration::from_secs(3_600), 2);
+                ctx.set_timer(Duration::from_secs(7_200), 2);
+            }
+        }
+
+        fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, Ping>) {
+            let node = ctx.id().as_replica().unwrap().value();
+            let kind = match tag {
+                0 => 't',
+                1 => 'g',
+                _ => return,
+            };
+            self.log
+                .borrow_mut()
+                .push((node, kind, ctx.now().as_micros()));
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+    }
+
+    /// Handlers run while a coalesced multicast still has tied and later
+    /// recipients. Replica 0 (France) multicasts to replicas 1–8 on a
+    /// jitter-free WAN with 0 µs serialization, so the plan is four tied
+    /// pairs, {4, 8} at 1 ms, {1, 5} at 40 ms, {3, 7} at 110 ms and {2, 6} at
+    /// 140 ms. Every recipient arms a zero-delay timer ('t'), sends itself a
+    /// 1 µs message ('s') and arms a timer ('g') due exactly at the next
+    /// pair's arrival, which must fire before that pair ('m') because it was
+    /// scheduled first. The hours-ahead timers pile up, so the queue peaks
+    /// while the last pair's handlers run, after the batch has no recipient
+    /// left: a batch entry counted there would show in `peak_queue_len`.
+    /// Order and report are the values the engine produced when a batch
+    /// popped and re-pushed its entry.
+    #[test]
+    fn batch_recipients_schedule_around_the_rest_of_their_batch() {
+        let network = NetworkConfig {
+            jitter: 0.0,
+            ..NetworkConfig::wan()
+        };
+        let arrival = |r: u32| network.base_latency(NodeId::replica(0), NodeId::replica(r));
+        let log = EchoLog::default();
+        let mut sim: Simulation<Ping> = Simulation::new(network.clone(), 5);
+        for r in 0..=8 {
+            let gap = (1..=8)
+                .map(arrival)
+                .filter(|&later| later > arrival(r))
+                .min()
+                .map(|next| next.saturating_sub(arrival(r)));
+            let log = log.clone();
+            sim.add_actor(NodeId::replica(r), Box::new(Echo { log, gap }));
+        }
+        let report = sim.run_to_completion();
+        let order: Vec<String> = log
+            .borrow()
+            .iter()
+            .map(|&(node, kind, at)| format!("{node}{kind}@{at}"))
+            .collect();
+        let pinned = [
+            "4m@1060 8m@1060 4t@1060 8t@1060 4s@1121 8s@1121",
+            "4g@40060 8g@40060 1m@40060 5m@40060 1t@40060 5t@40060 1s@40121 5s@40121",
+            "1g@110060 5g@110060 3m@110060 7m@110060 3t@110060 7t@110060 3s@110121 7s@110121",
+            "3g@140060 7g@140060 2m@140060 6m@140060 2t@140060 6t@140060 2s@140121 6s@140121",
+        ];
+        assert_eq!(order.join(" "), pinned.join(" "));
+        assert_eq!(report_words(report), [7_200_140_060, 55, 16, 128, 20]);
     }
 }

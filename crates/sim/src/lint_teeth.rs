@@ -5,10 +5,13 @@
 //! these lints in test builds; an `#[expect]` on an item overrides that.
 //! Adding a ban means adding its case here.
 //!
-//! An `#[expect]` also turns its lint on, so the cases of the two lints that
-//! take no list (`iter_over_hash_type`, `allow_attributes_without_reason`)
-//! show that clippy sees the pattern, not that `[workspace.lints]` enables
-//! the lint.
+//! An `#[expect]` also turns its lint on in its own scope, so a case stays
+//! fulfilled even with its lint set to `allow` workspace-wide. That matters
+//! for the two lints that take no list (`iter_over_hash_type`,
+//! `allow_attributes_without_reason`): their cases show only that clippy sees
+//! the pattern. What enables the lints everywhere else is the root
+//! `Cargo.toml`'s `[workspace.lints]` table, which
+//! `workspace_lint_levels_keep_the_gate_on` reads and checks.
 
 use orthrus_types::rng::StdRng;
 use orthrus_types::FxHashMap;
@@ -113,4 +116,44 @@ fn randomly_seeded_map() {
 fn reasonless_waiver() {
     #[allow(dead_code)]
     struct Unused;
+}
+
+/// The `key = "value"` lines of one table of a TOML file, comments skipped.
+fn toml_table<'a>(toml: &'a str, header: &str) -> Vec<(&'a str, &'a str)> {
+    toml.lines()
+        .map(|line| line.split('#').next().unwrap_or_default().trim())
+        .skip_while(|&line| line != header)
+        .skip(1)
+        .take_while(|line| !line.starts_with('['))
+        .filter_map(|line| line.split_once('='))
+        .map(|(key, value)| (key.trim(), value.trim().trim_matches('"')))
+        .collect()
+}
+
+/// The workspace lint levels the determinism gate rests on: each lint that
+/// `clippy.toml` configures or that the cases above exercise is on (so
+/// `-D warnings` fails on a hit), and `unsafe` is forbidden outright.
+/// Setting any of them to `allow`, or deleting its line, fails here even
+/// though every `#[expect]` case above would still be fulfilled.
+#[test]
+fn workspace_lint_levels_keep_the_gate_on() {
+    let manifest = include_str!("../../../Cargo.toml");
+    let rust = toml_table(manifest, "[workspace.lints.rust]");
+    assert!(rust.contains(&("unsafe_code", "forbid")), "{rust:?}");
+    let clippy = toml_table(manifest, "[workspace.lints.clippy]");
+    for lint in [
+        "disallowed_methods",
+        "disallowed_types",
+        "iter_over_hash_type",
+        "allow_attributes_without_reason",
+    ] {
+        let level = clippy
+            .iter()
+            .find(|&&(key, _)| key == lint)
+            .map(|&(_, level)| level);
+        assert!(
+            matches!(level, Some("warn" | "deny" | "forbid")),
+            "`{lint}` is {level:?} in [workspace.lints.clippy]"
+        );
+    }
 }
